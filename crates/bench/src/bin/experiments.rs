@@ -35,8 +35,7 @@ fn render(header: &[&str], rows: &[Vec<String>]) -> String {
     }
 }
 
-const ALL: [&str; 32] = [
-    "throughput",
+const ALL: [&str; 31] = [
     "quality",
     "table2",
     "table3",
@@ -139,10 +138,10 @@ fn real_main() -> i32 {
         return sweep_main(&args[1..], &scale, threads, full, scenarios);
     }
     if args.is_empty() {
-        eprintln!("usage: experiments [--quick] [--json] [--threads N] [--full] [--scenarios DIR|FILE] <all|sweep|throughput|table2..table5|fig9..fig22|motivate|intensity|channels|hugepage|markov|reclaim|sensitivity|hwcost> ...");
+        eprintln!("usage: experiments [--quick] [--json] [--threads N] [--full] [--scenarios DIR|FILE] <all|sweep|quality|table2..table5|fig9..fig22|motivate|intensity|channels|hugepage|markov|reclaim|sensitivity|hwcost> ...");
         return 2;
     }
-    // The throughput/quality workload axis: the tracked 4-workload
+    // The quality workload axis: the tracked 4-workload
     // default, the full 15-workload catalogue behind `--full`, plus any
     // `--scenarios` entries in both cases.
     let axis = bench_axis(full, &scenarios);
@@ -183,7 +182,7 @@ fn load_scenarios(path: &str) -> std::result::Result<Vec<Scenario>, hopp_scn::Sc
     }
 }
 
-/// The quality/throughput workload axis for one invocation.
+/// The quality workload axis for one invocation.
 fn bench_axis(full: bool, scenarios: &[Scenario]) -> Vec<WorkloadSource> {
     if full {
         ex::full_bench_workloads(scenarios)
@@ -353,7 +352,6 @@ fn run(name: &str, scale: &Scale, axis: &[WorkloadSource]) -> Result<String> {
         "latency" => latency(scale),
         "fabric" => fabric(scale),
         "faults" => faults(scale),
-        "throughput" => throughput(scale, axis),
         "quality" => quality(scale, axis),
         "hwcost" => Ok(hwcost()),
         other => {
@@ -1046,41 +1044,6 @@ fn faults(scale: &Scale) -> Result<String> {
     Ok(out)
 }
 
-fn throughput(scale: &Scale, axis: &[WorkloadSource]) -> Result<String> {
-    // Median-of-5 paired ratios keep the gated `vs_noprefetch` column
-    // stable on noisy shared hosts; the extra repeats cost ~1 s.
-    const REPEATS: u32 = 5;
-    let mut out = format!(
-        "\n## Throughput — simulator wall-clock accesses/sec (50% local, best of {REPEATS})\n\n"
-    );
-    let rows = ex::throughput_over(scale, REPEATS, axis)?;
-    let cells: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.workload.clone(),
-                r.system.to_string(),
-                r.accesses.to_string(),
-                format!("{:.1} ms", r.wall_secs * 1e3),
-                format!("{:.0}", r.accesses_per_sec),
-            ]
-        })
-        .collect();
-    out.push_str(&render(
-        &["workload", "system", "accesses", "wall", "accesses/sec"],
-        &cells,
-    ));
-    // The tracked perf trajectory lives at the repo root; the bench
-    // crate's manifest dir is `crates/bench`, two levels below it.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
-    let json = ex::throughput_json(scale, REPEATS, &rows);
-    match std::fs::write(path, &json) {
-        Ok(()) => out.push_str(&format!("\nwrote {path}\n")),
-        Err(e) => eprintln!("\nfailed to write {path}: {e}"),
-    }
-    Ok(out)
-}
-
 fn quality(scale: &Scale, axis: &[WorkloadSource]) -> Result<String> {
     let mut out = String::from(
         "\n## Quality — prefetch coverage/accuracy/pollution scoreboard (50% local)\n\n",
@@ -1110,8 +1073,8 @@ fn quality(scale: &Scale, axis: &[WorkloadSource]) -> Result<String> {
         ],
         &cells,
     ));
-    // Tracked next to BENCH_throughput.json and diffed by `cargo xtask
-    // gate`; fully deterministic, so any change is a real change.
+    // Tracked at the repo root and diffed by `cargo xtask gate`; fully
+    // deterministic, so any change is a real change.
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_quality.json");
     let json = ex::quality_json(scale, &rows);
     match std::fs::write(path, &json) {

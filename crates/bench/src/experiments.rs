@@ -4,7 +4,7 @@
 //! [`hopp_types::Result`]: a failed run (typed [`hopp_types::Error`])
 //! propagates to the caller instead of killing the process, so a sweep
 //! cell that fails takes down only its own cell. Pure computations
-//! (`hwcost`, `throughput_json`, `fig16_systems`) stay infallible.
+//! (`hwcost`, `quality_json`, `fig16_systems`) stay infallible.
 
 use hopp_core::three_tier::TierConfig;
 use hopp_core::{HoppConfig, PolicyConfig};
@@ -43,7 +43,7 @@ impl Default for Scale {
 }
 
 impl Scale {
-    /// A reduced scale for CI and Criterion runs.
+    /// A reduced scale for CI and smoke runs.
     pub fn quick() -> Self {
         Scale {
             footprint: 1_024,
@@ -61,7 +61,7 @@ impl Scale {
     }
 }
 
-/// The four workloads the tracked `BENCH_*.json` baselines are recorded
+/// The four workloads the tracked `BENCH_quality.json` baseline is recorded
 /// over (one per pattern family: scan, phase-chained, ripple, graph).
 pub fn default_bench_workloads() -> Vec<WorkloadSource> {
     [
@@ -76,7 +76,7 @@ pub fn default_bench_workloads() -> Vec<WorkloadSource> {
 }
 
 /// The widened `--full` axis: the entire 15-workload catalogue plus any
-/// scenarios, so the quality/throughput grid scales past 20 entries
+/// scenarios, so the quality grid scales past 20 entries
 /// from a checked-in `scenarios/` directory.
 pub fn full_bench_workloads(scenarios: &[Scenario]) -> Vec<WorkloadSource> {
     let mut out: Vec<WorkloadSource> = WorkloadKind::ALL
@@ -1083,200 +1083,9 @@ pub fn fault_study(scale: &Scale) -> Result<Vec<FaultRow>> {
     Ok(rows)
 }
 
-/// One throughput row: simulator wall-clock throughput for a
-/// (workload, system) pair.
-#[derive(Clone, Debug)]
-pub struct ThroughputRow {
-    /// The workload (catalogue name or scenario name).
-    pub workload: String,
-    /// System under test.
-    pub system: &'static str,
-    /// Page accesses the run executed.
-    pub accesses: u64,
-    /// Best-of-repeats wall-clock time for the run, in seconds.
-    pub wall_secs: f64,
-    /// `accesses / wall_secs`.
-    pub accesses_per_sec: f64,
-    /// Median per-repeat *paired* speed ratio against the same repeat's
-    /// `noprefetch` run of the same workload (1.0 for the `noprefetch`
-    /// row itself). The two runs of a pair execute back-to-back inside
-    /// one repeat, so transient host stalls hit both alike, and the
-    /// median discards repeats where a stall hit only one side — this
-    /// ratio stays stable where raw wall times wander, and it is the
-    /// number `cargo xtask gate` regression-checks.
-    pub vs_noprefetch: f64,
-}
-
-/// The systems measured by the throughput harness.
-pub fn throughput_systems() -> [(&'static str, SystemConfig); 3] {
-    [
-        (
-            "noprefetch",
-            SystemConfig::Baseline(BaselineKind::NoPrefetch),
-        ),
-        ("fastswap", SystemConfig::Baseline(BaselineKind::Fastswap)),
-        ("hopp", SystemConfig::hopp_default()),
-    ]
-}
-
-/// Perf-trajectory tentpole: wall-clock accesses/sec of the whole
-/// simulated stack per workload × system at 50 % local memory.
-///
-/// Wall-clock time is measured here, at the bench layer — the one place
-/// the determinism rules permit `Instant` — and each cell takes the
-/// best of `repeats` runs so scheduler noise does not pollute the
-/// tracked `BENCH_throughput.json` trajectory. Simulated results are
-/// seeded and identical across repeats; only the wall clock varies.
-pub fn throughput(scale: &Scale, repeats: u32) -> Result<Vec<ThroughputRow>> {
-    throughput_over(scale, repeats, &default_bench_workloads())
-}
-
-/// [`throughput`] over an explicit workload axis — catalogue workloads
-/// and scenarios mix freely (`--full` and `--scenarios` route here).
-pub fn throughput_over(
-    scale: &Scale,
-    repeats: u32,
-    workloads: &[WorkloadSource],
-) -> Result<Vec<ThroughputRow>> {
-    use std::time::Instant;
-    let mut rows = Vec::new();
-    for source in workloads {
-        let fp = source.footprint(scale.footprint, scale.spark_footprint);
-        let systems = throughput_systems();
-        let mut accesses = [0u64; 3];
-        let mut best = [f64::INFINITY; 3];
-        let mut ratios: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-        // Systems are interleaved *inside* each repeat so a workload's
-        // cells are measured back-to-back: slow phases of a shared host
-        // then hit all systems alike, and the paired `vs_noprefetch`
-        // ratios stay stable even when absolute wall times wander.
-        for _ in 0..repeats.max(1) {
-            let mut this = [0f64; 3];
-            for (i, &(_, system)) in systems.iter().enumerate() {
-                let start = Instant::now();
-                let stream = source.build(SOLO_PID, fp, scale.seed);
-                let report = hopp_sim::run_stream_with(
-                    SimConfig::with_system(system),
-                    SOLO_PID,
-                    stream,
-                    fp,
-                    0.5,
-                )?;
-                let secs = start.elapsed().as_secs_f64();
-                accesses[i] = report.counters.accesses;
-                this[i] = secs;
-                best[i] = best[i].min(secs);
-            }
-            // Index 0 is the repeat's own noprefetch run.
-            for i in 0..3 {
-                ratios[i].push(this[0] / this[i].max(1e-9));
-            }
-        }
-        for (i, &(name, _)) in systems.iter().enumerate() {
-            rows.push(ThroughputRow {
-                workload: source.name().to_string(),
-                system: name,
-                accesses: accesses[i],
-                wall_secs: best[i],
-                accesses_per_sec: accesses[i] as f64 / best[i].max(1e-9),
-                vs_noprefetch: if i == 0 { 1.0 } else { median(&mut ratios[i]) },
-            });
-        }
-    }
-    Ok(rows)
-}
-
-/// Median of a non-empty sample (mean of the middle pair when even).
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    let n = xs.len();
-    if n == 0 {
-        return 0.0;
-    }
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
-    }
-}
-
-/// Per-workload speedup ratios derived from one set of throughput rows:
-/// `(workload name, hopp vs fastswap, hopp vs noprefetch)`, in the
-/// rows' workload order. Ratios are accesses/sec quotients, so > 1.0
-/// means HoPP's full stack is *faster to simulate* than the baseline.
-pub fn throughput_summary(rows: &[ThroughputRow]) -> Vec<(String, f64, f64)> {
-    let mut out: Vec<(String, f64, f64)> = Vec::new();
-    let cell = |workload: &str, system: &str| -> Option<f64> {
-        rows.iter()
-            .find(|r| r.workload == workload && r.system == system)
-            .map(|r| r.accesses_per_sec)
-    };
-    for r in rows {
-        if out.iter().any(|(w, _, _)| *w == r.workload) {
-            continue;
-        }
-        let (Some(hopp), Some(fastswap), Some(nopf)) = (
-            cell(&r.workload, "hopp"),
-            cell(&r.workload, "fastswap"),
-            cell(&r.workload, "noprefetch"),
-        ) else {
-            continue;
-        };
-        out.push((
-            r.workload.clone(),
-            hopp / fastswap.max(1e-9),
-            hopp / nopf.max(1e-9),
-        ));
-    }
-    out
-}
-
-/// Renders throughput rows as the tracked `BENCH_throughput.json`
-/// document (hand-rolled JSON; the workspace has no serde), including a
-/// `summary` block with the [`throughput_summary`] speedup ratios.
-pub fn throughput_json(scale: &Scale, repeats: u32, rows: &[ThroughputRow]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"hopp-bench-throughput/v1\",\n");
-    out.push_str("  \"unit\": \"accesses_per_sec\",\n");
-    out.push_str(&format!(
-        "  \"scale\": {{\"footprint\": {}, \"spark_footprint\": {}, \"seed\": {}, \"repeats\": {repeats}}},\n",
-        scale.footprint, scale.spark_footprint, scale.seed
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"system\": \"{}\", \"accesses\": {}, \
-             \"wall_secs\": {:.6}, \"accesses_per_sec\": {:.0}, \"vs_noprefetch\": {:.4}}}{}\n",
-            r.workload,
-            r.system,
-            r.accesses,
-            r.wall_secs,
-            r.accesses_per_sec,
-            r.vs_noprefetch,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    let summary = throughput_summary(rows);
-    if summary.is_empty() {
-        out.push_str("  ]\n}\n");
-        return out;
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"summary\": [\n");
-    for (i, (workload, vs_fastswap, vs_nopf)) in summary.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"{workload}\", \"hopp_vs_fastswap\": {vs_fastswap:.3}, \
-             \"hopp_vs_noprefetch\": {vs_nopf:.3}}}{}\n",
-            if i + 1 == summary.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 /// One prefetch-quality row: the scoreboard for a (workload, system)
-/// pair. Unlike [`throughput`], every field is a function of simulated
-/// state only, so rows are bit-stable for a given [`Scale`].
+/// pair. Every field is a function of simulated state only, so rows are
+/// bit-stable for a given [`Scale`].
 #[derive(Clone, Debug)]
 pub struct QualityRow {
     /// The workload (catalogue name or scenario name).
@@ -1311,10 +1120,9 @@ pub fn quality_systems() -> [(&'static str, SystemConfig); 2] {
 }
 
 /// Prefetch-quality scoreboard: coverage, accuracy, pollution and
-/// timeliness per workload × system at 50 % local memory, over the same
-/// workloads as [`throughput`]. Tracked as `BENCH_quality.json` and
-/// regression-gated by `cargo xtask gate` alongside the throughput
-/// trajectory.
+/// timeliness per workload × system at 50 % local memory, over
+/// [`default_bench_workloads`]. Tracked as `BENCH_quality.json` and
+/// regression-gated by `cargo xtask gate`.
 pub fn quality(scale: &Scale) -> Result<Vec<QualityRow>> {
     quality_over(scale, &default_bench_workloads())
 }

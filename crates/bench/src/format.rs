@@ -1,5 +1,7 @@
 //! Plain-text table rendering for the experiments binary.
 
+use hopp_types::json::{self, escape, Value};
+
 /// Renders a table: a header row plus data rows, columns padded to the
 /// widest cell.
 ///
@@ -76,21 +78,15 @@ pub fn render_json(header: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 fn json_value(cell: &str) -> String {
-    // Bare numbers pass through; percentages become fractions of 100
-    // stripped of the sign, everything else is a string.
-    if cell.parse::<f64>().is_ok() {
-        return cell.to_string();
+    // Cells that are JSON numbers pass through, percentages lose their
+    // sign, and everything else (including `NaN`, `inf` and `+1`, which
+    // Rust parses as floats but JSON does not) becomes a string.
+    let number = |s: &str| matches!(json::parse(s), Ok(Value::Num(_)));
+    match cell.strip_suffix('%') {
+        _ if number(cell) => cell.to_string(),
+        Some(num) if number(num) => num.to_string(),
+        _ => format!("\"{}\"", escape(cell)),
     }
-    if let Some(num) = cell.strip_suffix('%') {
-        if num.parse::<f64>().is_ok() {
-            return num.to_string();
-        }
-    }
-    format!("\"{}\"", escape(cell))
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Renders labelled values as a horizontal ASCII bar chart. Bars scale
@@ -241,6 +237,25 @@ mod tests {
         assert!(j.contains(r#""ratio": 0.5"#));
         assert!(j.contains(r#""pct": 12.34"#), "percent suffix stripped");
         assert!(j.contains(r#""weird": "n/a""#));
+        assert!(json::parse(&j).is_ok(), "{j}");
+    }
+
+    #[test]
+    fn json_output_parses_even_for_float_like_cells() {
+        let cells = ["NaN", "inf", "+1", "1.", "-0.5", "7%", "+3%"];
+        let j = render_json(&cells, &[cells.iter().map(|c| c.to_string()).collect()]);
+        let doc = json::parse(&j).expect("valid JSON");
+        let row = &doc.as_arr().unwrap()[0];
+        let as_num = |k: &str| row.get(k).and_then(Value::as_f64);
+        assert_eq!(as_num("-0.5"), Some(-0.5));
+        assert_eq!(as_num("7%"), Some(7.0));
+        for k in ["NaN", "inf", "+1", "1.", "+3%"] {
+            assert_eq!(
+                row.get(k).and_then(Value::as_str),
+                Some(k),
+                "{k} stays a string"
+            );
+        }
     }
 
     #[test]

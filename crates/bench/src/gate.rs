@@ -1,28 +1,18 @@
-//! `cargo xtask gate` — the perf/quality regression gate.
+//! `cargo xtask gate` — the prefetch-quality regression gate.
 //!
-//! The repository tracks two benchmark baselines next to the sources:
-//! `BENCH_throughput.json` (wall-clock accesses/sec, noisy) and
-//! `BENCH_quality.json` (prefetch coverage/accuracy/pollution, exactly
-//! deterministic). The gate re-runs both experiments at the scale
-//! recorded *inside* each committed baseline and diffs fresh rows
-//! against committed rows, per workload × system cell:
+//! `BENCH_quality.json` at the repository root tracks prefetch
+//! coverage, accuracy and pollution per workload × system. Every field
+//! is a function of simulated state, so the file is exactly
+//! reproducible. The gate re-runs the quality experiment at the scale
+//! recorded *inside* the committed file and diffs fresh rows against
+//! committed rows, per cell: coverage or accuracy dropping by more than
+//! 2 points, or pollution rising by more than 2 points, fails.
+//! Timeliness is reported but not gated (it tracks simulated latency
+//! config, not prefetcher health).
 //!
-//! * **Throughput** rows are compared on their `vs_noprefetch` field:
-//!   the best per-repeat *paired* speed ratio against the same
-//!   workload's `noprefetch` run measured back-to-back in the same
-//!   repeat. Host speed and per-workload simulation cost cancel out of
-//!   the pair, so only *relative* regressions (a system getting slower
-//!   than its own no-prefetch floor) trip the gate. A cell fails when
-//!   the ratio drops more than 10 %. The `noprefetch` rows are the
-//!   yardstick itself (ratio 1.0 by construction); absolute host-speed
-//!   changes are invisible by design — wall-clock numbers are only
-//!   comparable within one run. Baselines written before the
-//!   `vs_noprefetch` field existed fall back to normalizing
-//!   `accesses_per_sec` by the workload's noprefetch row.
-//! * **Quality** rows are compared absolutely: coverage or accuracy
-//!   dropping by more than 2 points, or pollution rising by more than
-//!   2 points, fails. Timeliness is reported but not gated (it tracks
-//!   simulated latency config, not prefetcher health).
+//! Host throughput is not gated here: the repository benchmark
+//! (`benchmark/`, `BENCHMARK.json`) measures it end to end and per
+//! layer.
 //!
 //! Expected regressions are waived *in the baseline file itself*, the
 //! same reason-required shape as `hopp-check` waivers:
@@ -30,7 +20,7 @@
 //! ```json
 //! "waivers": [
 //!   {"row": "Kmeans-OMP/hopp", "metric": "coverage_pct",
-//!    "reason": "PR 7 trades 3pt coverage for 2x less pollution"}
+//!    "reason": "trades 3pt coverage for 2x less pollution"}
 //! ]
 //! ```
 //!
@@ -40,12 +30,12 @@
 
 use std::path::Path;
 
-use crate::experiments::{
-    quality, quality_json, throughput, throughput_json, QualityRow, Scale, ThroughputRow,
-};
+use hopp_types::json::{self, Value};
 
-/// Relative normalized-throughput drop that fails a cell.
-pub const THROUGHPUT_DROP_LIMIT: f64 = 0.10;
+use crate::experiments::{quality, quality_json, QualityRow, Scale};
+
+/// The gated per-row metrics of `BENCH_quality.json`.
+const QUALITY_METRICS: [&str; 3] = ["coverage_pct", "accuracy_pct", "pollution_pct"];
 /// Absolute percentage-point movement that fails a quality cell.
 pub const QUALITY_POINT_LIMIT: f64 = 2.0;
 
@@ -83,7 +73,7 @@ pub struct GateOutcome {
     pub findings: Vec<GateFinding>,
     /// Breaches excused by a reasoned waiver.
     pub waived: Vec<GateFinding>,
-    /// Cells compared across both baselines.
+    /// Cells compared against the baseline.
     pub rows_checked: usize,
     /// The rendered per-row diff report.
     pub report: String,
@@ -96,55 +86,14 @@ impl GateOutcome {
     }
 }
 
-// ---------------------------------------------------------------------
-// Line-oriented extraction of the writer-controlled JSON.
-//
-// Both BENCH files are emitted one row object per line by
-// `throughput_json` / `quality_json`, so a full JSON parser is overkill
-// (and the workspace has no serde): a row is any line carrying both a
-// "workload" and a "system" key, a waiver any line with "row" and
-// "metric", and the scale header the line with "footprint".
-// ---------------------------------------------------------------------
-
-fn field_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = line[at..].trim_start();
-    let end = rest
-        .char_indices()
-        .find(|&(i, c)| c == ',' && !in_string(rest, i) || c == '}' && !in_string(rest, i))
-        .map_or(rest.len(), |(i, _)| i);
-    Some(rest[..end].trim())
-}
-
-/// True when byte `i` of `s` falls inside a double-quoted string (the
-/// emitted values never contain escaped quotes).
-fn in_string(s: &str, i: usize) -> bool {
-    s[..i].matches('"').count() % 2 == 1
-}
-
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    field_raw(line, key)?.strip_prefix('"')?.strip_suffix('"')
-}
-
-fn field_f64(line: &str, key: &str) -> Option<f64> {
-    field_raw(line, key)?.parse().ok()
-}
-
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    field_raw(line, key)?.parse().ok()
-}
-
-/// A parsed baseline: its recorded scale, repeats (throughput only),
-/// per-cell metric rows and waivers.
+/// A parsed baseline: its recorded scale, per-cell metric values and
+/// waivers.
 #[derive(Clone, Debug, Default)]
 pub struct Baseline {
     /// The scale recorded in the file's `scale` block.
     pub scale: Scale,
-    /// Recorded repeats (1 when the file has none).
-    pub repeats: u32,
-    /// `(workload, system, metric, value)` tuples, one per metric per
-    /// row line.
+    /// `(workload, system, metric, value)` tuples, one per gated metric
+    /// (coverage, accuracy, pollution) per row.
     pub cells: Vec<(String, String, String, f64)>,
     /// Embedded waivers.
     pub waivers: Vec<GateWaiver>,
@@ -159,72 +108,54 @@ impl Baseline {
     }
 }
 
-/// Parses a BENCH baseline document. `metrics` names the per-row fields
-/// to lift into comparable cells.
-pub fn parse_baseline(doc: &str, metrics: &[&str]) -> Result<Baseline, String> {
+/// Parses a `BENCH_quality.json` document.
+///
+/// # Errors
+///
+/// Malformed JSON, a missing `scale` block, a row or waiver without its
+/// identifying keys, and a file with no comparable rows are returned as
+/// a message.
+pub fn parse_baseline(doc: &str) -> Result<Baseline, String> {
+    let v = json::parse(doc).map_err(|e| e.to_string())?;
+    let text = |o: &Value, k: &str| o.get(k).and_then(Value::as_str).map(str::to_string);
+    let scale = v
+        .get("scale")
+        .ok_or("baseline has no scale block (is it a BENCH_quality.json file?)")?;
+    let int = |k: &str| scale.get(k).and_then(Value::as_u64);
+    let footprint = int("footprint").ok_or("scale block has no footprint")?;
     let mut base = Baseline {
-        repeats: 1,
+        scale: Scale {
+            footprint,
+            spark_footprint: int("spark_footprint").unwrap_or(footprint),
+            seed: int("seed").unwrap_or(Scale::default().seed),
+        },
         ..Baseline::default()
     };
-    let mut saw_scale = false;
-    for line in doc.lines() {
-        if let (Some(workload), Some(system)) =
-            (field_str(line, "workload"), field_str(line, "system"))
-        {
-            for &m in metrics {
-                if let Some(v) = field_f64(line, m) {
-                    base.cells
-                        .push((workload.to_string(), system.to_string(), m.to_string(), v));
-                }
-            }
-        } else if let (Some(row), Some(metric)) =
-            (field_str(line, "row"), field_str(line, "metric"))
-        {
-            base.waivers.push(GateWaiver {
-                row: row.to_string(),
-                metric: metric.to_string(),
-                reason: field_str(line, "reason").unwrap_or_default().to_string(),
-            });
-        } else if let Some(fp) = field_u64(line, "footprint") {
-            saw_scale = true;
-            base.scale.footprint = fp;
-            base.scale.spark_footprint = field_u64(line, "spark_footprint").unwrap_or(fp);
-            base.scale.seed = field_u64(line, "seed").unwrap_or(base.scale.seed);
-            if let Some(r) = field_u64(line, "repeats") {
-                base.repeats = r.max(1) as u32;
+    for row in v.get("rows").and_then(Value::as_arr).unwrap_or_default() {
+        let (Some(workload), Some(system)) = (text(row, "workload"), text(row, "system")) else {
+            return Err("a row lacks its \"workload\" or \"system\"".to_string());
+        };
+        for m in QUALITY_METRICS {
+            if let Some(x) = row.get(m).and_then(Value::as_f64) {
+                base.cells
+                    .push((workload.clone(), system.clone(), m.to_string(), x));
             }
         }
     }
-    if !saw_scale {
-        return Err("baseline has no scale block (is it a BENCH_*.json file?)".to_string());
+    for w in v.get("waivers").and_then(Value::as_arr).unwrap_or_default() {
+        let (Some(row), Some(metric)) = (text(w, "row"), text(w, "metric")) else {
+            return Err("a waiver lacks its \"row\" or \"metric\"".to_string());
+        };
+        base.waivers.push(GateWaiver {
+            row,
+            metric,
+            reason: text(w, "reason").unwrap_or_default(),
+        });
     }
     if base.cells.is_empty() {
         return Err("baseline has no comparable rows".to_string());
     }
     Ok(base)
-}
-
-/// The workload's own `noprefetch` accesses/sec in a row set — the
-/// yardstick its other systems are normalized by.
-fn noprefetch_of(cells: &[(String, String, String, f64)], workload: &str) -> Option<f64> {
-    cells
-        .iter()
-        .find(|(w, s, m, _)| w == workload && s == "noprefetch" && m == "accesses_per_sec")
-        .map(|&(_, _, _, v)| v)
-        .filter(|v| *v > 0.0)
-}
-
-fn throughput_cells(rows: &[ThroughputRow]) -> Vec<(String, String, String, f64)> {
-    let mut cells = Vec::new();
-    for r in rows {
-        for (m, v) in [
-            ("accesses_per_sec", r.accesses_per_sec),
-            ("vs_noprefetch", r.vs_noprefetch),
-        ] {
-            cells.push((r.workload.clone(), r.system.to_string(), m.to_string(), v));
-        }
-    }
-    cells
 }
 
 fn quality_cells(rows: &[QualityRow]) -> Vec<(String, String, String, f64)> {
@@ -239,62 +170,6 @@ fn quality_cells(rows: &[QualityRow]) -> Vec<(String, String, String, f64)> {
         }
     }
     cells
-}
-
-/// Diffs fresh throughput rows against a committed baseline on the
-/// paired `vs_noprefetch` ratio (>[`THROUGHPUT_DROP_LIMIT`] relative
-/// drop fails). Falls back to normalizing `accesses_per_sec` by the
-/// workload's noprefetch row for baselines that predate the field.
-pub fn diff_throughput(base: &Baseline, fresh: &[ThroughputRow]) -> (Vec<GateFinding>, usize) {
-    let fresh_cells = throughput_cells(fresh);
-    let has_ratio = base.cells.iter().any(|(_, _, m, _)| m == "vs_noprefetch");
-    let mut findings = Vec::new();
-    let mut checked = 0;
-    for (workload, system, metric, fresh_v) in &fresh_cells {
-        // noprefetch rows are the yardstick, not a gated cell.
-        if system == "noprefetch" {
-            continue;
-        }
-        let (base_norm, fresh_norm) = if has_ratio {
-            if metric != "vs_noprefetch" {
-                continue;
-            }
-            let Some(base_v) = base.value(workload, system, metric) else {
-                continue;
-            };
-            (base_v, *fresh_v)
-        } else {
-            if metric != "accesses_per_sec" {
-                continue;
-            }
-            let Some(base_v) = base.value(workload, system, metric) else {
-                continue;
-            };
-            let (Some(base_yard), Some(fresh_yard)) = (
-                noprefetch_of(&base.cells, workload),
-                noprefetch_of(&fresh_cells, workload),
-            ) else {
-                continue;
-            };
-            (base_v / base_yard, fresh_v / fresh_yard)
-        };
-        checked += 1;
-        if fresh_norm < base_norm * (1.0 - THROUGHPUT_DROP_LIMIT) {
-            let drop_pct = (1.0 - fresh_norm / base_norm) * 100.0;
-            findings.push(GateFinding {
-                row: format!("{workload}/{system}"),
-                metric: "vs_noprefetch".to_string(),
-                baseline: base_norm,
-                fresh: fresh_norm,
-                detail: format!(
-                    "{workload}/{system}: speed vs noprefetch {fresh_norm:.3} vs baseline \
-                     {base_norm:.3} (-{drop_pct:.1}%, limit {:.0}%)",
-                    THROUGHPUT_DROP_LIMIT * 100.0
-                ),
-            });
-        }
-    }
-    (findings, checked)
 }
 
 /// Diffs fresh quality rows against a committed baseline: coverage or
@@ -397,64 +272,40 @@ fn render(outcome: &GateOutcome) -> String {
     out
 }
 
-/// Runs the full gate against the baselines in `root` (the workspace
-/// root holding `BENCH_throughput.json` and `BENCH_quality.json`).
+/// Runs the gate against the `BENCH_quality.json` baseline in `root`
+/// (the workspace root).
 ///
-/// `quick` caps throughput repeats at 3 (the floor the median paired
-/// ratio needs); `update` rewrites both baselines from the fresh runs
-/// instead of diffing (dropping any waivers — an updated baseline has
-/// nothing left to excuse).
+/// `update` rewrites the baseline from the fresh run instead of diffing
+/// (dropping any waivers — an updated baseline has nothing left to
+/// excuse).
 ///
 /// # Errors
 ///
-/// Unreadable/unparseable baselines and failed simulation runs are
-/// returned as a message; threshold breaches are *not* errors, they are
-/// [`GateOutcome::findings`].
-pub fn run_gate(root: &Path, quick: bool, update: bool) -> Result<GateOutcome, String> {
-    let tp_path = root.join("BENCH_throughput.json");
-    let q_path = root.join("BENCH_quality.json");
-    let tp_doc =
-        std::fs::read_to_string(&tp_path).map_err(|e| format!("{}: {e}", tp_path.display()))?;
-    let q_doc =
-        std::fs::read_to_string(&q_path).map_err(|e| format!("{}: {e}", q_path.display()))?;
-    let tp_base = parse_baseline(&tp_doc, &["accesses_per_sec", "vs_noprefetch"])
-        .map_err(|e| format!("{}: {e}", tp_path.display()))?;
-    let q_base = parse_baseline(&q_doc, &["coverage_pct", "accuracy_pct", "pollution_pct"])
-        .map_err(|e| format!("{}: {e}", q_path.display()))?;
-
-    // Never fewer than 3 repeats: the median paired ratio needs a
-    // middle element to discard one-sided host stalls. `--quick` runs
-    // exactly 3 regardless of what the baseline recorded.
-    let repeats = if quick { 3 } else { tp_base.repeats.max(3) };
-    let tp_fresh = throughput(&tp_base.scale, repeats).map_err(|e| format!("throughput: {e}"))?;
-    let q_fresh = quality(&q_base.scale).map_err(|e| format!("quality: {e}"))?;
+/// An unreadable or unparseable baseline and a failed simulation run
+/// are returned as a message; threshold breaches are *not* errors, they
+/// are [`GateOutcome::findings`].
+pub fn run_gate(root: &Path, update: bool) -> Result<GateOutcome, String> {
+    let path = root.join("BENCH_quality.json");
+    let shown = path.display();
+    let doc = std::fs::read_to_string(&path).map_err(|e| format!("{shown}: {e}"))?;
+    let base = parse_baseline(&doc).map_err(|e| format!("{shown}: {e}"))?;
+    let fresh = quality(&base.scale).map_err(|e| format!("quality: {e}"))?;
 
     if update {
-        let tp_out = throughput_json(&tp_base.scale, repeats, &tp_fresh);
-        let q_out = quality_json(&q_base.scale, &q_fresh);
-        std::fs::write(&tp_path, tp_out).map_err(|e| format!("{}: {e}", tp_path.display()))?;
-        std::fs::write(&q_path, q_out).map_err(|e| format!("{}: {e}", q_path.display()))?;
+        std::fs::write(&path, quality_json(&base.scale, &fresh))
+            .map_err(|e| format!("{shown}: {e}"))?;
         return Ok(GateOutcome {
-            report: format!(
-                "gate: rewrote {} and {}\n",
-                tp_path.display(),
-                q_path.display()
-            ),
+            report: format!("gate: rewrote {shown}\n"),
             ..GateOutcome::default()
         });
     }
 
-    let (tp_breaches, tp_checked) = diff_throughput(&tp_base, &tp_fresh);
-    let (q_breaches, q_checked) = diff_quality(&q_base, &q_fresh);
-    let mut all_waivers = tp_base.waivers;
-    all_waivers.extend(q_base.waivers);
-    let mut breaches = tp_breaches;
-    breaches.extend(q_breaches);
-    let (findings, waived) = settle_waivers(breaches, &all_waivers);
+    let (breaches, rows_checked) = diff_quality(&base, &fresh);
+    let (findings, waived) = settle_waivers(breaches, &base.waivers);
     let mut outcome = GateOutcome {
         findings,
         waived,
-        rows_checked: tp_checked + q_checked,
+        rows_checked,
         ..GateOutcome::default()
     };
     outcome.report = render(&outcome);
@@ -464,84 +315,6 @@ pub fn run_gate(root: &Path, quick: bool, update: bool) -> Result<GateOutcome, S
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn row(workload: &str, system: &'static str, aps: f64, ratio: f64) -> ThroughputRow {
-        ThroughputRow {
-            workload: workload.to_string(),
-            system,
-            accesses: 1_000,
-            wall_secs: 1_000.0 / aps,
-            accesses_per_sec: aps,
-            vs_noprefetch: ratio,
-        }
-    }
-
-    fn base_rows() -> Vec<ThroughputRow> {
-        vec![
-            row("Kmeans-OMP", "noprefetch", 100_000.0, 1.0),
-            row("Kmeans-OMP", "hopp", 80_000.0, 0.8),
-            row("Quicksort", "noprefetch", 100_000.0, 1.0),
-            row("Quicksort", "hopp", 90_000.0, 0.9),
-        ]
-    }
-
-    fn baseline_of(rows: &[ThroughputRow]) -> Baseline {
-        let doc = crate::experiments::throughput_json(&Scale::quick(), 3, rows);
-        parse_baseline(&doc, &["accesses_per_sec", "vs_noprefetch"]).unwrap()
-    }
-
-    #[test]
-    fn injected_slowdown_fails_the_gate_naming_the_cell() {
-        let base = baseline_of(&base_rows());
-        // A uniformly 2x slower host leaves the paired ratios alone —
-        // except the Quicksort/hopp cell, which lost an extra 20%
-        // against its own noprefetch floor.
-        let mut fresh = base_rows();
-        for r in &mut fresh {
-            r.accesses_per_sec /= 2.0;
-        }
-        let qs = fresh
-            .iter_mut()
-            .find(|r| r.workload == "Quicksort" && r.system == "hopp")
-            .unwrap();
-        qs.accesses_per_sec *= 0.8;
-        qs.vs_noprefetch *= 0.8;
-        let (findings, checked) = diff_throughput(&base, &fresh);
-        assert_eq!(checked, 2);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert_eq!(findings[0].row, "Quicksort/hopp");
-        assert!(findings[0].detail.contains("Quicksort/hopp"));
-        assert!(findings[0].detail.contains("limit 10%"));
-    }
-
-    #[test]
-    fn uniform_host_slowdown_passes_via_paired_ratios() {
-        let base = baseline_of(&base_rows());
-        let mut fresh = base_rows();
-        for r in &mut fresh {
-            r.accesses_per_sec /= 3.0;
-        }
-        let (findings, checked) = diff_throughput(&base, &fresh);
-        assert_eq!(checked, 2);
-        assert!(findings.is_empty(), "{findings:?}");
-    }
-
-    #[test]
-    fn legacy_baselines_without_ratios_fall_back_to_normalized_accesses() {
-        // Strip the vs_noprefetch cells to emulate a pre-field baseline.
-        let mut base = baseline_of(&base_rows());
-        base.cells.retain(|(_, _, m, _)| m == "accesses_per_sec");
-        let mut fresh = base_rows();
-        fresh
-            .iter_mut()
-            .find(|r| r.workload == "Kmeans-OMP" && r.system == "hopp")
-            .unwrap()
-            .accesses_per_sec *= 0.8;
-        let (findings, checked) = diff_throughput(&base, &fresh);
-        assert_eq!(checked, 2);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert_eq!(findings[0].row, "Kmeans-OMP/hopp");
-    }
 
     fn qrow(workload: &str, system: &'static str, cov: f64, acc: f64, pol: f64) -> QualityRow {
         QualityRow {
@@ -561,9 +334,7 @@ mod tests {
     #[test]
     fn quality_gate_fires_on_coverage_drop_and_pollution_rise_only() {
         let base_rows = vec![qrow("Kmeans-OMP", "hopp", 60.0, 90.0, 10.0)];
-        let doc = crate::experiments::quality_json(&Scale::quick(), &base_rows);
-        let base =
-            parse_baseline(&doc, &["coverage_pct", "accuracy_pct", "pollution_pct"]).unwrap();
+        let base = parse_baseline(&quality_json(&Scale::quick(), &base_rows)).unwrap();
         // Within limits: +1.9pt pollution, -1.9pt coverage.
         let ok = vec![qrow("Kmeans-OMP", "hopp", 58.1, 90.0, 11.9)];
         assert!(diff_quality(&base, &ok).0.is_empty());
@@ -610,30 +381,58 @@ mod tests {
 
     #[test]
     fn baseline_parsing_recovers_scale_rows_and_waivers() {
-        let mut doc = crate::experiments::throughput_json(
-            &Scale {
-                footprint: 2_048,
-                spark_footprint: 1_024,
-                seed: 9,
-            },
-            5,
-            &base_rows(),
-        );
-        doc = doc.replace(
+        let rows = vec![
+            qrow("Kmeans-OMP", "fastswap", 40.0, 95.0, 5.0),
+            qrow("Kmeans-OMP", "hopp", 60.0, 90.0, 10.0),
+        ];
+        let scale = Scale {
+            footprint: 2_048,
+            spark_footprint: 1_024,
+            seed: 9,
+        };
+        let doc = quality_json(&scale, &rows).replace(
             "  \"rows\": [",
-            "  \"waivers\": [\n    {\"row\": \"Kmeans-OMP/hopp\", \"metric\": \"accesses_per_sec\", \"reason\": \"known\"}\n  ],\n  \"rows\": [",
+            "  \"waivers\": [\n    {\"row\": \"Kmeans-OMP/hopp\", \"metric\": \"coverage_pct\", \"reason\": \"known\"}\n  ],\n  \"rows\": [",
         );
-        let base = parse_baseline(&doc, &["accesses_per_sec", "vs_noprefetch"]).unwrap();
+        let base = parse_baseline(&doc).unwrap();
         assert_eq!(base.scale.footprint, 2_048);
         assert_eq!(base.scale.spark_footprint, 1_024);
         assert_eq!(base.scale.seed, 9);
-        assert_eq!(base.repeats, 5);
-        assert_eq!(base.cells.len(), 8);
+        assert_eq!(base.cells.len(), 6);
+        assert_eq!(
+            base.value("Kmeans-OMP", "hopp", "pollution_pct"),
+            Some(10.0)
+        );
         assert_eq!(base.waivers.len(), 1);
         assert_eq!(base.waivers[0].reason, "known");
-        // Summary lines (workload but no system) are not rows.
-        assert!(base
-            .value("Kmeans-OMP", "hopp", "accesses_per_sec")
-            .is_some());
+    }
+
+    #[test]
+    fn malformed_baselines_are_messages_not_panics() {
+        let good = quality_json(&Scale::quick(), &[qrow("Quicksort", "hopp", 1.0, 2.0, 3.0)]);
+        assert!(parse_baseline(&good).is_ok());
+        for (doc, needle) in [
+            (good[..good.len() / 2].to_string(), "byte"),
+            ("{\"rows\": []}".to_string(), "no scale block"),
+            (good.replace("\"footprint\"", "\"size\""), "no footprint"),
+            (good.replace("\"system\"", "\"sys\""), "lacks"),
+            (quality_json(&Scale::quick(), &[]), "no comparable rows"),
+        ] {
+            let err = parse_baseline(&doc).unwrap_err();
+            assert!(err.contains(needle), "{err:?} should mention {needle:?}");
+        }
+    }
+
+    #[test]
+    fn the_committed_baseline_parses() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_quality.json");
+        let doc = std::fs::read_to_string(root).expect("BENCH_quality.json is committed");
+        let base = parse_baseline(&doc).expect("committed baseline parses");
+        assert_eq!(
+            base.cells.len(),
+            3 * 8,
+            "4 workloads x 2 systems x 3 metrics"
+        );
+        assert!(base.waivers.is_empty());
     }
 }

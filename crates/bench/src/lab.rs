@@ -33,9 +33,10 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use hopp_obs::{Event, TimedEvent};
-use hopp_scn::WorkloadSource;
+use hopp_scn::{fnv1a64, WorkloadSource};
 use hopp_sim::runner::SOLO_PID;
 use hopp_sim::{BaselineKind, SimConfig, SystemConfig};
+use hopp_types::json::{self, escape, Value};
 use hopp_types::{Nanos, Result};
 use hopp_workloads::WorkloadKind;
 
@@ -286,7 +287,8 @@ fn push_event(events: &Mutex<Vec<TimedEvent>>, at: Nanos, event: Event) {
 /// outcome and whether it came from the cache.
 fn run_cell_cached(cell: &Cell, cache_dir: Option<&Path>) -> (CellOutcome, bool) {
     let fingerprint = cell_fingerprint(cell);
-    let path = cache_dir.map(|dir| dir.join(format!("{:016x}.json", fnv1a64(&fingerprint))));
+    let path =
+        cache_dir.map(|dir| dir.join(format!("{:016x}.json", fnv1a64(fingerprint.as_bytes()))));
     if let Some(path) = &path {
         if let Some(metrics) = load_cached_cell(path, &fingerprint) {
             return (Ok(metrics), true);
@@ -348,18 +350,6 @@ fn cell_fingerprint(cell: &Cell) -> String {
     )
 }
 
-/// FNV-1a 64-bit over the fingerprint string (hand-rolled; the
-/// workspace has no external hashing dependency and `DefaultHasher` is
-/// not stable across Rust releases).
-fn fnv1a64(s: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in s.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Serializes one cached cell. `f64` fields use Rust's shortest
 /// roundtrip `Display`, so parsing them back yields the identical bit
 /// pattern and cached cells render byte-identically to fresh ones.
@@ -368,7 +358,7 @@ fn cell_cache_json(fingerprint: &str, m: &CellMetrics) -> String {
         "{{\"schema\":\"hopp-lab-cell/v1\",\"fingerprint\":\"{}\",\
          \"completion_ns\":{},\"local_ns\":{},\"accesses\":{},\"major_faults\":{},\
          \"remote_reads\":{},\"accuracy\":{},\"coverage\":{}}}\n",
-        escape_json(fingerprint),
+        escape(fingerprint),
         m.completion_ns,
         m.local_ns,
         m.accesses,
@@ -383,21 +373,21 @@ fn cell_cache_json(fingerprint: &str, m: &CellMetrics) -> String {
 /// file, wrong schema, fingerprint collision, parse failure) so the
 /// cell is recomputed.
 fn load_cached_cell(path: &Path, fingerprint: &str) -> Option<CellMetrics> {
-    let doc = std::fs::read_to_string(path).ok()?;
-    if json_str(&doc, "schema")? != "hopp-lab-cell/v1" {
+    let doc = json::parse(&std::fs::read_to_string(path).ok()?).ok()?;
+    let text = |k: &str| doc.get(k).and_then(Value::as_str);
+    if text("schema")? != "hopp-lab-cell/v1" || text("fingerprint")? != fingerprint {
         return None;
     }
-    if json_str(&doc, "fingerprint")? != fingerprint {
-        return None;
-    }
+    let int = |k: &str| doc.get(k).and_then(Value::as_u64);
+    let float = |k: &str| doc.get(k).and_then(Value::as_f64);
     Some(CellMetrics {
-        completion_ns: json_u64(&doc, "completion_ns")?,
-        local_ns: json_u64(&doc, "local_ns")?,
-        accesses: json_u64(&doc, "accesses")?,
-        major_faults: json_u64(&doc, "major_faults")?,
-        remote_reads: json_u64(&doc, "remote_reads")?,
-        accuracy: json_f64(&doc, "accuracy")?,
-        coverage: json_f64(&doc, "coverage")?,
+        completion_ns: int("completion_ns")?,
+        local_ns: int("local_ns")?,
+        accesses: int("accesses")?,
+        major_faults: int("major_faults")?,
+        remote_reads: int("remote_reads")?,
+        accuracy: float("accuracy")?,
+        coverage: float("coverage")?,
     })
 }
 
@@ -420,7 +410,7 @@ fn render_sweep_json(spec: &SweepSpec, cells: &[Cell], outcomes: &[(CellOutcome,
             .join(", "),
         spec.systems
             .iter()
-            .map(|(label, _)| format!("\"{}\"", escape_json(label)))
+            .map(|(label, _)| format!("\"{}\"", escape(label)))
             .collect::<Vec<_>>()
             .join(", "),
         spec.seeds
@@ -438,7 +428,7 @@ fn render_sweep_json(spec: &SweepSpec, cells: &[Cell], outcomes: &[(CellOutcome,
             out,
             "    {{\"workload\": \"{}\", \"system\": \"{}\", \"seed\": {}, ",
             cell.workload.name(),
-            escape_json(&cell.system_label),
+            escape(&cell.system_label),
             cell.seed
         );
         match outcome {
@@ -459,7 +449,7 @@ fn render_sweep_json(spec: &SweepSpec, cells: &[Cell], outcomes: &[(CellOutcome,
                 );
             }
             Err(e) => {
-                let _ = write!(out, "\"error\": \"{}\"}}", escape_json(e));
+                let _ = write!(out, "\"error\": \"{}\"}}", escape(e));
             }
         }
         out.push_str(if i + 1 == cells.len() { "\n" } else { ",\n" });
@@ -480,7 +470,7 @@ fn render_sweep_json(spec: &SweepSpec, cells: &[Cell], outcomes: &[(CellOutcome,
             let mut row = format!(
                 "    {{\"workload\": \"{}\", \"system\": \"{}\", \"seeds\": {}",
                 workload.name(),
-                escape_json(label),
+                escape(label),
                 ok_cells.len()
             );
             for (key, values) in [
@@ -527,61 +517,6 @@ fn mean_min_max(values: &[f64]) -> (f64, f64, f64) {
         max = max.max(v);
     }
     (sum / values.len() as f64, min, max)
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Extracts the raw value text after `"key":` in a flat JSON document.
-fn json_value<'a>(doc: &'a str, key: &str) -> Option<&'a str> {
-    let pattern = format!("\"{key}\":");
-    let start = doc.find(&pattern)? + pattern.len();
-    let rest = doc[start..].trim_start();
-    if let Some(stripped) = rest.strip_prefix('"') {
-        // A string value: scan to the closing unescaped quote.
-        let mut escaped = false;
-        for (i, c) in stripped.char_indices() {
-            match c {
-                '\\' if !escaped => escaped = true,
-                '"' if !escaped => return Some(&stripped[..i]),
-                _ => escaped = false,
-            }
-        }
-        None
-    } else {
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim())
-    }
-}
-
-fn json_str(doc: &str, key: &str) -> Option<String> {
-    // Cached-cell strings only ever contain the escapes we emit.
-    Some(
-        json_value(doc, key)?
-            .replace("\\\"", "\"")
-            .replace("\\\\", "\\"),
-    )
-}
-
-fn json_u64(doc: &str, key: &str) -> Option<u64> {
-    json_value(doc, key)?.parse().ok()
-}
-
-fn json_f64(doc: &str, key: &str) -> Option<f64> {
-    json_value(doc, key)?.parse().ok()
 }
 
 /// Resolves a workload by paper name, slug or unique prefix (the same
@@ -668,6 +603,9 @@ mod tests {
         let one = run_sweep(&tiny_spec(1, None)).expect("sweep runs");
         let four = run_sweep(&tiny_spec(4, None)).expect("sweep runs");
         assert_eq!(one.json, four.json, "grid-order aggregation is byte-stable");
+        let doc = json::parse(&one.json).expect("the sweep artifact parses");
+        let rows = |k: &str| doc.get(k).and_then(Value::as_arr).map(<[Value]>::len);
+        assert_eq!((rows("cells"), rows("aggregates")), (Some(4), Some(2)));
         assert_eq!(one.cells_run, 4);
         assert_eq!(one.cells_failed, 0);
         // Two progress events per cell, on the Lab track.

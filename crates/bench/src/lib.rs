@@ -4,7 +4,9 @@
 //! Every entry in the paper's evaluation (§VI) has a generator here that
 //! runs the full simulation stack and returns the same rows/series the
 //! paper reports. The `experiments` binary pretty-prints them; the
-//! Criterion benches in `benches/` time representative configurations.
+//! benches in `benches/` time isolated components and collections
+//! (end-to-end host throughput is the repository benchmark's job,
+//! `benchmark/`).
 //!
 //! Absolute numbers differ from the paper's hardware testbed (this is a
 //! simulator), but the comparisons — who wins, by roughly what factor,

@@ -52,11 +52,11 @@
 //! waiver/budget table, and the committed `check-baseline.json`
 //! ([`baseline`]) ratchets the finding count monotonically downward.
 //!
-//! The checker is dependency-free by design (the build environment is
-//! offline): instead of `syn` it uses a small comment/string/test-aware
-//! lexer plus a brace/scope-tracking token pass ([`lexer`]), which is
-//! exact for the token-level invariants enforced here and a sound
-//! best-effort for the dataflow analyses.
+//! The checker has no external dependencies by design (the build
+//! environment is offline): instead of `syn` it uses a small
+//! comment/string/test-aware lexer plus a brace/scope-tracking token
+//! pass ([`lexer`]), which is exact for the token-level invariants
+//! enforced here and a sound best-effort for the dataflow analyses.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -64,11 +64,11 @@ use std::path::{Path, PathBuf};
 
 pub mod baseline;
 mod dataflow;
-pub mod json;
 pub mod lexer;
 mod rules;
 pub mod sarif;
 
+pub use hopp_types::json;
 pub use rules::{HARNESS_CRATES, SIM_CRITICAL_CRATES};
 
 /// The rules `hopp-check` enforces.

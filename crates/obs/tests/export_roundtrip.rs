@@ -2,48 +2,32 @@
 //! pinning `Histogram::quantile` to an exact sorted-vector reference.
 //!
 //! The exporters render JSON by hand (the build is offline, no serde),
-//! so nothing in the unit tests proves the output *parses*. Here a
-//! small recursive-descent parser reads every JSONL line back and
-//! checks the values and the key order against the events that
-//! produced them — key order is part of the determinism contract
-//! (byte-stable output diffs cleanly between runs).
+//! so nothing in the unit tests proves the output *parses*. Here the
+//! workspace's JSON reader (`hopp_types::json`, which keeps object keys
+//! in document order) reads every JSONL line back and checks the values
+//! and the key order against the events that produced them — key order
+//! is part of the determinism contract (byte-stable output diffs
+//! cleanly between runs).
 
 use hopp_obs::{events_to_jsonl, Event, TimedEvent};
+use hopp_types::json::{self, Value};
 use hopp_types::rng::SplitMix64;
 use hopp_types::{Nanos, Pid, Ppn, Vpn};
 
-/// Parses one flat JSON object (`{"k":v,…}`, values numeric, boolean
-/// or plain strings — exactly the exporters' output grammar) into
-/// `(key, raw-value)` pairs in textual order. Panics on malformed
-/// input: a parse failure *is* the test failure.
-fn parse_flat_object(line: &str) -> Vec<(String, String)> {
-    let inner = line
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .unwrap_or_else(|| panic!("not an object: {line}"));
-    let mut pairs = Vec::new();
-    let mut rest = inner;
-    while !rest.is_empty() {
-        let after_quote = rest
-            .strip_prefix('"')
-            .unwrap_or_else(|| panic!("key must open with a quote: {rest}"));
-        let close = after_quote.find('"').expect("unterminated key");
-        let key = &after_quote[..close];
-        let after_colon = after_quote[close + 1..]
-            .strip_prefix(':')
-            .unwrap_or_else(|| panic!("missing colon after key {key}"));
-        let (value, tail) = if let Some(s) = after_colon.strip_prefix('"') {
-            let end = s.find('"').expect("unterminated string value");
-            (s[..end].to_string(), &s[end + 1..])
-        } else {
-            let end = after_colon.find(',').unwrap_or(after_colon.len());
-            (after_colon[..end].to_string(), &after_colon[end..])
-        };
-        assert!(!value.is_empty(), "empty value for key {key}");
-        pairs.push((key.to_string(), value));
-        rest = tail.strip_prefix(',').unwrap_or(tail);
+/// Parses one JSONL line, which must be an object, into its members in
+/// document order. Panics on malformed input: a parse failure *is* the
+/// test failure.
+fn members(line: &str) -> Vec<(String, Value)> {
+    match json::parse(line) {
+        Ok(Value::Obj(members)) => members,
+        other => panic!("not an object ({other:?}): {line}"),
     }
-    pairs
+}
+
+fn has(members: &[(String, Value)], key: &str, value: &str) -> bool {
+    members
+        .iter()
+        .any(|(k, v)| k == key && json::parse(value).as_ref() == Ok(v))
 }
 
 fn sample_events() -> Vec<TimedEvent> {
@@ -84,7 +68,7 @@ fn jsonl_round_trips_with_deterministic_key_order() {
     let lines: Vec<&str> = out.lines().collect();
     assert_eq!(lines.len(), events.len());
     for (line, e) in lines.iter().zip(&events) {
-        let pairs = parse_flat_object(line);
+        let pairs = members(line);
         // Key order is fixed: the envelope triple first, args after.
         let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(&keys[..3], ["ts", "component", "event"], "line: {line}");
@@ -94,9 +78,9 @@ fn jsonl_round_trips_with_deterministic_key_order() {
         sorted.dedup();
         assert_eq!(sorted.len(), keys.len(), "duplicate key in: {line}");
         // The values parse back to what produced them.
-        assert_eq!(pairs[0].1, e.at.as_nanos().to_string());
-        assert_eq!(pairs[1].1, e.event.component().label());
-        assert_eq!(pairs[2].1, e.event.name());
+        assert_eq!(pairs[0].1.as_u64(), Some(e.at.as_nanos()));
+        assert_eq!(pairs[1].1.as_str(), Some(e.event.component().label()));
+        assert_eq!(pairs[2].1.as_str(), Some(e.event.name()));
     }
     // Same input, same bytes — the other half of the contract.
     assert_eq!(out, events_to_jsonl(&events));
@@ -106,12 +90,9 @@ fn jsonl_round_trips_with_deterministic_key_order() {
 fn jsonl_args_carry_the_event_payload() {
     let out = events_to_jsonl(&sample_events());
     let lines: Vec<&str> = out.lines().collect();
-    let hot = parse_flat_object(lines[0]);
-    assert!(hot.contains(&("ppn".to_string(), "7".to_string())));
-    let miss = parse_flat_object(lines[1]);
-    assert!(miss.contains(&("resolved".to_string(), "true".to_string())));
-    let major = parse_flat_object(lines[3]);
-    assert!(major.contains(&("latency_ns".to_string(), "1500".to_string())));
+    assert!(has(&members(lines[0]), "ppn", "7"));
+    assert!(has(&members(lines[1]), "resolved", "true"));
+    assert!(has(&members(lines[3]), "latency_ns", "1500"));
 }
 
 /// Exact reference for `Histogram::quantile`: the rank-th smallest

@@ -614,13 +614,21 @@ mod tests {
         let ((), r) = profile("quicksort", "fastswap", "run", false, || {
             let _a = span("sim/run");
         });
-        let json = r.to_json();
-        assert!(json.contains("\"schema\": \"hopp-prof/v1\""));
-        assert!(json.contains(
-            "\"key\": {\"workload\": \"quicksort\", \"system\": \"fastswap\", \"phase\": \"run\"}"
-        ));
-        assert!(json.contains("\"path\": \"sim/run\""));
-        assert_eq!(json.matches("\"path\": ").count(), r.nodes.len());
+        use hopp_types::json::{parse, Value};
+        let doc = parse(&r.to_json()).expect("the profile parses");
+        let text = |v: &Value, k: &str| v.get(k).and_then(Value::as_str).map(str::to_string);
+        assert_eq!(text(&doc, "schema").as_deref(), Some("hopp-prof/v1"));
+        let key = doc.get("key").expect("key object");
+        for (k, want) in [
+            ("workload", "quicksort"),
+            ("system", "fastswap"),
+            ("phase", "run"),
+        ] {
+            assert_eq!(text(key, k).as_deref(), Some(want));
+        }
+        let spans = doc.get("spans").and_then(Value::as_arr).expect("spans");
+        assert_eq!(spans.len(), r.nodes.len());
+        assert_eq!(text(&spans[0], "path").as_deref(), Some("sim/run"));
     }
 
     #[test]

@@ -29,10 +29,10 @@
 //! ```
 //!
 //! Sequential single-process traces (the common case) cost 2 bytes per
-//! access instead of the flat pagefile format's 16. The initial decoder
-//! state is `vpn = 0, lines = 1, think_ns = 0` and the header's pid, so
-//! encoder and decoder stay in lockstep without any seekable state —
-//! both writer and reader are fully streaming.
+//! access instead of the 16 a flat fixed-width record would take. The
+//! initial decoder state is `vpn = 0, lines = 1, think_ns = 0` and the
+//! header's pid, so encoder and decoder stay in lockstep without any
+//! seekable state — both writer and reader are fully streaming.
 
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -226,8 +226,8 @@ impl<W: Write> HstWriter<W> {
 }
 
 /// Streaming `.hst` reader over any [`Read`] source. [`HstReader::next`]
-/// yields typed errors; wrap in [`HstStream`] for the infallible
-/// [`AccessStream`] interface.
+/// yields typed errors; [`HstReader::read_all`] validates the whole
+/// trace up front and hands back a replayable [`HstTrace`].
 pub struct HstReader<R: Read> {
     r: R,
     path: String,
@@ -311,6 +311,23 @@ impl<R: Read> HstReader<R> {
     /// The validated header.
     pub fn header(&self) -> &HstHeader {
         &self.header
+    }
+
+    /// Decodes every remaining record and checks the trailer, so a
+    /// malformed trace fails here, before any replay starts.
+    ///
+    /// # Errors
+    ///
+    /// As [`HstReader::next`].
+    pub fn read_all(mut self) -> ScnResult<HstTrace> {
+        let mut accesses = Vec::new();
+        while let Some(acc) = self.next()? {
+            accesses.push(acc);
+        }
+        Ok(HstTrace {
+            header: self.header,
+            accesses,
+        })
     }
 
     /// Decodes the next access; `Ok(None)` after a valid trailer.
@@ -459,49 +476,6 @@ impl<R: Read> HstReader<R> {
     }
 }
 
-/// Infallible [`AccessStream`] adapter over a streaming [`HstReader`]:
-/// decode errors end the stream and are held for inspection via
-/// [`HstStream::error`]. Prefer [`read_file`] + [`HstTrace::into_stream`]
-/// when errors must surface before a run starts.
-pub struct HstStream<R: Read> {
-    reader: HstReader<R>,
-    error: Option<ScnError>,
-}
-
-impl<R: Read> HstStream<R> {
-    /// Wraps a reader.
-    pub fn new(reader: HstReader<R>) -> Self {
-        HstStream {
-            reader,
-            error: None,
-        }
-    }
-
-    /// The decode error that ended the stream early, if any.
-    pub fn error(&self) -> Option<&ScnError> {
-        self.error.as_ref()
-    }
-}
-
-impl<R: Read> AccessStream for HstStream<R> {
-    fn next_access(&mut self) -> Option<PageAccess> {
-        if self.error.is_some() {
-            return None;
-        }
-        match self.reader.next() {
-            Ok(acc) => acc,
-            Err(e) => {
-                self.error = Some(e);
-                None
-            }
-        }
-    }
-
-    fn name(&self) -> &str {
-        "hst-stream"
-    }
-}
-
 /// A fully loaded and validated trace.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct HstTrace {
@@ -549,15 +523,7 @@ pub fn read_file(path: &Path) -> ScnResult<HstTrace> {
         path: shown.clone(),
         detail: e.to_string(),
     })?;
-    let mut reader = HstReader::with_path(io::BufReader::new(file), &shown)?;
-    let mut accesses = Vec::new();
-    while let Some(acc) = reader.next()? {
-        accesses.push(acc);
-    }
-    Ok(HstTrace {
-        header: reader.header.clone(),
-        accesses,
-    })
+    HstReader::with_path(io::BufReader::new(file), &shown)?.read_all()
 }
 
 /// Drains `stream` into a `.hst` file under `header`; returns the
@@ -720,22 +686,6 @@ mod tests {
             HstReader::new(&bytes[..]),
             Err(ScnError::Format { .. })
         ));
-    }
-
-    #[test]
-    fn hst_stream_adapter_replays_and_holds_errors() {
-        let mut w = HstWriter::new(Vec::new(), &header()).unwrap();
-        w.push(&PageAccess::read(Pid::new(1), Vpn::new(9))).unwrap();
-        let bytes = w.finish().unwrap();
-        let mut s = HstStream::new(HstReader::new(&bytes[..]).unwrap());
-        assert_eq!(s.next_access().map(|a| a.vpn), Some(Vpn::new(9)));
-        assert_eq!(s.next_access(), None);
-        assert!(s.error().is_none());
-
-        let truncated = &bytes[..bytes.len() - 1];
-        let mut s = HstStream::new(HstReader::new(truncated).unwrap());
-        while s.next_access().is_some() {}
-        assert!(s.error().is_some());
     }
 
     #[test]

@@ -36,7 +36,7 @@ use hopp_types::Pid;
 use hopp_workloads::WorkloadKind;
 
 pub use dsl::{load_dir, Scenario, ScenarioSpec};
-pub use hst::{HstHeader, HstReader, HstStream, HstTrace, HstWriter};
+pub use hst::{HstHeader, HstReader, HstTrace, HstWriter};
 
 /// Errors surfaced by the scenario engine. Every variant carries enough
 /// context (path, byte offset or line number) to point at the offending

@@ -49,8 +49,6 @@ struct Args {
     huge_batch: bool,
     markov: bool,
     fixed_offset: Option<f64>,
-    record: Option<String>,
-    replay: Option<String>,
     scenario: Option<String>,
     record_trace: Option<String>,
     replay_trace: Option<String>,
@@ -91,8 +89,6 @@ impl Default for Args {
             huge_batch: false,
             markov: false,
             fixed_offset: None,
-            record: None,
-            replay: None,
             scenario: None,
             record_trace: None,
             replay_trace: None,
@@ -158,8 +154,6 @@ fn usage() -> ! {
          \n  --offset <i>         pin the prefetch offset (hopp only)\
          \n  --huge-batch         enable 2 MB batched prefetch (hopp only)\
          \n  --markov             use the Markov trainer (hopp only)\
-         \n  --record <file>      dump the workload's page trace and exit\
-         \n  --replay <file>      run the simulation from a recorded trace\
          \n  --scenario <file>    run a scenario DSL file instead of --workload (docs/scenarios.md)\
          \n  --record-trace <file> capture the run's accesses as a .hst trace, then run normally\
          \n  --replay-trace <file> replay a .hst trace bit-identically (ignores --workload)\
@@ -241,8 +235,6 @@ fn parse_args() -> Args {
             }
             "--huge-batch" => args.huge_batch = true,
             "--markov" => args.markov = true,
-            "--record" => args.record = Some(value("--record")),
-            "--replay" => args.replay = Some(value("--replay")),
             "--scenario" => args.scenario = Some(value("--scenario")),
             "--record-trace" => args.record_trace = Some(value("--record-trace")),
             "--replay-trace" => args.replay_trace = Some(value("--replay-trace")),
@@ -566,16 +558,6 @@ fn main() {
         .and_then(|s| s.spec.footprint)
         .unwrap_or(args.footprint);
 
-    if let Some(path) = &args.record {
-        let mut stream = build_stream(&args, scenario.as_ref(), source_footprint);
-        let count = hopp_trace::pagefile::save_stream(path, &mut stream).unwrap_or_else(|e| {
-            eprintln!("record failed: {e}");
-            std::process::exit(1);
-        });
-        println!("recorded {count} page accesses to {path}");
-        return;
-    }
-
     let system = system_of(&args);
     // --trace-out needs the event stream: upgrade to `full` unless the
     // user explicitly picked a level that already records events.
@@ -627,68 +609,6 @@ fn main() {
     }
     if let Some(ns) = args.reclaim_cost_ns {
         config.latency.reclaim_per_page = hopp_types::Nanos::from_nanos(ns);
-    }
-
-    if let Some(path) = &args.replay {
-        let accesses = hopp_trace::pagefile::load_file(path).unwrap_or_else(|e| {
-            eprintln!("replay failed: {e}");
-            std::process::exit(1);
-        });
-        let distinct: std::collections::BTreeSet<u64> =
-            accesses.iter().map(|a| a.vpn.raw()).collect();
-        let pid = accesses
-            .first()
-            .map(|a| a.pid)
-            .unwrap_or(hopp_types::Pid::new(1));
-        let limit = ((distinct.len() as f64 * args.ratio).ceil() as usize).max(64);
-        println!(
-            "replaying {} accesses over {} distinct pages from {path}\n",
-            accesses.len(),
-            distinct.len()
-        );
-        let app = hopp_sim::AppSpec {
-            pid,
-            stream: Box::new(hopp_trace::TraceFileStream::new(accesses)),
-            limit_pages: limit,
-        };
-        let mut sim = hopp_sim::Simulator::new(config, vec![app]).unwrap_or_else(|e| {
-            eprintln!("bad configuration: {e}");
-            std::process::exit(2);
-        });
-        if let Some(script) = &args.fault_script {
-            sim.set_fault_script(script).unwrap_or_else(|e| {
-                eprintln!("bad fault script: {e}");
-                std::process::exit(2);
-            });
-        }
-        prof_begin(&args, "replay");
-        let report = sim.run().unwrap_or_else(fail_run);
-        let prof = hopp_prof::disable();
-        // Normalized against an all-local replay of the same trace.
-        let local_app = hopp_sim::AppSpec {
-            pid,
-            stream: Box::new(hopp_trace::TraceFileStream::open(path).unwrap_or_else(|e| {
-                eprintln!("replay failed: {e}");
-                std::process::exit(1);
-            })),
-            limit_pages: distinct.len() + 64,
-        };
-        let local = hopp_sim::Simulator::new(
-            SimConfig::with_system(hopp_sim::SystemConfig::Baseline(
-                hopp_sim::BaselineKind::NoPrefetch,
-            )),
-            vec![local_app],
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("bad configuration: {e}");
-            std::process::exit(2);
-        })
-        .run()
-        .unwrap_or_else(fail_run);
-        let label = format!("replay of {path}");
-        print_report(&args, &label, local.completion.as_nanos() as f64, &report);
-        write_outputs(&args, &report, prof.as_ref());
-        return;
     }
 
     // --replay-trace: run a recorded .hst bit-identically. The header

@@ -425,17 +425,18 @@ mod tests {
     #[test]
     fn metrics_json_has_percentile_keys() {
         let j = empty_report().metrics_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        for key in [
-            "\"major_fault\":",
-            "\"prefetch_timeliness\":",
-            "\"p50_ns\":",
-            "\"p90_ns\":",
-            "\"p99_ns\":",
-            "\"baseline\":",
-            "\"counters\":",
-        ] {
-            assert!(j.contains(key), "missing {key} in {j}");
+        let v = hopp_types::json::parse(&j).unwrap_or_else(|e| panic!("{e} in {j}"));
+        for key in ["counters", "baseline", "latency"] {
+            assert!(v.get(key).is_some(), "missing {key} in {j}");
+        }
+        let latency = v.get("latency").expect("latency");
+        for hist in ["major_fault", "prefetch_timeliness"] {
+            for key in ["p50_ns", "p90_ns", "p99_ns"] {
+                assert!(
+                    latency.get(hist).and_then(|h| h.get(key)).is_some(),
+                    "missing latency.{hist}.{key} in {j}"
+                );
+            }
         }
     }
 

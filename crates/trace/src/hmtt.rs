@@ -15,9 +15,6 @@
 //! reserved DRAM area is modelled by [`TraceRing`], a bounded ring that
 //! counts overruns when software falls behind the hardware producer.
 
-use std::io::{self, Read, Write};
-use std::path::Path;
-
 use hopp_types::{AccessKind, LineAccess, LineAddr, Nanos};
 
 /// Mask for the 29-bit physical (cacheline) address field.
@@ -215,77 +212,6 @@ impl TraceRing {
     }
 }
 
-/// On-disk HMTT trace format: an 8-byte magic header followed by raw
-/// little-endian `u64` records. This is how the paper's offline studies
-/// persist captures for later analysis (§II-B, §VI-D); the
-/// `offline_trace_study` example can be pointed at saved files.
-pub mod file {
-    use super::*;
-
-    /// File magic: `HMTTRAW1`.
-    pub const MAGIC: [u8; 8] = *b"HMTTRAW1";
-
-    /// Writes records to `writer` in the on-disk format.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the writer.
-    pub fn write<W: Write>(mut writer: W, records: &[HmttRecord]) -> io::Result<()> {
-        writer.write_all(&MAGIC)?;
-        for rec in records {
-            writer.write_all(&rec.raw().to_le_bytes())?;
-        }
-        Ok(())
-    }
-
-    /// Reads a full trace from `reader`.
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` on a bad magic or a truncated record, and
-    /// propagates I/O errors.
-    pub fn read<R: Read>(mut reader: R) -> io::Result<Vec<HmttRecord>> {
-        let mut magic = [0u8; 8];
-        reader.read_exact(&mut magic)?;
-        if magic != MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "not an HMTT trace file",
-            ));
-        }
-        let mut body = Vec::new();
-        reader.read_to_end(&mut body)?;
-        if !body.len().is_multiple_of(8) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "truncated HMTT record",
-            ));
-        }
-        Ok(body
-            .chunks_exact(8)
-            .map(|c| HmttRecord::from_raw(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
-            .collect())
-    }
-
-    /// Saves records to a file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn save<P: AsRef<Path>>(path: P, records: &[HmttRecord]) -> io::Result<()> {
-        write(std::fs::File::create(path)?, records)
-    }
-
-    /// Loads records from a file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors and format errors from [`read`].
-    pub fn load<P: AsRef<Path>>(path: P) -> io::Result<Vec<HmttRecord>> {
-        read(std::fs::File::open(path)?)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,43 +298,5 @@ mod tests {
     #[should_panic]
     fn ring_rejects_zero_capacity() {
         let _ = TraceRing::new(0);
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let records: Vec<HmttRecord> = (0..100u64)
-            .map(|i| HmttRecord::capture(i, &acc(i * 3, i * 64, AccessKind::Read)))
-            .collect();
-        let mut buf = Vec::new();
-        file::write(&mut buf, &records).unwrap();
-        assert_eq!(buf.len(), 8 + 100 * 8);
-        let back = file::read(&buf[..]).unwrap();
-        assert_eq!(back, records);
-    }
-
-    #[test]
-    fn file_rejects_bad_magic_and_truncation() {
-        assert!(file::read(&b"NOTATRCE"[..]).is_err());
-        let mut buf = Vec::new();
-        file::write(
-            &mut buf,
-            &[HmttRecord::capture(0, &acc(0, 0, AccessKind::Read))],
-        )
-        .unwrap();
-        buf.pop(); // truncate the record
-        assert!(file::read(&buf[..]).is_err());
-    }
-
-    #[test]
-    fn file_save_load_on_disk() {
-        let path =
-            std::env::temp_dir().join(format!("hopp_hmtt_test_{}.trace", std::process::id()));
-        let records: Vec<HmttRecord> = (0..8u64)
-            .map(|i| HmttRecord::capture(i, &acc(i, i * 64, AccessKind::Write)))
-            .collect();
-        file::save(&path, &records).unwrap();
-        let back = file::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(back, records);
     }
 }

@@ -14,7 +14,8 @@
 //! * [`hmtt`] — the HMTT trace-record format (8-bit sequence number,
 //!   8-bit timestamp, R/W bit, 29-bit physical address) with an encoder
 //!   and a wrap-reconstructing decoder, plus the reserved-DRAM ring
-//!   buffer the prototype stores records in.
+//!   buffer the prototype stores records in. Recorded traces are stored
+//!   in `hopp-scn`'s `.hst` format, not as raw records.
 //! * [`patterns`] — generators for the three stream shapes the paper
 //!   identifies (§II-B): simple streams, ladder streams and ripple
 //!   streams, plus interference pages and a stream interleaver. The
@@ -35,12 +36,10 @@
 
 pub mod hmtt;
 pub mod llc;
-pub mod pagefile;
 pub mod patterns;
 
 pub use hmtt::{HmttDecoder, HmttRecord, TraceRing};
 pub use llc::{LastLevelCache, LlcConfig, LlcStats};
-pub use pagefile::TraceFileStream;
 pub use patterns::{
     AccessStream, Chain, Interleaver, LadderStream, NoiseStream, RippleStream, SimpleStream,
 };

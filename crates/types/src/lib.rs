@@ -29,6 +29,7 @@
 pub mod access;
 pub mod error;
 pub mod ids;
+pub mod json;
 pub mod rng;
 pub mod time;
 

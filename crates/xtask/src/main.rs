@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo xtask check [--sarif <path>] [--waivers] [--update-baseline]
-//! cargo xtask gate [--quick] [--update]   # BENCH_*.json regression gate
+//! cargo xtask gate [--update]            # BENCH_quality.json regression gate
 //! ```
 //!
 //! `check` runs the `hopp-check` static-analysis pass over the whole
@@ -16,11 +16,11 @@
 //! SARIF 2.1.0 artifact for code-scanning upload, and `--waivers`
 //! prints the per-rule waiver/budget table with stale waivers marked.
 //!
-//! `gate` re-runs the throughput and quality experiments at the scale
-//! recorded in the committed `BENCH_throughput.json` /
-//! `BENCH_quality.json` baselines and fails on per-row regressions (see
-//! `docs/observability.md`); `--quick` runs 3 throughput repeats for
-//! CI, `--update` rewrites the baselines from fresh runs.
+//! `gate` re-runs the quality experiment at the scale recorded in the
+//! committed `BENCH_quality.json` baseline and fails on per-row
+//! regressions (see `docs/observability.md`); `--update` rewrites the
+//! baseline from a fresh run. Host throughput is measured by the
+//! repository benchmark (`benchmark/`), not here.
 //!
 //! Exits 0 when clean/passing, 1 on findings or gate breaches, 2 on
 //! usage or IO errors.
@@ -46,13 +46,13 @@ fn main() -> ExitCode {
         "--help" | "-h" | "help" => {
             eprintln!(
                 "usage: cargo xtask [check [--sarif <path>] [--waivers] [--update-baseline] \
-                 | gate [--quick] [--update]]\n\n  \
+                 | gate [--update]]\n\n  \
                  check   run the hopp-check static-analysis pass (default); when\n          \
                  check-baseline.json exists the run is judged against that ratchet\n          \
                  (--sarif writes a SARIF 2.1.0 artifact, --waivers prints the\n          \
                  waiver/budget table, --update-baseline rewrites the ratchet)\n  \
-                 gate    diff fresh BENCH_*.json runs against the committed baselines\n          \
-                 (--quick runs 3 throughput repeats, --update rewrites the baselines)"
+                 gate    diff a fresh quality run against the committed BENCH_quality.json\n          \
+                 (--update rewrites the baseline)"
             );
             ExitCode::from(2)
         }
@@ -157,13 +157,12 @@ fn run_check(args: &[String]) -> ExitCode {
 }
 
 fn run_gate(args: &[String]) -> ExitCode {
-    let quick = args.iter().any(|a| a == "--quick");
     let update = args.iter().any(|a| a == "--update");
-    if let Some(bad) = args.iter().find(|a| *a != "--quick" && *a != "--update") {
-        eprintln!("unknown gate flag `{bad}` (--quick | --update)");
+    if let Some(bad) = args.iter().find(|a| *a != "--update") {
+        eprintln!("unknown gate flag `{bad}` (--update)");
         return ExitCode::from(2);
     }
-    match hopp_bench::gate::run_gate(&workspace_root(), quick, update) {
+    match hopp_bench::gate::run_gate(&workspace_root(), update) {
         Ok(outcome) => {
             print!("{}", outcome.report);
             if outcome.ok() {

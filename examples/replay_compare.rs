@@ -1,82 +1,80 @@
 //! Record once, replay everywhere: capture a workload's page trace to a
-//! file, then run every system on the *identical* access sequence.
+//! `.hst` file, then run every system on the *identical* access sequence.
 //!
 //! Replaying a fixed trace removes the last source of variation between
 //! systems (the workload itself), which is how apples-to-apples
-//! prefetcher comparisons should be done — and it is the import path
-//! for traces captured outside this repository.
+//! prefetcher comparisons should be done. The file's header carries the
+//! recorded pid and footprint, so each replay sizes its memory limit the
+//! same way a live run does (`hoppsim --replay-trace` works the same way).
 //!
 //! ```text
 //! cargo run --release --example replay_compare
 //! ```
 
-use hopp::sim::{AppSpec, BaselineKind, SimConfig, Simulator, SystemConfig};
-use hopp::trace::pagefile;
-use hopp::trace::TraceFileStream;
+use hopp::scn::{hst, HstHeader};
+use hopp::sim::{run_stream_with, BaselineKind, SimConfig, SystemConfig};
 use hopp::types::Pid;
 use hopp::workloads::WorkloadKind;
 
-fn main() -> std::io::Result<()> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let kind = WorkloadKind::NpbLu;
-    let footprint = 4_096;
-    let path = std::env::temp_dir().join("hopp_replay_compare.trace");
+    let path = std::env::temp_dir().join("hopp_replay_compare.hst");
 
     // Record.
-    let mut stream = kind.build(Pid::new(1), footprint, 42);
-    let count = pagefile::save_stream(&path, &mut stream)?;
+    let header = HstHeader {
+        pid: Pid::new(1),
+        footprint_pages: 4_096,
+        seed: 42,
+        source: kind.name().to_string(),
+    };
+    let mut stream = kind.build(header.pid, header.footprint_pages, header.seed);
+    let count = hst::record_file(&path, &header, &mut *stream)?;
     println!(
         "recorded {count} accesses of {} to {}\n",
         kind.name(),
         path.display()
     );
 
-    // Replay under each system at 50% local memory.
-    let accesses = pagefile::load_file(&path)?;
-    let distinct = accesses
-        .iter()
-        .map(|a| a.vpn.raw())
-        .collect::<std::collections::HashSet<_>>()
-        .len();
-    let limit = distinct / 2;
-
+    // Replay under each system at 50% local memory; the first row runs
+    // with everything local and is the normalization baseline.
+    let trace = hst::read_file(&path)?;
+    std::fs::remove_file(&path).ok();
     let mut local_ns = None;
     println!(
         "{:<13} {:>12} {:>10} {:>8} {:>8} {:>9}",
         "system", "completion", "norm-perf", "major", "p-hits", "coverage"
     );
-    for (label, system, full_memory) in [
+    for (label, system, ratio) in [
         (
             "local",
             SystemConfig::Baseline(BaselineKind::NoPrefetch),
-            true,
+            1.25,
         ),
         (
             "no-prefetch",
             SystemConfig::Baseline(BaselineKind::NoPrefetch),
-            false,
+            0.5,
         ),
-        ("leap", SystemConfig::Baseline(BaselineKind::Leap), false),
+        ("leap", SystemConfig::Baseline(BaselineKind::Leap), 0.5),
         (
             "fastswap",
             SystemConfig::Baseline(BaselineKind::Fastswap),
-            false,
+            0.5,
         ),
         (
             "depth-32",
             SystemConfig::Baseline(BaselineKind::DepthN(32)),
-            false,
+            0.5,
         ),
-        ("hopp", SystemConfig::hopp_default(), false),
+        ("hopp", SystemConfig::hopp_default(), 0.5),
     ] {
-        let app = AppSpec {
-            pid: Pid::new(1),
-            stream: Box::new(TraceFileStream::open(&path)?),
-            limit_pages: if full_memory { distinct + 64 } else { limit },
-        };
-        let report = Simulator::new(SimConfig::with_system(system), vec![app])
-            .expect("valid configuration")
-            .run()
-            .expect("replay run");
+        let report = run_stream_with(
+            SimConfig::with_system(system),
+            trace.header.pid,
+            Box::new(trace.clone().into_stream()),
+            trace.header.footprint_pages,
+            ratio,
+        )?;
         let ns = report.completion.as_nanos() as f64;
         let local = *local_ns.get_or_insert(ns);
         println!(
@@ -88,7 +86,5 @@ fn main() -> std::io::Result<()> {
             report.coverage() * 100.0
         );
     }
-
-    std::fs::remove_file(&path).ok();
     Ok(())
 }

@@ -5,6 +5,7 @@
 use hopp::obs::{events_to_chrome_trace, events_to_jsonl, ObsLevel};
 use hopp::sim::{run_workload_with, SimConfig, SimReport, SystemConfig};
 use hopp::workloads::WorkloadKind;
+use json::Value;
 
 fn run_at(level: ObsLevel) -> SimReport {
     let config = SimConfig {
@@ -53,51 +54,41 @@ fn chrome_trace_is_valid_json_with_monotonic_ts_per_track() {
     let r = run_at(ObsLevel::Full);
     let trace = events_to_chrome_trace(&r.obs.events);
     let value = json::parse(&trace).expect("trace parses as JSON");
-    let json::Value::Object(top) = &value else {
-        panic!("top level is an object")
-    };
     assert_eq!(
-        top.iter()
-            .find(|(k, _)| k == "displayTimeUnit")
-            .map(|(_, v)| v),
-        Some(&json::Value::String("ns".into()))
+        value.get("displayTimeUnit").and_then(Value::as_str),
+        Some("ns")
     );
-    let Some((_, json::Value::Array(events))) = top.iter().find(|(k, _)| k == "traceEvents") else {
-        panic!("traceEvents is an array")
-    };
+    let events = value
+        .get("traceEvents")
+        .and_then(Value::as_arr)
+        .expect("traceEvents is an array");
     assert!(!events.is_empty());
-    let mut last_ts: std::collections::HashMap<(i64, i64), f64> = std::collections::HashMap::new();
+    let mut last_ts: std::collections::HashMap<(u64, u64), f64> = std::collections::HashMap::new();
     for e in events {
-        let json::Value::Object(fields) = e else {
-            panic!("every trace event is an object")
-        };
-        let get = |k: &str| fields.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-        let ph = match get("ph") {
-            Some(json::Value::String(s)) => s.clone(),
-            other => panic!("ph is a string, got {other:?}"),
-        };
+        let num = |k: &str| e.get(k).and_then(Value::as_f64);
+        let ph = e.get("ph").and_then(Value::as_str).expect("ph is a string");
         if ph == "M" {
             continue; // thread-name metadata carries no ts
         }
-        let (Some(json::Value::Number(pid)), Some(json::Value::Number(tid))) =
-            (get("pid"), get("tid"))
-        else {
-            panic!("pid/tid are numbers")
-        };
-        let Some(json::Value::Number(ts)) = get("ts") else {
-            panic!("ts is a number")
-        };
-        let track = (*pid as i64, *tid as i64);
+        let track = (
+            e.get("pid")
+                .and_then(Value::as_u64)
+                .expect("pid is an integer"),
+            e.get("tid")
+                .and_then(Value::as_u64)
+                .expect("tid is an integer"),
+        );
+        let ts = num("ts").expect("ts is a number");
         if let Some(prev) = last_ts.get(&track) {
             assert!(
-                ts >= prev,
+                ts >= *prev,
                 "ts went backwards on track {track:?}: {prev} -> {ts}"
             );
         }
-        last_ts.insert(track, *ts);
+        last_ts.insert(track, ts);
         if ph == "X" {
             assert!(
-                matches!(get("dur"), Some(json::Value::Number(d)) if *d >= 0.0),
+                num("dur").is_some_and(|d| d >= 0.0),
                 "complete slices carry a non-negative dur"
             );
         }
@@ -105,160 +96,17 @@ fn chrome_trace_is_valid_json_with_monotonic_ts_per_track() {
     assert!(last_ts.len() > 1, "more than one component track is live");
 }
 
-/// A dependency-free JSON parser, just enough to validate exporter
-/// output (numbers, strings without escapes, bools, arrays, objects).
+/// The exporters are checked with the workspace's shared JSON reader.
 mod json {
-    #[derive(Clone, Debug, PartialEq)]
-    pub enum Value {
-        Null,
-        Bool(bool),
-        Number(f64),
-        String(String),
-        Array(Vec<Value>),
-        Object(Vec<(String, Value)>),
-    }
-
-    impl From<&str> for Value {
-        fn from(s: &str) -> Value {
-            Value::String(s.to_string())
-        }
-    }
-
-    pub fn parse(input: &str) -> Result<Value, String> {
-        let bytes = input.as_bytes();
-        let mut pos = 0;
-        let v = value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing bytes at {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && b[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-        if b.get(*pos) == Some(&c) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at {pos}", c as char))
-        }
-    }
-
-    fn value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => object(b, pos),
-            Some(b'[') => array(b, pos),
-            Some(b'"') => Ok(Value::String(string(b, pos)?)),
-            Some(b't') => literal(b, pos, "true", Value::Bool(true)),
-            Some(b'f') => literal(b, pos, "false", Value::Bool(false)),
-            Some(b'n') => literal(b, pos, "null", Value::Null),
-            Some(_) => number(b, pos),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn literal(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, String> {
-        if b[*pos..].starts_with(lit.as_bytes()) {
-            *pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at {pos}"))
-        }
-    }
-
-    fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        expect(b, pos, b'"')?;
-        let start = *pos;
-        while *pos < b.len() && b[*pos] != b'"' {
-            if b[*pos] == b'\\' {
-                return Err(format!("escape at {pos} (exporter never escapes)"));
-            }
-            *pos += 1;
-        }
-        let s = std::str::from_utf8(&b[start..*pos])
-            .map_err(|e| e.to_string())?
-            .to_string();
-        expect(b, pos, b'"')?;
-        Ok(s)
-    }
-
-    fn number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-            *pos += 1;
-        }
-        std::str::from_utf8(&b[start..*pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Value::Number)
-            .ok_or_else(|| format!("bad number at {start}"))
-    }
-
-    fn array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(b, pos, b'[')?;
-        let mut items = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(value(b, pos)?);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(format!("expected , or ] at {pos}")),
-            }
-        }
-    }
-
-    fn object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(b, pos, b'{')?;
-        let mut members = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Object(members));
-        }
-        loop {
-            skip_ws(b, pos);
-            let key = string(b, pos)?;
-            skip_ws(b, pos);
-            expect(b, pos, b':')?;
-            members.push((key, value(b, pos)?));
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Object(members));
-                }
-                _ => return Err(format!("expected , or }} at {pos}")),
-            }
-        }
-    }
+    pub use hopp::types::json::{parse, Value};
 
     #[test]
     fn mini_parser_handles_the_shapes_the_exporter_emits() {
         let v = parse("{\"a\":[1, 2.5], \"b\":\"x\", \"c\":true}").unwrap();
-        let Value::Object(o) = v else { panic!() };
-        assert_eq!(
-            o[0].1,
-            Value::Array(vec![Value::Number(1.0), Value::Number(2.5)])
-        );
-        assert_eq!(o[1].1, Value::String("x".into()));
-        assert_eq!(o[2].1, Value::Bool(true));
+        let a = v.get("a").and_then(Value::as_arr).unwrap();
+        assert_eq!((a[0].as_f64(), a[1].as_f64()), (Some(1.0), Some(2.5)));
+        assert_eq!(v.get("b").and_then(Value::as_str), Some("x"));
+        assert_eq!(v.get("c").and_then(Value::as_bool), Some(true));
         assert!(parse("{\"a\":}").is_err());
         assert!(parse("[1,2] junk").is_err());
     }
@@ -268,15 +116,9 @@ mod json {
 fn metrics_json_parses_and_carries_percentiles() {
     let r = run_at(ObsLevel::Counters);
     let m = json::parse(&r.metrics_json()).expect("metrics JSON parses");
-    let json::Value::Object(top) = &m else {
-        panic!("object")
-    };
-    let get = |k: &str| top.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-    assert!(matches!(get("system"), Some(json::Value::String(_))));
-    assert!(matches!(get("counters"), Some(json::Value::Object(_))));
-    let Some(json::Value::Object(latency)) = get("latency") else {
-        panic!("latency object")
-    };
+    assert!(m.get("system").and_then(Value::as_str).is_some());
+    assert!(m.get("counters").and_then(Value::as_obj).is_some());
+    let latency = m.get("latency").expect("latency object");
     for key in [
         "major_fault",
         "prefetch_timeliness",
@@ -284,12 +126,9 @@ fn metrics_json_parses_and_carries_percentiles() {
         "rdma_read",
         "rdma_write",
     ] {
-        let Some((_, json::Value::Object(h))) = latency.iter().find(|(n, _)| n == key) else {
-            panic!("latency.{key} present")
-        };
         for field in ["count", "mean_ns", "p50_ns", "p90_ns", "p99_ns", "max_ns"] {
             assert!(
-                h.iter().any(|(n, _)| n == field),
+                latency.get(key).and_then(|h| h.get(field)).is_some(),
                 "latency.{key}.{field} present"
             );
         }

@@ -15,7 +15,7 @@ use hopp::hw::rtl::HpdRtl;
 use hopp::hw::{HotPageDetector, HpdConfig};
 use hopp::kernel::{LruLists, LruTier, SwapDevice};
 use hopp::net::CompletionQueue;
-use hopp::trace::hmtt::{file as hmtt_file, HmttRecord};
+use hopp::trace::hmtt::{HmttDecoder, HmttRecord, TIMESTAMP_TICK_NS};
 use hopp::trace::llc::{LastLevelCache, LlcConfig};
 use hopp::types::rng::SplitMix64;
 use hopp::types::{AccessKind, HotPage, LineAccess, LineAddr, Nanos, PageFlags, Pid, Ppn, Vpn};
@@ -332,30 +332,36 @@ fn markov_chains_are_acyclic() {
     });
 }
 
-/// HMTT trace files roundtrip arbitrary record sets.
+/// HMTT records keep every field through their packed raw bits, and
+/// the decoder rebuilds absolute time across 8-bit timestamp wraps as
+/// long as consecutive records are less than one wrap apart.
 #[test]
-fn hmtt_file_roundtrip() {
+fn hmtt_records_roundtrip_through_raw_bits_and_the_decoder() {
     for_cases(13, |rng| {
-        let len = rng.gen_range(0..200);
-        let records: Vec<HmttRecord> = (0..len)
-            .map(|i| {
-                let r = rng.next_u64();
-                HmttRecord::capture(
-                    i,
-                    &LineAccess {
-                        addr: LineAddr::new(r),
-                        kind: if r & 1 == 0 {
-                            AccessKind::Read
-                        } else {
-                            AccessKind::Write
-                        },
-                        at: Nanos::from_nanos(r % 1_000_000),
-                    },
-                )
-            })
-            .collect();
-        let mut buf = Vec::new();
-        hmtt_file::write(&mut buf, &records).unwrap();
-        assert_eq!(hmtt_file::read(&buf[..]).unwrap(), records);
+        let mut decoder = HmttDecoder::new();
+        let mut ticks = 0;
+        for seqno in 0..rng.gen_range(0..200) {
+            let r = rng.next_u64();
+            ticks += rng.gen_range(0..256);
+            let kind = if r & 1 == 0 {
+                AccessKind::Read
+            } else {
+                AccessKind::Write
+            };
+            let at = Nanos::from_nanos(ticks * TIMESTAMP_TICK_NS);
+            let rec = HmttRecord::capture(
+                seqno,
+                &LineAccess {
+                    addr: LineAddr::new(r),
+                    kind,
+                    at,
+                },
+            );
+            assert_eq!(HmttRecord::from_raw(rec.raw()), rec);
+            assert_eq!(rec.addr(), LineAddr::new(r & ((1 << 29) - 1)));
+            let back = decoder.decode(rec);
+            assert_eq!((back.kind, back.at), (kind, at));
+        }
+        assert_eq!(decoder.dropped, 0);
     });
 }

@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use hopp_bench::experiments as ex;
 use hopp_bench::lab::{self, SweepSpec};
 use hopp_bench::Scale;
-use hopp_scn::{HstHeader, HstReader, HstStream, HstWriter, Scenario, WorkloadSource};
+use hopp_scn::{HstHeader, HstReader, HstWriter, Scenario, WorkloadSource};
 use hopp_sim::runner::SOLO_PID;
 use hopp_sim::{SimConfig, SystemConfig};
 use hopp_workloads::WorkloadKind;
@@ -61,9 +61,11 @@ fn assert_replay_bit_identical(source: &WorkloadSource) {
         .expect("simulation succeeds")
     };
     let live = run(source.build(SOLO_PID, fp, scale.seed));
-    let reader = HstReader::new(std::io::Cursor::new(bytes)).expect("read header");
-    assert_eq!(reader.header().source, source.name());
-    let replayed = run(Box::new(HstStream::new(reader)));
+    let trace = HstReader::new(bytes.as_slice())
+        .and_then(HstReader::read_all)
+        .expect("the recorded trace decodes");
+    assert_eq!(trace.header.source, source.name());
+    let replayed = run(Box::new(trace.into_stream()));
 
     assert_eq!(
         live.metrics_json(),
