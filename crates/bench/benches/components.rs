@@ -16,6 +16,7 @@ use std::time::Instant;
 use hopp_core::stt::{StreamTrainingTable, SttConfig};
 use hopp_core::three_tier::{ThreeTier, TierConfig};
 use hopp_hw::{HotPageDetector, HpdConfig, ReversePageTable, RptCacheConfig};
+use hopp_obs::NopRecorder;
 use hopp_trace::llc::{LastLevelCache, LlcConfig};
 use hopp_types::{AccessKind, HotPage, Nanos, PageFlags, Pid, Ppn, Vpn, LINES_PER_PAGE};
 
@@ -79,7 +80,7 @@ fn bench_stt() {
             flags: PageFlags::default(),
             at: Nanos::from_nanos(i),
         };
-        if let Some(window) = stt.observe(&hot) {
+        if let Some(window) = stt.observe(&hot, &mut NopRecorder) {
             black_box(tiers.predict(&window));
         }
     });

@@ -46,6 +46,11 @@ pub struct HoppConfig {
 }
 
 /// The HoPP prefetch training framework plus policy engine.
+///
+/// All training state is fixed-size and allocated at construction, and
+/// orders are appended to a caller-owned buffer, so a hot page costs no
+/// heap allocation in steady state (the Markov trainer's transition
+/// table still grows while it learns new pages).
 #[derive(Clone, Debug)]
 pub struct HoppEngine {
     stt: StreamTrainingTable,
@@ -53,7 +58,6 @@ pub struct HoppEngine {
     policy: PolicyEngine,
     markov: Option<MarkovEngine>,
     ignore_shared: bool,
-    hot_pages_seen: u64,
 }
 
 impl HoppEngine {
@@ -77,35 +81,44 @@ impl HoppEngine {
         Ok(HoppEngine {
             stt: StreamTrainingTable::new(config.stt)?,
             tiers: ThreeTier::new(config.tiers),
-            policy: PolicyEngine::new(config.policy),
+            policy: PolicyEngine::new(config.policy, config.stt.entries),
             markov: match config.trainer {
                 TrainerKind::ThreeTier => None,
                 TrainerKind::Markov(mc) => Some(MarkovEngine::new(mc)),
             },
             ignore_shared: config.ignore_shared_pages,
-            hot_pages_seen: 0,
         })
     }
 
     /// Consumes one hot page from the hardware pipeline and returns the
     /// prefetch orders it triggers (empty while streams are still in
     /// training or the window matches no pattern).
+    ///
+    /// Allocates a fresh `Vec` per call; hot paths should prefer
+    /// [`HoppEngine::on_hot_page_into`] with a reused buffer.
     pub fn on_hot_page(&mut self, hot: &HotPage) -> Vec<PrefetchOrder> {
-        self.on_hot_page_rec(hot, &mut NopRecorder)
+        let mut orders = Vec::new();
+        self.on_hot_page_into(hot, &mut NopRecorder, &mut orders);
+        orders
     }
 
-    /// [`HoppEngine::on_hot_page`], recording the stream lifecycle (via
+    /// [`HoppEngine::on_hot_page`] appending into a caller-owned buffer
+    /// (which is *not* cleared first). Records the stream lifecycle (via
     /// the STT) and an [`Event::TierDecision`] whenever a training
     /// window is classified by one of the tiers (or the Markov trainer
     /// makes a prediction).
-    pub fn on_hot_page_rec(&mut self, hot: &HotPage, rec: &mut dyn Recorder) -> Vec<PrefetchOrder> {
+    pub fn on_hot_page_into(
+        &mut self,
+        hot: &HotPage,
+        rec: &mut dyn Recorder,
+        out: &mut Vec<PrefetchOrder>,
+    ) {
         let _prof = hopp_prof::span("core/train");
         if self.ignore_shared && hot.flags.shared {
-            return Vec::new();
+            return;
         }
         if let Some(markov) = &mut self.markov {
-            let orders = markov.on_hot_page(hot);
-            if rec.is_enabled() && !orders.is_empty() {
+            if markov.on_hot_page(hot, out) > 0 && rec.is_enabled() {
                 rec.record(
                     hot.at,
                     Event::TierDecision {
@@ -115,21 +128,13 @@ impl HoppEngine {
                     },
                 );
             }
-            return orders;
+            return;
         }
-        self.hot_pages_seen += 1;
-        // Policy state (offsets, batch frontiers) is keyed by StreamId;
-        // prune entries of streams the STT has since recycled so state
-        // stays bounded over arbitrarily long runs.
-        if self.hot_pages_seen.is_multiple_of(4_096) {
-            let live: std::collections::BTreeSet<StreamId> = self.stt.live_stream_ids().collect();
-            self.policy.retain_streams(|s| live.contains(&s));
-        }
-        let Some(window) = self.stt.observe_rec(hot, rec) else {
-            return Vec::new();
+        let Some(window) = self.stt.observe(hot, rec) else {
+            return;
         };
         let Some(prediction) = self.tiers.predict(&window) else {
-            return Vec::new();
+            return;
         };
         if rec.is_enabled() {
             let tier = match prediction.tier() {
@@ -146,7 +151,7 @@ impl HoppEngine {
                 },
             );
         }
-        self.policy.finalize(&window, prediction)
+        self.policy.finalize(&window, prediction, out);
     }
 
     /// Feeds back the timeliness of a prefetched page (measured by the
@@ -271,31 +276,48 @@ mod tests {
     }
 
     #[test]
-    fn policy_state_is_pruned_for_recycled_streams() {
+    fn policy_state_is_bounded_by_the_stt() {
+        let entries = 2;
         let mut e = HoppEngine::new(HoppConfig {
             stt: SttConfig {
-                entries: 2,
+                entries,
                 history: 4,
                 ..SttConfig::default()
             },
             ..HoppConfig::default()
         });
         // Churn through thousands of short-lived streams, generating
-        // timeliness feedback for each; without pruning the policy map
-        // would hold one entry per stream ever created.
+        // timeliness feedback for each: policy state stays one element
+        // per STT entry.
+        let mut orders = Vec::new();
         for round in 0..3_000u64 {
             let base = round * 10_000;
             for k in 0..5 {
-                for o in e.on_hot_page(&hot(1, base + k, round)) {
+                orders.clear();
+                e.on_hot_page_into(&hot(1, base + k, round), &mut NopRecorder, &mut orders);
+                for o in &orders {
                     e.on_timeliness(o.stream, Nanos::from_nanos(1));
                 }
             }
         }
-        assert!(
-            e.policy.tracked_streams() <= 2 + 4_096,
-            "policy state bounded, got {}",
-            e.policy.tracked_streams()
-        );
+        assert!(e.stt_stats().evictions > 2_000);
+        assert!(e.policy_stats().too_late > 0);
+        assert!(e.policy.state_len() <= entries);
+    }
+
+    #[test]
+    fn into_appends_to_the_callers_buffer() {
+        let mut a = HoppEngine::new(HoppConfig::default());
+        let mut b = HoppEngine::new(HoppConfig::default());
+        let mut into = Vec::new();
+        let mut fresh = Vec::new();
+        for k in 0..40u64 {
+            let h = hot(1, 500 + 3 * k, k);
+            fresh.extend(a.on_hot_page(&h));
+            b.on_hot_page_into(&h, &mut NopRecorder, &mut into);
+        }
+        assert!(!fresh.is_empty());
+        assert_eq!(fresh, into);
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub struct ExecStats {
 ///
 /// The engine does not know which pages are already resident — the
 /// caller (who owns the page tables) filters those before calling
-/// [`ExecutionEngine::request`]. The engine's own dedupe covers the
+/// [`ExecutionEngine::request_span`]. The engine's own dedupe covers the
 /// in-flight window, where the page tables can't help.
 #[derive(Clone, Debug, Default)]
 pub struct ExecutionEngine {
@@ -70,28 +70,11 @@ impl ExecutionEngine {
         Self::default()
     }
 
-    /// Issues an asynchronous page read, unless the page is already in
-    /// flight. Returns the read's completion time if one was issued.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the pool's read failure (every replica of the page
-    /// lost); see [`RemotePool::read_span`].
-    pub fn request(
-        &mut self,
-        pid: Pid,
-        vpn: Vpn,
-        stream: StreamId,
-        tier: Tier,
-        now: Nanos,
-        pool: &mut dyn RemotePool,
-    ) -> Result<Option<Nanos>> {
-        self.request_span(pid, vpn, 1, stream, tier, now, pool)
-    }
-
-    /// Issues one RDMA read covering `span` consecutive pages (the §IV
-    /// huge-page batch path: one request, one completion, `span` PTE
-    /// injections). Returns the completion time if issued.
+    /// Issues one asynchronous RDMA read covering `span` consecutive
+    /// pages (1 for an ordinary prefetch; more for the §IV huge-page
+    /// batch path: one request, one completion, `span` PTE injections),
+    /// unless the first page is already in flight. Returns the
+    /// completion time if issued.
     ///
     /// # Errors
     ///
@@ -216,21 +199,10 @@ mod tests {
     use hopp_net::{RdmaConfig, RdmaEngine};
 
     fn stream_id() -> StreamId {
-        let mut stt = crate::stt::StreamTrainingTable::new(crate::stt::SttConfig {
-            history: 4,
-            ..Default::default()
-        })
-        .unwrap();
-        let mut last = None;
-        for k in 0..4u64 {
-            last = stt.observe(&hopp_types::HotPage {
-                pid: Pid::new(1),
-                vpn: Vpn::new(k),
-                flags: hopp_types::PageFlags::default(),
-                at: Nanos::ZERO,
-            });
+        StreamId {
+            slot: 0,
+            generation: 0,
         }
-        last.unwrap().stream
     }
 
     #[test]
@@ -239,9 +211,10 @@ mod tests {
         let mut link = RdmaEngine::new(RdmaConfig::default());
         let s = stream_id();
         assert!(exec
-            .request(
+            .request_span(
                 Pid::new(1),
                 Vpn::new(9),
+                1,
                 s,
                 Tier::Simple,
                 Nanos::ZERO,
@@ -266,9 +239,10 @@ mod tests {
         let mut link = RdmaEngine::new(RdmaConfig::default());
         let s = stream_id();
         assert!(exec
-            .request(
+            .request_span(
                 Pid::new(1),
                 Vpn::new(9),
+                1,
                 s,
                 Tier::Simple,
                 Nanos::ZERO,
@@ -277,9 +251,10 @@ mod tests {
             .unwrap()
             .is_some());
         assert!(exec
-            .request(
+            .request_span(
                 Pid::new(1),
                 Vpn::new(9),
+                1,
                 s,
                 Tier::Simple,
                 Nanos::ZERO,
@@ -297,9 +272,10 @@ mod tests {
         let mut exec = ExecutionEngine::new();
         let mut link = RdmaEngine::new(RdmaConfig::default());
         let s = stream_id();
-        exec.request(
+        exec.request_span(
             Pid::new(1),
             Vpn::new(9),
+            1,
             s,
             Tier::Ripple,
             Nanos::ZERO,
@@ -309,9 +285,10 @@ mod tests {
         exec.poll(Nanos::from_millis(1));
         // Residency filtering is the caller's job; the engine allows it.
         assert!(exec
-            .request(
+            .request_span(
                 Pid::new(1),
                 Vpn::new(9),
+                1,
                 s,
                 Tier::Ripple,
                 Nanos::from_millis(1),
@@ -327,9 +304,10 @@ mod tests {
         let mut link = RdmaEngine::new(RdmaConfig::default());
         let s = stream_id();
         for v in 0..5u64 {
-            exec.request(
+            exec.request_span(
                 Pid::new(1),
                 Vpn::new(v),
+                1,
                 s,
                 Tier::Simple,
                 Nanos::ZERO,
@@ -353,9 +331,10 @@ mod tests {
         let mut link = RdmaEngine::new(RdmaConfig::default());
         let s = stream_id();
         let single = exec
-            .request(
+            .request_span(
                 Pid::new(1),
                 Vpn::new(0),
+                1,
                 s,
                 Tier::Simple,
                 Nanos::ZERO,
@@ -390,9 +369,10 @@ mod tests {
         let mut link = RdmaEngine::new(RdmaConfig::default());
         let s = stream_id();
         assert!(exec
-            .request(
+            .request_span(
                 Pid::new(1),
                 Vpn::new(9),
+                1,
                 s,
                 Tier::Simple,
                 Nanos::ZERO,
@@ -401,9 +381,10 @@ mod tests {
             .unwrap()
             .is_some());
         assert!(exec
-            .request(
+            .request_span(
                 Pid::new(2),
                 Vpn::new(9),
+                1,
                 s,
                 Tier::Simple,
                 Nanos::ZERO,

@@ -45,14 +45,25 @@ fn majority(values: &[i64]) -> Option<i64> {
     best.map(|(v, _)| v)
 }
 
-/// Runs Algorithm 1 on a training window.
+/// The two vote lists of Algorithm 1, kept between calls so a
+/// prediction reuses their capacity instead of allocating.
+#[derive(Clone, Debug, Default)]
+pub struct LadderVotes {
+    /// Votes for `stride_target`: each candidate's next stride.
+    next_stride: Vec<i64>,
+    /// Votes for `pattern_stride`: distances between repetition anchors.
+    stride_sum: Vec<i64>,
+}
+
+/// Runs Algorithm 1 on a training window, voting in `votes` (whose
+/// previous contents are discarded).
 ///
 /// Returns `None` when the newest 2-stride pattern has no earlier
 /// repetition in the window (lines 14–15 of the algorithm: both output
 /// strides zero means "no ladder found").
-pub fn predict(window: &StreamWindow) -> Option<LadderPrediction> {
-    let strides = &window.stride_history;
-    let vpns = &window.vpn_history;
+pub fn predict(window: &StreamWindow, votes: &mut LadderVotes) -> Option<LadderPrediction> {
+    let strides = window.stride_history;
+    let vpns = window.vpn_history;
     let n = strides.len(); // == L - 1
     if n < 4 {
         return None;
@@ -61,8 +72,15 @@ pub fn predict(window: &StreamWindow) -> Option<LadderPrediction> {
     // pattern_target: the last two strides, (strides[n-2], strides[n-1]).
     let pattern = (strides[n - 2], strides[n - 1]);
 
-    let mut next_stride = Vec::new();
-    let mut stride_sum = Vec::new();
+    let LadderVotes {
+        next_stride,
+        stride_sum,
+    } = votes;
+    next_stride.clear();
+    stride_sum.clear();
+    // At most one vote per stride: size both lists once, up front.
+    next_stride.reserve(n);
+    stride_sum.reserve(n);
     // The anchor of the target pattern is its last page: VPN_A, at
     // vpns[n] (== vpns[L-1]).
     let mut last_anchor = n;
@@ -92,33 +110,18 @@ pub fn predict(window: &StreamWindow) -> Option<LadderPrediction> {
         return None;
     }
     Some(LadderPrediction {
-        stride_target: majority(&next_stride)?,
-        pattern_stride: majority(&stride_sum)?,
+        stride_target: majority(next_stride)?,
+        pattern_stride: majority(stride_sum)?,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stt::{StreamId, StreamWindow};
-    use hopp_types::{Nanos, Pid, Vpn};
+    use crate::stt::test_support::OwnedWindow;
 
-    fn window_from_vpns(vpns: &[u64]) -> StreamWindow {
-        let vpn_history: Vec<Vpn> = vpns.iter().map(|&v| Vpn::new(v)).collect();
-        let stride_history: Vec<i64> = vpn_history
-            .windows(2)
-            .map(|w| w[1].stride_from(w[0]))
-            .collect();
-        StreamWindow {
-            stream: StreamId {
-                slot: 0,
-                generation: 0,
-            },
-            pid: Pid::new(1),
-            vpn_history,
-            stride_history,
-            at: Nanos::ZERO,
-        }
+    fn predict(w: &OwnedWindow) -> Option<LadderPrediction> {
+        super::predict(&w.window(), &mut LadderVotes::default())
     }
 
     /// The paper's Figure 2: treads of stride 2 (a1,a2,a3,a4), then a
@@ -139,7 +142,7 @@ mod tests {
         // Window of the last 13 accesses of 4 rungs: ends mid-tread so
         // the newest 2 strides are (2, 2), repeated in earlier rungs.
         let vpns = figure2_vpns(4);
-        let w = window_from_vpns(&vpns[vpns.len() - 13..]);
+        let w = OwnedWindow::from_vpns(&vpns[vpns.len() - 13..]);
         let p = predict(&w).expect("ladder found");
         // The window ends on a rung's last page, so the candidates'
         // next stride is the *rise* (12); repetitions are 18 apart.
@@ -159,8 +162,8 @@ mod tests {
             }
         }
         vpns.push(18 * 4); // first page of the next rung
-        let w = window_from_vpns(&vpns[vpns.len() - 14..]);
-        assert_eq!(w.stride_a(), 12);
+        let w = OwnedWindow::from_vpns(&vpns[vpns.len() - 14..]);
+        assert_eq!(w.window().stride_a(), 12);
         let p = predict(&w).expect("ladder found");
         // After a (2, 12) pair the tread restarts: next stride is 2, and
         // the repetition distance is one rung (18 pages).
@@ -171,13 +174,14 @@ mod tests {
     #[test]
     fn no_repetition_means_none() {
         // Monotone distinct strides: the newest pair never repeats.
-        let w = window_from_vpns(&[0, 1, 3, 6, 10, 15, 21, 28, 36, 45, 55, 66, 78, 91, 105, 120]);
+        let w =
+            OwnedWindow::from_vpns(&[0, 1, 3, 6, 10, 15, 21, 28, 36, 45, 55, 66, 78, 91, 105, 120]);
         assert_eq!(predict(&w), None);
     }
 
     #[test]
     fn short_window_is_rejected() {
-        let w = window_from_vpns(&[0, 2, 4, 6]);
+        let w = OwnedWindow::from_vpns(&[0, 2, 4, 6]);
         assert_eq!(predict(&w), None);
     }
 
@@ -194,7 +198,7 @@ mod tests {
             54, 56, 58, 60, // rung 3
             72, 74, 76, 78, // rung 4
         ];
-        let w = window_from_vpns(&vpns);
+        let w = OwnedWindow::from_vpns(&vpns);
         let p = predict(&w).expect("ladder found");
         assert_eq!(p.stride_target, 12, "next comes the rise");
         assert_eq!(p.pattern_stride, 18, "majority beats the 36 gap");
@@ -218,7 +222,7 @@ mod tests {
         // value on ties, so the prediction follows the *recent* ladder
         // geometry, not the stale one.
         // Strides: [2,2,5, 1, 2,2,7, 1, 2,2] — target (2,2).
-        let w = window_from_vpns(&[0, 2, 4, 9, 10, 12, 14, 21, 22, 24, 26]);
+        let w = OwnedWindow::from_vpns(&[0, 2, 4, 9, 10, 12, 14, 21, 22, 24, 26]);
         let p = predict(&w).expect("ladder found");
         assert_eq!(p.stride_target, 7, "newest continuation wins the tie");
         assert_eq!(p.pattern_stride, 12, "newest repetition distance wins");
@@ -230,7 +234,7 @@ mod tests {
         // candidate at the window head is the only vote, and its
         // continuation is the target's own first stride — the ladder
         // degenerates to a plain stride-2 stream, correctly predicted.
-        let w = window_from_vpns(&[0, 2, 4, 6, 8]);
+        let w = OwnedWindow::from_vpns(&[0, 2, 4, 6, 8]);
         assert_eq!(
             predict(&w),
             Some(LadderPrediction {
@@ -245,7 +249,7 @@ mod tests {
         // Window is long enough (n = 4) but the history before the
         // target holds only fragments — never the full (2, 2) pair —
         // so Algorithm 1 must decline rather than vote on thin air.
-        let w = window_from_vpns(&[0, 1, 4, 6, 8]); // strides [1,3,2,2]
+        let w = OwnedWindow::from_vpns(&[0, 1, 4, 6, 8]); // strides [1,3,2,2]
         assert_eq!(predict(&w), None);
     }
 
@@ -254,7 +258,7 @@ mod tests {
         // A ladder walked downwards: treads of stride -2, rises of -12,
         // rungs 18 pages apart in the negative direction. Both output
         // strides must come back negative.
-        let w = window_from_vpns(&[100, 98, 96, 94, 82, 80, 78, 76, 64, 62, 60, 58]);
+        let w = OwnedWindow::from_vpns(&[100, 98, 96, 94, 82, 80, 78, 76, 64, 62, 60, 58]);
         let p = predict(&w).expect("descending ladder found");
         assert_eq!(p.stride_target, -12);
         assert_eq!(p.pattern_stride, -18);
@@ -266,7 +270,7 @@ mod tests {
         // the pattern target itself contains a sign flip. Repetitions
         // overlap-free every 2 strides; the stream advances 2 pages per
         // repetition.
-        let w = window_from_vpns(&[0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10]);
+        let w = OwnedWindow::from_vpns(&[0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10]);
         let p = predict(&w).expect("zigzag found");
         assert_eq!(p.stride_target, 3);
         assert_eq!(p.pattern_stride, 2);
@@ -277,7 +281,7 @@ mod tests {
         // An ascending rung, then the stream reverses. The newest pair
         // (-2, -2) has no repetition in the ascending history, so the
         // stale ascending geometry must not produce a prediction.
-        let w = window_from_vpns(&[0, 2, 4, 16, 18, 20, 18, 16]);
+        let w = OwnedWindow::from_vpns(&[0, 2, 4, 16, 18, 20, 18, 16]);
         assert_eq!(predict(&w), None);
     }
 }

@@ -93,8 +93,9 @@ impl MarkovEngine {
         }
     }
 
-    /// Learns the transition and predicts along the MRU chain.
-    pub fn on_hot_page(&mut self, hot: &HotPage) -> Vec<PrefetchOrder> {
+    /// Learns the transition and predicts along the MRU chain,
+    /// appending the orders to `out`. Returns the number appended.
+    pub fn on_hot_page(&mut self, hot: &HotPage, out: &mut Vec<PrefetchOrder>) -> usize {
         // Learn: previous hot page of this process leads to this one.
         if let Some(prev) = self.last.insert(hot.pid, hot.vpn) {
             if prev != hot.vpn {
@@ -111,32 +112,36 @@ impl MarkovEngine {
             }
         }
 
-        // Predict: walk the most-recent successor chain.
-        let mut orders = Vec::new();
+        // Predict: walk the most-recent successor chain, never
+        // revisiting the hot page or a page already on the chain.
+        let start = out.len();
         let mut cursor = hot.vpn;
-        let mut seen = vec![hot.vpn];
         for _ in 0..self.config.depth {
             let Some(successors) = self.table.get(&(hot.pid, cursor)) else {
                 break;
             };
-            let Some(&next) = successors.iter().find(|v| !seen.contains(v)) else {
+            let chain = &out[start..];
+            let Some(&next) = successors
+                .iter()
+                .find(|&&v| v != hot.vpn && chain.iter().all(|o| o.vpn != v))
+            else {
                 break;
             };
-            orders.push(PrefetchOrder {
+            out.push(PrefetchOrder {
                 pid: hot.pid,
                 vpn: next,
                 span: 1,
                 stream: Self::stream_id(),
                 tier: Tier::Simple,
             });
-            seen.push(next);
             cursor = next;
         }
-        if orders.is_empty() {
+        let predicted = out.len() - start;
+        if predicted == 0 {
             self.stats.cold_lookups += 1;
         }
-        self.stats.predictions += orders.len() as u64;
-        orders
+        self.stats.predictions += predicted as u64;
+        predicted
     }
 
     /// Timeliness feedback is not used by the Markov predictor.
@@ -167,10 +172,16 @@ mod tests {
         }
     }
 
+    fn predict(m: &mut MarkovEngine, h: &HotPage) -> Vec<PrefetchOrder> {
+        let mut out = Vec::new();
+        m.on_hot_page(h, &mut out);
+        out
+    }
+
     fn feed(m: &mut MarkovEngine, seq: &[u64]) -> Vec<Vec<u64>> {
         seq.iter()
             .map(|&v| {
-                m.on_hot_page(&hot(1, v))
+                predict(m, &hot(1, v))
                     .into_iter()
                     .map(|o| o.vpn.raw())
                     .collect()
@@ -198,7 +209,7 @@ mod tests {
         let mut m = MarkovEngine::new(MarkovConfig::default());
         feed(&mut m, &[1, 2]);
         feed(&mut m, &[1, 3]); // newer transition 1 -> 3
-        let out = m.on_hot_page(&hot(1, 1));
+        let out = predict(&mut m, &hot(1, 1));
         assert_eq!(out[0].vpn, Vpn::new(3));
     }
 
@@ -212,7 +223,7 @@ mod tests {
             feed(&mut m, &[1, next]);
         }
         // Only the two most recent successors survive.
-        let out = m.on_hot_page(&hot(1, 1));
+        let out = predict(&mut m, &hot(1, 1));
         assert_eq!(out[0].vpn, Vpn::new(5));
     }
 
@@ -220,8 +231,8 @@ mod tests {
     fn processes_do_not_share_transitions() {
         let mut m = MarkovEngine::new(MarkovConfig::default());
         feed(&mut m, &[1, 2]);
-        m.on_hot_page(&hot(2, 1));
-        let out = m.on_hot_page(&hot(2, 1));
+        predict(&mut m, &hot(2, 1));
+        let out = predict(&mut m, &hot(2, 1));
         assert!(out.is_empty(), "pid 2 never saw 1 -> 2");
     }
 
@@ -233,7 +244,7 @@ mod tests {
         });
         // A tight cycle 1 -> 2 -> 1 ...
         feed(&mut m, &[1, 2, 1, 2, 1]);
-        let out = m.on_hot_page(&hot(1, 2));
+        let out = predict(&mut m, &hot(1, 2));
         // The chain stops rather than ping-ponging forever.
         assert!(out.len() <= 2, "{out:?}");
     }
@@ -248,7 +259,7 @@ mod tests {
         assert_eq!(m.table_len(), 2);
         // Existing keys keep updating.
         feed(&mut m, &[1, 9]);
-        let out = m.on_hot_page(&hot(1, 1));
+        let out = predict(&mut m, &hot(1, 1));
         assert_eq!(out[0].vpn, Vpn::new(9));
     }
 }

@@ -21,7 +21,7 @@ pub const MAX_STRIDE: i64 = 2;
 /// Returns `true` when the window's newest page belongs to a ripple
 /// stream (predicted stride 1).
 pub fn is_ripple_with(window: &StreamWindow, max_stride: i64) -> bool {
-    let strides = &window.stride_history;
+    let strides = window.stride_history;
     let l = window.len();
     let mut ripple_num = 0usize;
 
@@ -51,31 +51,12 @@ pub fn is_ripple(window: &StreamWindow) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stt::{StreamId, StreamWindow};
-    use hopp_types::{Nanos, Pid, Vpn};
-
-    fn window_from_vpns(vpns: &[u64]) -> StreamWindow {
-        let vpn_history: Vec<Vpn> = vpns.iter().map(|&v| Vpn::new(v)).collect();
-        let stride_history: Vec<i64> = vpn_history
-            .windows(2)
-            .map(|w| w[1].stride_from(w[0]))
-            .collect();
-        StreamWindow {
-            stream: StreamId {
-                slot: 0,
-                generation: 0,
-            },
-            pid: Pid::new(1),
-            vpn_history,
-            stride_history,
-            at: Nanos::ZERO,
-        }
-    }
+    use crate::stt::test_support::OwnedWindow;
 
     #[test]
     fn clean_stride_1_is_a_ripple() {
         let vpns: Vec<u64> = (100..116).collect();
-        assert!(is_ripple(&window_from_vpns(&vpns)));
+        assert!(is_ripple(&OwnedWindow::from_vpns(&vpns).window()));
     }
 
     #[test]
@@ -84,7 +65,7 @@ mod tests {
         let vpns = [
             100, 102, 101, 103, 105, 104, 106, 107, 109, 108, 110, 111, 113, 112, 114, 115,
         ];
-        assert!(is_ripple(&window_from_vpns(&vpns)));
+        assert!(is_ripple(&OwnedWindow::from_vpns(&vpns).window()));
     }
 
     #[test]
@@ -93,7 +74,7 @@ mod tests {
         let vpns = [
             100, 101, 5000, 102, 103, 104, 9000, 105, 106, 107, 108, 7000, 109, 110, 111, 112,
         ];
-        assert!(is_ripple(&window_from_vpns(&vpns)));
+        assert!(is_ripple(&OwnedWindow::from_vpns(&vpns).window()));
     }
 
     #[test]
@@ -101,21 +82,22 @@ mod tests {
         let vpns = [
             100, 900, 40, 7000, 3, 650, 12000, 88, 4100, 77, 950, 31, 8000, 210, 5, 666,
         ];
-        assert!(!is_ripple(&window_from_vpns(&vpns)));
+        assert!(!is_ripple(&OwnedWindow::from_vpns(&vpns).window()));
     }
 
     #[test]
     fn large_stride_stream_is_not_a_ripple() {
         // A clean stride-10 simple stream: SSP's job, not RSP's.
         let vpns: Vec<u64> = (0..16).map(|k| 100 + 10 * k).collect();
-        assert!(!is_ripple(&window_from_vpns(&vpns)));
+        assert!(!is_ripple(&OwnedWindow::from_vpns(&vpns).window()));
     }
 
     #[test]
     fn tolerance_is_configurable() {
         // Stride-3 stream: not a ripple at max_stride=2, is at 3.
         let vpns: Vec<u64> = (0..16).map(|k| 100 + 3 * k).collect();
-        let w = window_from_vpns(&vpns);
+        let w = OwnedWindow::from_vpns(&vpns);
+        let w = w.window();
         assert!(!is_ripple_with(&w, 2));
         assert!(is_ripple_with(&w, 3));
     }
@@ -129,6 +111,6 @@ mod tests {
                 vpns.push(18 * r + 2 * k);
             }
         }
-        assert!(!is_ripple(&window_from_vpns(&vpns)));
+        assert!(!is_ripple(&OwnedWindow::from_vpns(&vpns).window()));
     }
 }

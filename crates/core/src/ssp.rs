@@ -17,21 +17,24 @@ use crate::stt::StreamWindow;
 /// ```
 /// use hopp_core::ssp;
 /// use hopp_core::stt::{StreamTrainingTable, SttConfig};
+/// use hopp_obs::NopRecorder;
 /// use hopp_types::{HotPage, Nanos, PageFlags, Pid, Vpn};
 ///
 /// let mut stt = StreamTrainingTable::new(SttConfig { history: 4, ..Default::default() })?;
-/// let mut window = None;
+/// let mut stride = None;
 /// for v in [10u64, 13, 16, 19] {
 ///     let hot = HotPage { pid: Pid::new(1), vpn: Vpn::new(v),
 ///                         flags: PageFlags::default(), at: Nanos::ZERO };
-///     window = stt.observe(&hot).or(window);
+///     if let Some(window) = stt.observe(&hot, &mut NopRecorder) {
+///         stride = ssp::dominant_stride(&window);
+///     }
 /// }
-/// assert_eq!(ssp::dominant_stride(&window.unwrap()), Some(3));
+/// assert_eq!(stride, Some(3));
 /// # Ok::<(), hopp_types::Error>(())
 /// ```
 pub fn dominant_stride(window: &StreamWindow) -> Option<i64> {
     let l = window.len();
-    let strides = &window.stride_history;
+    let strides = window.stride_history;
     debug_assert_eq!(strides.len(), l - 1);
     let threshold = l / 2;
 
@@ -55,65 +58,55 @@ pub fn dominant_stride(window: &StreamWindow) -> Option<i64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stt::StreamId;
-    use hopp_types::{Nanos, Pid, Vpn};
+    use crate::stt::test_support::OwnedWindow;
 
-    fn window(strides: &[i64]) -> StreamWindow {
-        let mut vpns = vec![Vpn::new(1_000)];
+    fn window(strides: &[i64]) -> OwnedWindow {
+        let mut vpns = vec![1_000u64];
         for &s in strides {
             let last = *vpns.last().unwrap();
-            vpns.push(last.offset(s).unwrap());
+            vpns.push(last.checked_add_signed(s).unwrap());
         }
-        StreamWindow {
-            stream: StreamId {
-                slot: 0,
-                generation: 0,
-            },
-            pid: Pid::new(1),
-            vpn_history: vpns,
-            stride_history: strides.to_vec(),
-            at: Nanos::ZERO,
-        }
+        OwnedWindow::from_vpns(&vpns)
     }
 
     #[test]
     fn uniform_stride_dominates() {
-        assert_eq!(dominant_stride(&window(&[2; 15])), Some(2));
-        assert_eq!(dominant_stride(&window(&[-4; 15])), Some(-4));
+        assert_eq!(dominant_stride(&window(&[2; 15]).window()), Some(2));
+        assert_eq!(dominant_stride(&window(&[-4; 15]).window()), Some(-4));
     }
 
     #[test]
     fn majority_with_interference() {
         // 8 of 15 strides are 3 (>= L/2 = 8), the rest are noise.
         let strides = [3, 7, 3, -1, 3, 3, 9, 3, 3, 2, 3, 5, 3, 11, 4];
-        assert_eq!(dominant_stride(&window(&strides)), Some(3));
+        assert_eq!(dominant_stride(&window(&strides).window()), Some(3));
     }
 
     #[test]
     fn below_threshold_fails() {
         // 7 of 15 occurrences: one short of L/2 = 8.
         let strides = [3, 7, 3, -1, 3, 3, 9, 3, 1, 2, 3, 5, 3, 11, 4];
-        assert_eq!(dominant_stride(&window(&strides)), None);
+        assert_eq!(dominant_stride(&window(&strides).window()), None);
     }
 
     #[test]
     fn zero_stride_never_dominates() {
-        assert_eq!(dominant_stride(&window(&[0; 15])), None);
+        assert_eq!(dominant_stride(&window(&[0; 15]).window()), None);
     }
 
     #[test]
     fn alternating_strides_fail() {
         // A two-stride ladder: SSP must reject it so LSP gets a chance.
         let strides = [2, 12, 2, 12, 2, 12, 2, 12, 2, 12, 2, 12, 2, 12, 2];
-        assert_eq!(dominant_stride(&window(&strides)), Some(2));
+        assert_eq!(dominant_stride(&window(&strides).window()), Some(2));
         // With window 16, "2" occurs 8 times == L/2, so SSP *does*
         // claim it; likewise three tread strides per rise ("2" occurs
         // 10 >= 8 times):
         let strides = [2, 2, 12, 2, 2, 12, 2, 2, 12, 2, 2, 12, 2, 2, 12];
-        assert_eq!(dominant_stride(&window(&strides)), Some(2));
+        assert_eq!(dominant_stride(&window(&strides).window()), Some(2));
         // A ladder whose rise appears as often as its tread is what
         // defeats SSP and needs LSP:
         let strides = [2, 12, 7, 2, 12, 7, 2, 12, 7, 2, 12, 7, 2, 12, 7];
-        assert_eq!(dominant_stride(&window(&strides)), None);
+        assert_eq!(dominant_stride(&window(&strides).window()), None);
     }
 }

@@ -9,15 +9,22 @@
 //! separate address subspaces). Once an entry's history is full, every
 //! further hot page yields a [`StreamWindow`] for the prefetch
 //! algorithms to analyse.
+//!
+//! Like the hardware table it models, the STT has a fixed size: every
+//! per-entry field is one array allocated at construction, and the
+//! histories are two flat `entries × L` and `entries × (L-1)` buffers.
+//! A window borrows its entry's slices, so training a hot page copies
+//! and allocates nothing.
 
-use hopp_obs::{Event, NopRecorder, Recorder};
+use hopp_obs::{Event, Recorder};
 use hopp_types::{Error, HotPage, Nanos, Pid, Result, Vpn};
 
 /// Identifies a stream across the lifetime of a run.
 ///
 /// STT entries are recycled (LRU), so the slot index alone is
 /// ambiguous; a generation counter disambiguates. Policy state
-/// (prefetch offsets, timeliness) is keyed by `StreamId`.
+/// (prefetch offsets, timeliness) lives in the stream's slot, tagged
+/// with its generation.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct StreamId {
     pub(crate) slot: u16,
@@ -91,34 +98,35 @@ impl SttConfig {
 
 /// A full training window: the state handed to the prefetch algorithms.
 ///
-/// `vpn_history[L-1]` is the newest page (the paper's `VPN_A`);
-/// `stride_history[i] = vpn_history[i+1] - vpn_history[i]`, so
-/// `stride_history[L-2]` is the newest stride (`stride_A`).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct StreamWindow {
+/// The window borrows the STT entry's history in place, so producing
+/// one copies nothing. `vpn_history[L-1]` is the newest page (the
+/// paper's `VPN_A`); `stride_history[i] = vpn_history[i+1] -
+/// vpn_history[i]`, so `stride_history[L-2]` is the newest stride
+/// (`stride_A`).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct StreamWindow<'a> {
     /// The stream's identity (for policy state).
     pub stream: StreamId,
     /// Owning process.
     pub pid: Pid,
     /// The last `L` VPNs, oldest first.
-    pub vpn_history: Vec<Vpn>,
+    pub vpn_history: &'a [Vpn],
     /// The `L-1` strides between consecutive VPNs.
-    pub stride_history: Vec<i64>,
+    pub stride_history: &'a [i64],
     /// Arrival time of the newest hot page.
     pub at: Nanos,
 }
 
-impl StreamWindow {
-    /// The newest page, `VPN_A`.
+impl StreamWindow<'_> {
+    /// The newest page, `VPN_A`. Windows hold `L >= 4` pages
+    /// ([`SttConfig::validate`]).
     pub fn vpn_a(&self) -> Vpn {
-        // hopp-check: allow(panic-policy): windows are built from at least one hot page; emptiness is a construction bug
-        *self.vpn_history.last().expect("window is non-empty")
+        self.vpn_history[self.vpn_history.len() - 1]
     }
 
     /// The newest stride, `stride_A`.
     pub fn stride_a(&self) -> i64 {
-        // hopp-check: allow(panic-policy): reported windows carry >= 2 pages, hence >= 1 stride, by the report threshold
-        *self.stride_history.last().expect("window has strides")
+        self.stride_history[self.stride_history.len() - 1]
     }
 
     /// History length `L`.
@@ -130,16 +138,6 @@ impl StreamWindow {
     pub fn is_empty(&self) -> bool {
         false
     }
-}
-
-#[derive(Clone, Debug)]
-struct SttEntry {
-    pid: Pid,
-    vpns: Vec<Vpn>,
-    strides: Vec<i64>,
-    lru: u64,
-    generation: u32,
-    valid: bool,
 }
 
 /// STT activity counters.
@@ -157,10 +155,18 @@ pub struct SttStats {
 
 /// The stream training table.
 ///
+/// All state is allocated at construction and laid out per field, one
+/// array element per entry: the match scan reads `pids` and `last`
+/// contiguously, and the histories live in two flat `entries × L` (and
+/// `entries × (L-1)`) buffers. Sliding a full window is a
+/// `copy_within`, and [`StreamWindow`]s borrow from the buffers, so
+/// [`StreamTrainingTable::observe`] never allocates.
+///
 /// # Example
 ///
 /// ```
 /// use hopp_core::stt::{StreamTrainingTable, SttConfig};
+/// use hopp_obs::NopRecorder;
 /// use hopp_types::{HotPage, Nanos, PageFlags, Pid, Vpn};
 ///
 /// let mut stt = StreamTrainingTable::new(SttConfig { history: 4, ..Default::default() })?;
@@ -168,7 +174,7 @@ pub struct SttStats {
 /// for k in 0..6u64 {
 ///     let hot = HotPage { pid: Pid::new(1), vpn: Vpn::new(10 + k), flags: PageFlags::default(),
 ///                         at: Nanos::ZERO };
-///     if stt.observe(&hot).is_some() { windows += 1; }
+///     if stt.observe(&hot, &mut NopRecorder).is_some() { windows += 1; }
 /// }
 /// assert_eq!(windows, 3); // windows at the 4th, 5th and 6th page
 /// # Ok::<(), hopp_types::Error>(())
@@ -176,7 +182,20 @@ pub struct SttStats {
 #[derive(Clone, Debug)]
 pub struct StreamTrainingTable {
     config: SttConfig,
-    entries: Vec<SttEntry>,
+    /// Owning process of each entry.
+    pids: Vec<Pid>,
+    /// Newest VPN of each entry (the clustering key).
+    last: Vec<Vpn>,
+    /// VPNs held by each entry, `1..=L`; 0 marks an invalid entry.
+    lens: Vec<usize>,
+    /// LRU stamp of each entry.
+    lru: Vec<u64>,
+    /// Times each slot has been recycled.
+    generations: Vec<u32>,
+    /// `entries × L` VPN histories, oldest first within an entry.
+    vpns: Vec<Vpn>,
+    /// `entries × (L-1)` stride histories, oldest first within an entry.
+    strides: Vec<i64>,
     clock: u64,
     stats: SttStats,
 }
@@ -189,17 +208,15 @@ impl StreamTrainingTable {
     /// Returns [`Error::InvalidConfig`] for invalid parameters.
     pub fn new(config: SttConfig) -> Result<Self> {
         config.validate()?;
+        let n = config.entries;
         Ok(StreamTrainingTable {
-            entries: (0..config.entries)
-                .map(|_| SttEntry {
-                    pid: Pid::KERNEL,
-                    vpns: Vec::with_capacity(config.history),
-                    strides: Vec::with_capacity(config.history - 1),
-                    lru: 0,
-                    generation: 0,
-                    valid: false,
-                })
-                .collect(),
+            pids: vec![Pid::KERNEL; n],
+            last: vec![Vpn::new(0); n],
+            lens: vec![0; n],
+            lru: vec![0; n],
+            generations: vec![0; n],
+            vpns: vec![Vpn::new(0); n * config.history],
+            strides: vec![0; n * (config.history - 1)],
             config,
             clock: 0,
             stats: SttStats::default(),
@@ -212,16 +229,11 @@ impl StreamTrainingTable {
     }
 
     /// Feeds one hot page; returns a training window when the page
-    /// extends a stream whose history is full.
-    pub fn observe(&mut self, hot: &HotPage) -> Option<StreamWindow> {
-        self.observe_rec(hot, &mut NopRecorder)
-    }
-
-    /// [`StreamTrainingTable::observe`], recording stream lifecycle
-    /// events: [`Event::StreamUpdated`] when a hot page extends an
+    /// extends a stream whose history is full. Records the stream
+    /// lifecycle: [`Event::StreamUpdated`] when a hot page extends an
     /// existing stream, [`Event::StreamEvicted`] +
     /// [`Event::StreamCreated`] when a new one recycles a slot.
-    pub fn observe_rec(&mut self, hot: &HotPage, rec: &mut dyn Recorder) -> Option<StreamWindow> {
+    pub fn observe(&mut self, hot: &HotPage, rec: &mut dyn Recorder) -> Option<StreamWindow<'_>> {
         self.clock += 1;
         self.stats.observed += 1;
 
@@ -229,110 +241,117 @@ impl StreamTrainingTable {
         // Δ_stream. Among several matches take the closest, so two
         // nearby streams don't steal each other's pages.
         let mut best: Option<(usize, u64)> = None;
-        for (idx, e) in self.entries.iter().enumerate() {
-            if !e.valid || e.pid != hot.pid {
+        for idx in 0..self.lens.len() {
+            if self.lens[idx] == 0 || self.pids[idx] != hot.pid {
                 continue;
             }
-            // hopp-check: allow(panic-policy): a valid entry always holds its seed page; emptiness is an insertion bug
-            let last = *e.vpns.last().expect("valid entries are non-empty");
-            let dist = last.raw().abs_diff(hot.vpn.raw());
+            let dist = self.last[idx].raw().abs_diff(hot.vpn.raw());
             if dist <= self.config.delta_stream && best.is_none_or(|(_, d)| dist < d) {
                 best = Some((idx, dist));
             }
         }
 
+        let Some((idx, dist)) = best else {
+            self.recycle(hot, rec);
+            return None;
+        };
+        self.lru[idx] = self.clock;
+        if dist == 0 {
+            // Repeated extraction of the same hot page — de-duplicated
+            // in the training framework (§III-B).
+            self.stats.deduped += 1;
+            return None;
+        }
         let l = self.config.history;
-        match best {
-            Some((idx, dist)) => {
-                if dist == 0 {
-                    // Repeated extraction of the same hot page —
-                    // de-duplicated in the training framework (§III-B).
-                    self.entries[idx].lru = self.clock;
-                    self.stats.deduped += 1;
-                    return None;
-                }
-                let clock = self.clock;
-                let e = &mut self.entries[idx];
-                e.lru = clock;
-                // hopp-check: allow(panic-policy): the entry matched this hot page, so it holds at least the seed page
-                let last = *e.vpns.last().expect("non-empty");
-                e.vpns.push(hot.vpn);
-                e.strides.push(hot.vpn.stride_from(last));
-                if e.vpns.len() > l {
-                    e.vpns.remove(0);
-                    e.strides.remove(0);
-                }
-                if rec.is_enabled() {
-                    rec.record(
-                        hot.at,
-                        Event::StreamUpdated {
-                            slot: idx as u16,
-                            generation: e.generation,
-                            pid: hot.pid,
-                            vpn: hot.vpn,
-                        },
-                    );
-                }
-                if e.vpns.len() == l {
-                    self.stats.windows += 1;
-                    let e = &self.entries[idx];
-                    return Some(StreamWindow {
-                        stream: StreamId {
-                            slot: idx as u16,
-                            generation: e.generation,
-                        },
-                        pid: hot.pid,
-                        vpn_history: e.vpns.clone(),
-                        stride_history: e.strides.clone(),
-                        at: hot.at,
-                    });
-                }
-                None
+        let vpns = &mut self.vpns[idx * l..(idx + 1) * l];
+        let strides = &mut self.strides[idx * (l - 1)..(idx + 1) * (l - 1)];
+        let stride = hot.vpn.stride_from(self.last[idx]);
+        let len = self.lens[idx];
+        if len < l {
+            vpns[len] = hot.vpn;
+            strides[len - 1] = stride;
+            self.lens[idx] = len + 1;
+        } else {
+            vpns.copy_within(1.., 0);
+            vpns[l - 1] = hot.vpn;
+            strides.copy_within(1.., 0);
+            strides[l - 2] = stride;
+        }
+        self.last[idx] = hot.vpn;
+        let stream = StreamId {
+            slot: idx as u16,
+            generation: self.generations[idx],
+        };
+        if rec.is_enabled() {
+            rec.record(
+                hot.at,
+                Event::StreamUpdated {
+                    slot: stream.slot,
+                    generation: stream.generation,
+                    pid: hot.pid,
+                    vpn: hot.vpn,
+                },
+            );
+        }
+        if self.lens[idx] < l {
+            return None;
+        }
+        self.stats.windows += 1;
+        Some(StreamWindow {
+            stream,
+            pid: hot.pid,
+            vpn_history: &self.vpns[idx * l..(idx + 1) * l],
+            stride_history: &self.strides[idx * (l - 1)..(idx + 1) * (l - 1)],
+            at: hot.at,
+        })
+    }
+
+    /// Starts a new stream at `hot`, recycling the first invalid entry
+    /// or else the least recently used one.
+    fn recycle(&mut self, hot: &HotPage, rec: &mut dyn Recorder) {
+        let mut victim = 0;
+        for idx in 1..self.lens.len() {
+            if self.lru_key(idx) < self.lru_key(victim) {
+                victim = idx;
             }
-            None => {
-                // Allocate a new entry, recycling the LRU victim.
-                let victim = self
-                    .entries
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| if e.valid { e.lru } else { 0 })
-                    .map(|(i, _)| i)
-                    // hopp-check: allow(panic-policy): SttConfig::validate rejects zero entries at construction
-                    .expect("entries >= 1 validated");
-                let clock = self.clock;
-                let e = &mut self.entries[victim];
-                if e.valid {
-                    self.stats.evictions += 1;
-                    if rec.is_enabled() {
-                        rec.record(
-                            hot.at,
-                            Event::StreamEvicted {
-                                slot: victim as u16,
-                                generation: e.generation,
-                            },
-                        );
-                    }
-                    e.generation += 1;
-                }
-                e.pid = hot.pid;
-                e.vpns.clear();
-                e.strides.clear();
-                e.vpns.push(hot.vpn);
-                e.lru = clock;
-                e.valid = true;
-                if rec.is_enabled() {
-                    rec.record(
-                        hot.at,
-                        Event::StreamCreated {
-                            slot: victim as u16,
-                            generation: e.generation,
-                            pid: hot.pid,
-                            vpn: hot.vpn,
-                        },
-                    );
-                }
-                None
+        }
+        if self.lens[victim] > 0 {
+            self.stats.evictions += 1;
+            if rec.is_enabled() {
+                rec.record(
+                    hot.at,
+                    Event::StreamEvicted {
+                        slot: victim as u16,
+                        generation: self.generations[victim],
+                    },
+                );
             }
+            self.generations[victim] += 1;
+        }
+        self.pids[victim] = hot.pid;
+        self.last[victim] = hot.vpn;
+        self.vpns[victim * self.config.history] = hot.vpn;
+        self.lens[victim] = 1;
+        self.lru[victim] = self.clock;
+        if rec.is_enabled() {
+            rec.record(
+                hot.at,
+                Event::StreamCreated {
+                    slot: victim as u16,
+                    generation: self.generations[victim],
+                    pid: hot.pid,
+                    vpn: hot.vpn,
+                },
+            );
+        }
+    }
+
+    /// Victim-selection key: invalid entries sort before every valid one.
+    fn lru_key(&self, idx: usize) -> u64 {
+        if self.lens[idx] == 0 {
+            0
+        } else {
+            self.lru[idx]
         }
     }
 
@@ -343,27 +362,61 @@ impl StreamTrainingTable {
 
     /// Number of valid (in-training) entries.
     pub fn active_streams(&self) -> usize {
-        self.entries.iter().filter(|e| e.valid).count()
+        self.lens.iter().filter(|&&len| len > 0).count()
+    }
+}
+
+/// Owned histories for unit tests that build windows by hand.
+#[cfg(test)]
+pub(crate) mod test_support {
+    use super::{StreamId, StreamWindow};
+    use hopp_types::{Nanos, Pid, Vpn};
+
+    /// A window's backing storage.
+    pub(crate) struct OwnedWindow {
+        pub(crate) stream: StreamId,
+        pub(crate) vpns: Vec<Vpn>,
+        pub(crate) strides: Vec<i64>,
     }
 
-    /// The identities of the streams currently resident in the table.
-    /// Policy state for ids not in this set belongs to evicted streams
-    /// and can be dropped.
-    pub fn live_stream_ids(&self) -> impl Iterator<Item = StreamId> + '_ {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.valid)
-            .map(|(idx, e)| StreamId {
-                slot: idx as u16,
-                generation: e.generation,
-            })
+    impl OwnedWindow {
+        /// The window over `vpns`, in slot 0, generation 0.
+        pub(crate) fn from_vpns(vpns: &[u64]) -> Self {
+            let vpns: Vec<Vpn> = vpns.iter().map(|&v| Vpn::new(v)).collect();
+            let strides = vpns.windows(2).map(|w| w[1].stride_from(w[0])).collect();
+            OwnedWindow {
+                stream: StreamId {
+                    slot: 0,
+                    generation: 0,
+                },
+                vpns,
+                strides,
+            }
+        }
+
+        /// The same history attributed to `stream`.
+        pub(crate) fn in_stream(mut self, stream: StreamId) -> Self {
+            self.stream = stream;
+            self
+        }
+
+        /// Borrows the window (pid 1, arriving at time zero).
+        pub(crate) fn window(&self) -> StreamWindow<'_> {
+            StreamWindow {
+                stream: self.stream,
+                pid: Pid::new(1),
+                vpn_history: &self.vpns,
+                stride_history: &self.strides,
+                at: Nanos::ZERO,
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hopp_obs::NopRecorder;
     use hopp_types::PageFlags;
 
     fn hot(pid: u16, vpn: u64) -> HotPage {
@@ -409,10 +462,10 @@ mod tests {
     #[test]
     fn window_appears_when_history_fills() {
         let mut t = stt(4);
-        assert!(t.observe(&hot(1, 10)).is_none());
-        assert!(t.observe(&hot(1, 12)).is_none());
-        assert!(t.observe(&hot(1, 14)).is_none());
-        let w = t.observe(&hot(1, 16)).unwrap();
+        assert!(t.observe(&hot(1, 10), &mut NopRecorder).is_none());
+        assert!(t.observe(&hot(1, 12), &mut NopRecorder).is_none());
+        assert!(t.observe(&hot(1, 14), &mut NopRecorder).is_none());
+        let w = t.observe(&hot(1, 16), &mut NopRecorder).unwrap();
         assert_eq!(
             w.vpn_history,
             vec![Vpn::new(10), Vpn::new(12), Vpn::new(14), Vpn::new(16)]
@@ -426,9 +479,9 @@ mod tests {
     fn window_slides_after_full() {
         let mut t = stt(4);
         for v in [10, 12, 14, 16] {
-            t.observe(&hot(1, v));
+            t.observe(&hot(1, v), &mut NopRecorder);
         }
-        let w = t.observe(&hot(1, 18)).unwrap();
+        let w = t.observe(&hot(1, 18), &mut NopRecorder).unwrap();
         assert_eq!(w.vpn_history[0], Vpn::new(12));
         assert_eq!(w.vpn_a(), Vpn::new(18));
         assert_eq!(t.stats().windows, 2);
@@ -440,12 +493,12 @@ mod tests {
         // Two processes interleave the *same* VPNs; each gets its own
         // stream (the hot-page trace carries PIDs, §VI-B).
         for v in [10, 11, 12] {
-            t.observe(&hot(1, v));
-            t.observe(&hot(2, v));
+            t.observe(&hot(1, v), &mut NopRecorder);
+            t.observe(&hot(2, v), &mut NopRecorder);
         }
         assert_eq!(t.active_streams(), 2);
-        assert!(t.observe(&hot(1, 13)).is_some());
-        assert!(t.observe(&hot(2, 13)).is_some());
+        assert!(t.observe(&hot(1, 13), &mut NopRecorder).is_some());
+        assert!(t.observe(&hot(2, 13), &mut NopRecorder).is_some());
     }
 
     #[test]
@@ -454,24 +507,24 @@ mod tests {
         // Two streams 1M pages apart, interleaved: page clustering keeps
         // them in separate entries (the Leap failure mode of §II-B).
         for k in 0..4u64 {
-            t.observe(&hot(1, 1000 + k));
-            t.observe(&hot(1, 2_000_000 + 2 * k));
+            t.observe(&hot(1, 1000 + k), &mut NopRecorder);
+            t.observe(&hot(1, 2_000_000 + 2 * k), &mut NopRecorder);
         }
         assert_eq!(t.active_streams(), 2);
-        let w = t.observe(&hot(1, 1004)).unwrap();
+        let w = t.observe(&hot(1, 1004), &mut NopRecorder).unwrap();
         assert_eq!(w.stride_history, vec![1, 1, 1]);
     }
 
     #[test]
     fn duplicate_hot_pages_are_deduped() {
         let mut t = stt(4);
-        t.observe(&hot(1, 10));
-        assert!(t.observe(&hot(1, 10)).is_none());
+        t.observe(&hot(1, 10), &mut NopRecorder);
+        assert!(t.observe(&hot(1, 10), &mut NopRecorder).is_none());
         assert_eq!(t.stats().deduped, 1);
         // The stream is not polluted by the duplicate.
-        t.observe(&hot(1, 11));
-        t.observe(&hot(1, 12));
-        let w = t.observe(&hot(1, 13)).unwrap();
+        t.observe(&hot(1, 11), &mut NopRecorder);
+        t.observe(&hot(1, 12), &mut NopRecorder);
+        let w = t.observe(&hot(1, 13), &mut NopRecorder).unwrap();
         assert_eq!(w.stride_history, vec![1, 1, 1]);
     }
 
@@ -480,16 +533,16 @@ mod tests {
         let mut t = stt(4);
         // Stream A sits at 100; stream B starts at 200 (too far to join
         // A) and walks down towards it.
-        t.observe(&hot(1, 100));
+        t.observe(&hot(1, 100), &mut NopRecorder);
         for v in [200, 190, 180, 170] {
-            t.observe(&hot(1, v));
+            t.observe(&hot(1, v), &mut NopRecorder);
         }
         assert_eq!(t.active_streams(), 2);
         // Page 150 is within Δ=64 of both streams (50 from A's 100,
         // 20 from B's 170): the closer stream B absorbs it.
-        t.observe(&hot(1, 150));
-        t.observe(&hot(1, 148));
-        let w = t.observe(&hot(1, 146)).unwrap();
+        t.observe(&hot(1, 150), &mut NopRecorder);
+        t.observe(&hot(1, 148), &mut NopRecorder);
+        let w = t.observe(&hot(1, 146), &mut NopRecorder).unwrap();
         assert_eq!(w.vpn_history[0], Vpn::new(170));
         assert_eq!(t.active_streams(), 2, "stream A is untouched");
     }
@@ -502,24 +555,24 @@ mod tests {
             delta_stream: 4,
         })
         .unwrap();
-        t.observe(&hot(1, 0));
-        t.observe(&hot(1, 1000));
+        t.observe(&hot(1, 0), &mut NopRecorder);
+        t.observe(&hot(1, 1000), &mut NopRecorder);
         // A third far-away stream evicts the LRU entry (slot of page 0).
-        t.observe(&hot(1, 2000));
+        t.observe(&hot(1, 2000), &mut NopRecorder);
         assert_eq!(t.stats().evictions, 1);
         // Complete the recycled stream: its id differs by generation.
-        t.observe(&hot(1, 2001));
-        t.observe(&hot(1, 2002));
-        let w = t.observe(&hot(1, 2003)).unwrap();
+        t.observe(&hot(1, 2001), &mut NopRecorder);
+        t.observe(&hot(1, 2002), &mut NopRecorder);
+        let w = t.observe(&hot(1, 2003), &mut NopRecorder).unwrap();
         assert_eq!(w.stream.slot(), 0);
         // Build a window in slot 0 again after another eviction cycle
         // and verify the generation moved on.
         let first_gen = w.stream;
-        t.observe(&hot(1, 5000)); // evicts slot 1 (page 1000 stream)
-        t.observe(&hot(1, 7000)); // evicts slot 0
-        t.observe(&hot(1, 7001));
-        t.observe(&hot(1, 7002));
-        let w2 = t.observe(&hot(1, 7003)).unwrap();
+        t.observe(&hot(1, 5000), &mut NopRecorder); // evicts slot 1 (page 1000 stream)
+        t.observe(&hot(1, 7000), &mut NopRecorder); // evicts slot 0
+        t.observe(&hot(1, 7001), &mut NopRecorder);
+        t.observe(&hot(1, 7002), &mut NopRecorder);
+        let w2 = t.observe(&hot(1, 7003), &mut NopRecorder).unwrap();
         assert_eq!(w2.stream.slot(), 0);
         assert_ne!(w2.stream, first_gen);
     }
@@ -534,10 +587,10 @@ mod tests {
             delta_stream: 4,
         })
         .unwrap();
-        t.observe_rec(&hot(1, 0), &mut sink); // created (slot 0)
-        t.observe_rec(&hot(1, 1), &mut sink); // updated
-        t.observe_rec(&hot(1, 1000), &mut sink); // created (slot 1)
-        t.observe_rec(&hot(1, 2000), &mut sink); // evicts + creates
+        t.observe(&hot(1, 0), &mut sink); // created (slot 0)
+        t.observe(&hot(1, 1), &mut sink); // updated
+        t.observe(&hot(1, 1000), &mut sink); // created (slot 1)
+        t.observe(&hot(1, 2000), &mut sink); // evicts + creates
         let names: Vec<&str> = sink.events().map(|e| e.event.name()).collect();
         assert_eq!(
             names,
@@ -555,9 +608,9 @@ mod tests {
     fn negative_strides_are_tracked() {
         let mut t = stt(4);
         for v in [100, 97, 94] {
-            t.observe(&hot(1, v));
+            t.observe(&hot(1, v), &mut NopRecorder);
         }
-        let w = t.observe(&hot(1, 91)).unwrap();
+        let w = t.observe(&hot(1, 91), &mut NopRecorder).unwrap();
         assert_eq!(w.stride_history, vec![-3, -3, -3]);
     }
 }

@@ -153,6 +153,8 @@ impl TierStats {
 pub struct ThreeTier {
     config: TierConfig,
     stats: TierStats,
+    /// LSP's vote lists, reused across windows.
+    votes: lsp::LadderVotes,
 }
 
 impl ThreeTier {
@@ -161,6 +163,7 @@ impl ThreeTier {
         ThreeTier {
             config,
             stats: TierStats::default(),
+            votes: lsp::LadderVotes::default(),
         }
     }
 
@@ -179,7 +182,7 @@ impl ThreeTier {
             }
         }
         if self.config.lsp {
-            if let Some(p) = lsp::predict(window) {
+            if let Some(p) = lsp::predict(window, &mut self.votes) {
                 self.stats.ladder += 1;
                 return Some(Prediction::Ladder {
                     stride_target: p.stride_target,
@@ -204,32 +207,13 @@ impl ThreeTier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stt::{StreamId, StreamWindow};
-    use hopp_types::{Nanos, Pid};
+    use crate::stt::test_support::OwnedWindow;
 
-    fn window_from_vpns(vpns: &[u64]) -> StreamWindow {
-        let vpn_history: Vec<Vpn> = vpns.iter().map(|&v| Vpn::new(v)).collect();
-        let stride_history: Vec<i64> = vpn_history
-            .windows(2)
-            .map(|w| w[1].stride_from(w[0]))
-            .collect();
-        StreamWindow {
-            stream: StreamId {
-                slot: 0,
-                generation: 0,
-            },
-            pid: Pid::new(1),
-            vpn_history,
-            stride_history,
-            at: Nanos::ZERO,
-        }
+    fn simple_window() -> OwnedWindow {
+        OwnedWindow::from_vpns(&(0..16).map(|k| 100 + 4 * k).collect::<Vec<_>>())
     }
 
-    fn simple_window() -> StreamWindow {
-        window_from_vpns(&(0..16).map(|k| 100 + 4 * k).collect::<Vec<_>>())
-    }
-
-    fn ladder_window() -> StreamWindow {
+    fn ladder_window() -> OwnedWindow {
         // Strides cycle (2, 12, 7): no majority, but the 2-stride
         // pattern repeats.
         let mut vpns = vec![0u64];
@@ -238,20 +222,20 @@ mod tests {
             let last = *vpns.last().unwrap();
             vpns.push((last as i64 + strides[k % 3]) as u64);
         }
-        window_from_vpns(&vpns)
+        OwnedWindow::from_vpns(&vpns)
     }
 
-    fn ripple_window() -> StreamWindow {
+    fn ripple_window() -> OwnedWindow {
         // Stride-1 scan with pervasive adjacent swaps: no single stride
         // dominates (SSP fails), the newest stride pair never repeats
         // (LSP fails), but cumulative strides keep returning to 0 (RSP).
-        window_from_vpns(&[
+        OwnedWindow::from_vpns(&[
             100, 102, 101, 104, 103, 106, 105, 108, 107, 110, 109, 112, 111, 114, 113, 115,
         ])
     }
 
-    fn random_window() -> StreamWindow {
-        window_from_vpns(&[
+    fn random_window() -> OwnedWindow {
+        OwnedWindow::from_vpns(&[
             100, 900, 40, 7000, 3, 650, 12000, 88, 4100, 77, 950, 31, 8000, 210, 5, 666,
         ])
     }
@@ -259,7 +243,7 @@ mod tests {
     #[test]
     fn dispatch_order_ssp_first() {
         let mut tt = ThreeTier::new(TierConfig::default());
-        let p = tt.predict(&simple_window()).unwrap();
+        let p = tt.predict(&simple_window().window()).unwrap();
         assert_eq!(p, Prediction::Simple { stride: 4 });
         assert_eq!(tt.stats().simple, 1);
     }
@@ -267,7 +251,7 @@ mod tests {
     #[test]
     fn ladder_falls_through_to_lsp() {
         let mut tt = ThreeTier::new(TierConfig::default());
-        let p = tt.predict(&ladder_window()).unwrap();
+        let p = tt.predict(&ladder_window().window()).unwrap();
         assert_eq!(p.tier(), Tier::Ladder);
         assert_eq!(tt.stats().ladder, 1);
     }
@@ -275,7 +259,7 @@ mod tests {
     #[test]
     fn ripple_falls_through_to_rsp() {
         let mut tt = ThreeTier::new(TierConfig::default());
-        let p = tt.predict(&ripple_window()).unwrap();
+        let p = tt.predict(&ripple_window().window()).unwrap();
         assert_eq!(p, Prediction::Ripple);
         assert_eq!(tt.stats().ripple, 1);
     }
@@ -283,17 +267,23 @@ mod tests {
     #[test]
     fn unclassified_windows_are_counted() {
         let mut tt = ThreeTier::new(TierConfig::default());
-        assert_eq!(tt.predict(&random_window()), None);
+        assert_eq!(tt.predict(&random_window().window()), None);
         assert_eq!(tt.stats().unclassified, 1);
     }
 
     #[test]
     fn disabled_tiers_do_not_fire() {
         let mut tt = ThreeTier::new(TierConfig::ssp_only());
-        assert_eq!(tt.predict(&ripple_window()).map(|p| p.tier()), None);
+        assert_eq!(
+            tt.predict(&ripple_window().window()).map(|p| p.tier()),
+            None
+        );
         let mut tt = ThreeTier::new(TierConfig::ssp_lsp());
-        assert_eq!(tt.predict(&ripple_window()), None);
-        assert_eq!(tt.predict(&ladder_window()).unwrap().tier(), Tier::Ladder);
+        assert_eq!(tt.predict(&ripple_window().window()), None);
+        assert_eq!(
+            tt.predict(&ladder_window().window()).unwrap().tier(),
+            Tier::Ladder
+        );
     }
 
     #[test]

@@ -114,6 +114,9 @@ pub struct MemoryPool {
     has_faults: bool,
     failovers: u64,
     failed_writes: u64,
+    /// Per-node page counts of the span being read, reused across
+    /// [`RemotePool::read_span`] calls.
+    span_pages: Vec<u32>,
 }
 
 impl MemoryPool {
@@ -128,6 +131,7 @@ impl MemoryPool {
             has_faults: false,
             failovers: 0,
             failed_writes: 0,
+            span_pages: vec![0; config.nodes],
         })
     }
 
@@ -142,6 +146,7 @@ impl MemoryPool {
             has_faults: false,
             failovers: 0,
             failed_writes: 0,
+            span_pages: vec![0; config.nodes],
         }
     }
 
@@ -389,24 +394,29 @@ impl RemotePool for MemoryPool {
         now: Nanos,
         rec: &mut dyn Recorder,
     ) -> Result<Nanos> {
+        // A one-page span is a plain page read: same node, same bytes.
+        if span <= 1 {
+            return self.read_page(pid, vpn, now, rec);
+        }
         // Group the span's pages by primary node: one transfer per
         // node, completion when the last group lands. A single-node
         // pool degenerates to exactly one span-sized read.
-        let n = self.config.nodes;
-        let mut per_node = vec![0u32; n];
-        for i in 0..span.max(1) {
+        let mut per_node = std::mem::take(&mut self.span_pages);
+        per_node.fill(0);
+        for i in 0..span {
             let v = vpn.offset_saturating(i64::from(i));
             per_node[self.primary_of(pid, v)] += 1;
         }
-        let mut done = now;
-        for (idx, &pages) in per_node.iter().enumerate() {
-            if pages == 0 {
-                continue;
-            }
-            let d = self.read_from(idx, pid, vpn, pages as usize * PAGE_SIZE, now, rec)?;
-            done = done.max(d);
-        }
-        Ok(done)
+        let done = per_node
+            .iter()
+            .enumerate()
+            .filter(|&(_, &pages)| pages > 0)
+            .try_fold(now, |done, (idx, &pages)| {
+                let d = self.read_from(idx, pid, vpn, pages as usize * PAGE_SIZE, now, rec)?;
+                Ok(done.max(d))
+            });
+        self.span_pages = per_node;
+        done
     }
 
     fn write_page(&mut self, pid: Pid, vpn: Vpn, now: Nanos, rec: &mut dyn Recorder) -> Nanos {
@@ -764,6 +774,34 @@ mod tests {
             .unwrap();
         let rep = p.report(Nanos::ZERO);
         assert_eq!(rep.nodes[0].placed, 1);
+    }
+
+    #[test]
+    fn one_page_spans_complete_exactly_like_page_reads() {
+        // Two identical 4-node pools, one read through `read_span(.., 1,
+        // ..)` and one through `read_page`, with a node lost mid-run so
+        // failover is exercised too.
+        let script = FaultScript::parse("0:2:down").unwrap();
+        let mut spans = pool(4, 2);
+        let mut pages = pool(4, 2);
+        spans.set_fault_script(&script).unwrap();
+        pages.set_fault_script(&script).unwrap();
+        let rec = &mut NopRecorder;
+        let pid = Pid::new(1);
+        let mut t = Nanos::ZERO;
+        for i in 0..64u64 {
+            let vpn = Vpn::new(i * 131);
+            spans.place(pid, vpn, None, t, rec).unwrap();
+            pages.place(pid, vpn, None, t, rec).unwrap();
+            assert_eq!(
+                spans.read_span(pid, vpn, 1, t, rec).unwrap(),
+                pages.read_page(pid, vpn, t, rec).unwrap(),
+                "page {i}"
+            );
+            t += Nanos::from_micros(3);
+        }
+        assert_eq!(spans.stats(), pages.stats());
+        assert_eq!(spans.report(t), pages.report(t));
     }
 
     #[test]

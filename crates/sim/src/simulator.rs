@@ -89,6 +89,8 @@ pub struct Simulator {
     apps: Vec<(Pid, AppRuntime)>,
     counters: Counters,
     prefetch_buf: Vec<hopp_kernel::PrefetchRequest>,
+    /// Reused HoPP order buffer (see [`Self::on_hot_page`]).
+    order_buf: Vec<hopp_core::PrefetchOrder>,
     /// Reused HoPP completion buffer (see [`Self::drain_completions`]).
     completion_buf: Vec<hopp_core::Completion>,
     /// Last time each resident frame was reported hot by the MC
@@ -186,6 +188,7 @@ impl Simulator {
             apps: runtimes,
             counters: Counters::default(),
             prefetch_buf: Vec::with_capacity(64),
+            order_buf: Vec::with_capacity(16),
             completion_buf: Vec::with_capacity(64),
             last_hot: PageMap::new(),
             timeline: Vec::new(),
@@ -585,81 +588,99 @@ impl Simulator {
         let Some(h) = &mut self.hopp else {
             return Ok(());
         };
-        let orders = h.engine.on_hot_page_rec(&hot, &mut self.recorder);
-        for order in orders {
-            let key = (order.pid, order.vpn);
-            // Only pages that actually live remotely are fetchable.
-            let swapped = matches!(
-                self.spaces
-                    .get(&order.pid)
-                    .and_then(|s| s.lookup(order.vpn)),
-                Some(Mapping::Swapped(_))
-            );
-            if !swapped
-                || self.swapcache.contains(order.pid, order.vpn)
-                || self.base_inflight.contains_key(&key)
-            {
-                continue;
+        let mut orders = std::mem::take(&mut self.order_buf);
+        orders.clear();
+        h.engine
+            .on_hot_page_into(&hot, &mut self.recorder, &mut orders);
+        let mut outcome = Ok(());
+        for order in &orders {
+            outcome = self.issue_hopp_order(*order);
+            if outcome.is_err() {
+                break;
             }
-            // Huge batches move the whole span over the wire; only worth
-            // it when most of the span actually lives remotely.
-            if order.span > 1 {
-                let swapped_in_span = (0..u64::from(order.span))
-                    .filter_map(|k| order.vpn.offset(k as i64))
-                    .filter(|vpn| {
-                        matches!(
-                            self.spaces.get(&order.pid).and_then(|sp| sp.lookup(*vpn)),
-                            Some(Mapping::Swapped(_))
-                        ) && !self.hopp_inflight.contains_key(&(order.pid, *vpn))
-                    })
-                    .count() as u32;
-                if swapped_in_span * 4 < order.span * 3 {
-                    continue;
-                }
-            }
-            // Stream-aware placement learns which stream owns which
-            // regions from the orders flowing past.
-            if self.pool.wants_hints() {
-                let stream_key =
-                    order.stream.slot() as u64 | (u64::from(order.stream.generation()) << 16);
-                let first = order.vpn.raw() >> REGION_SHIFT;
-                let last = order
-                    .vpn
-                    .offset_saturating(i64::from(order.span.max(1)) - 1)
-                    .raw()
-                    >> REGION_SHIFT;
-                for region in first..=last {
-                    self.stream_hints.insert((order.pid, region), stream_key);
-                }
-            }
-            if let Some(due) = h.exec.request_span_rec(
-                order.pid,
-                order.vpn,
-                order.span,
-                order.stream,
-                order.tier,
-                self.clock,
-                &mut self.pool,
-                &mut self.recorder,
-            )? {
-                if self.obs_hists {
-                    self.hists
-                        .rdma_read
-                        .record_nanos(due.saturating_since(self.clock));
-                }
-                // Mark every (currently remote) page of the span as in
-                // flight so demand faults wait instead of re-fetching.
-                for k in 0..u64::from(order.span) {
-                    let Some(vpn) = order.vpn.offset(k as i64) else {
-                        break;
-                    };
-                    if matches!(
-                        self.spaces.get(&order.pid).and_then(|sp| sp.lookup(vpn)),
+        }
+        self.order_buf = orders;
+        outcome
+    }
+
+    /// Issues one HoPP prefetch order, unless its page is no longer
+    /// remote or is already on its way.
+    fn issue_hopp_order(&mut self, order: hopp_core::PrefetchOrder) -> Result<()> {
+        let key = (order.pid, order.vpn);
+        // Only pages that actually live remotely are fetchable.
+        let swapped = matches!(
+            self.spaces
+                .get(&order.pid)
+                .and_then(|s| s.lookup(order.vpn)),
+            Some(Mapping::Swapped(_))
+        );
+        if !swapped
+            || self.swapcache.contains(order.pid, order.vpn)
+            || self.base_inflight.contains_key(&key)
+        {
+            return Ok(());
+        }
+        // Huge batches move the whole span over the wire; only worth
+        // it when most of the span actually lives remotely.
+        if order.span > 1 {
+            let swapped_in_span = (0..u64::from(order.span))
+                .filter_map(|k| order.vpn.offset(k as i64))
+                .filter(|vpn| {
+                    matches!(
+                        self.spaces.get(&order.pid).and_then(|sp| sp.lookup(*vpn)),
                         Some(Mapping::Swapped(_))
-                    ) {
-                        self.hopp_inflight.insert((order.pid, vpn), due);
-                        self.counters.hopp_prefetches += 1;
-                    }
+                    ) && !self.hopp_inflight.contains_key(&(order.pid, *vpn))
+                })
+                .count() as u32;
+            if swapped_in_span * 4 < order.span * 3 {
+                return Ok(());
+            }
+        }
+        // Stream-aware placement learns which stream owns which
+        // regions from the orders flowing past.
+        if self.pool.wants_hints() {
+            let stream_key =
+                order.stream.slot() as u64 | (u64::from(order.stream.generation()) << 16);
+            let first = order.vpn.raw() >> REGION_SHIFT;
+            let last = order
+                .vpn
+                .offset_saturating(i64::from(order.span.max(1)) - 1)
+                .raw()
+                >> REGION_SHIFT;
+            for region in first..=last {
+                self.stream_hints.insert((order.pid, region), stream_key);
+            }
+        }
+        let Some(h) = &mut self.hopp else {
+            return Ok(());
+        };
+        if let Some(due) = h.exec.request_span_rec(
+            order.pid,
+            order.vpn,
+            order.span,
+            order.stream,
+            order.tier,
+            self.clock,
+            &mut self.pool,
+            &mut self.recorder,
+        )? {
+            if self.obs_hists {
+                self.hists
+                    .rdma_read
+                    .record_nanos(due.saturating_since(self.clock));
+            }
+            // Mark every (currently remote) page of the span as in
+            // flight so demand faults wait instead of re-fetching.
+            for k in 0..u64::from(order.span) {
+                let Some(vpn) = order.vpn.offset(k as i64) else {
+                    break;
+                };
+                if matches!(
+                    self.spaces.get(&order.pid).and_then(|sp| sp.lookup(vpn)),
+                    Some(Mapping::Swapped(_))
+                ) {
+                    self.hopp_inflight.insert((order.pid, vpn), due);
+                    self.counters.hopp_prefetches += 1;
                 }
             }
         }

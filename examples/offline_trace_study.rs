@@ -17,6 +17,7 @@
 
 use hopp::core::stt::{StreamTrainingTable, SttConfig};
 use hopp::core::three_tier::{ThreeTier, Tier, TierConfig};
+use hopp::obs::NopRecorder;
 use hopp::trace::hmtt::{HmttDecoder, HmttRecord, TraceRing};
 use hopp::trace::llc::{LastLevelCache, LlcConfig};
 use hopp::trace::AccessStream;
@@ -100,7 +101,7 @@ fn study(kind: WorkloadKind) {
             flags: PageFlags::default(),
             at: access.at,
         };
-        if let Some(window) = stt.observe(&hot) {
+        if let Some(window) = stt.observe(&hot, &mut NopRecorder) {
             tiers.predict(&window);
         }
     }

@@ -15,6 +15,7 @@ use hopp::hw::rtl::HpdRtl;
 use hopp::hw::{HotPageDetector, HpdConfig};
 use hopp::kernel::{LruLists, LruTier, SwapDevice};
 use hopp::net::CompletionQueue;
+use hopp::obs::NopRecorder;
 use hopp::trace::hmtt::{HmttDecoder, HmttRecord, TIMESTAMP_TICK_NS};
 use hopp::trace::llc::{LastLevelCache, LlcConfig};
 use hopp::types::rng::SplitMix64;
@@ -183,7 +184,7 @@ fn stt_windows_are_consistent() {
         let mut stt = StreamTrainingTable::new(config).unwrap();
         for i in 0..len {
             let v = rng.gen_range(0..100_000);
-            if let Some(w) = stt.observe(&hot(1, v, i)) {
+            if let Some(w) = stt.observe(&hot(1, v, i), &mut NopRecorder) {
                 assert_eq!(w.vpn_history.len(), history);
                 assert_eq!(w.stride_history.len(), history - 1);
                 for i in 0..history - 1 {
@@ -285,7 +286,7 @@ fn policy_offset_stays_bounded() {
     for_cases(11, |rng| {
         let len = rng.gen_range(0..300);
         let config = PolicyConfig::default();
-        let mut pe = PolicyEngine::new(config);
+        let mut pe = PolicyEngine::new(config, SttConfig::default().entries);
         // Forge one stream id via a tiny STT.
         let mut stt = StreamTrainingTable::new(SttConfig {
             history: 4,
@@ -294,7 +295,10 @@ fn policy_offset_stays_bounded() {
         .unwrap();
         let mut stream = None;
         for k in 0..4u64 {
-            stream = stt.observe(&hot(1, k, 0)).map(|w| w.stream).or(stream);
+            stream = stt
+                .observe(&hot(1, k, 0), &mut NopRecorder)
+                .map(|w| w.stream)
+                .or(stream);
         }
         let stream = stream.unwrap();
         for _ in 0..len {
@@ -321,7 +325,8 @@ fn markov_chains_are_acyclic() {
         });
         for _ in 0..len {
             let v = rng.gen_range(0..16);
-            let orders = m.on_hot_page(&hot(1, v, 0));
+            let mut orders = Vec::new();
+            m.on_hot_page(&hot(1, v, 0), &mut orders);
             assert!(orders.len() <= depth as usize);
             let mut seen = std::collections::HashSet::new();
             seen.insert(v);
