@@ -10,9 +10,14 @@
 //!    migration, proving the `BTreeMap` → `DetMap`/`PageMap`/`Lru`
 //!    swap is behaviour-preserving, not just "still deterministic".
 //!
-//! To regenerate the golden after an *intentional* behaviour change,
+//! 3. *Multi-channel pinning*: a fixed-seed Quicksort run with three
+//!    interleaved memory channels matches its own golden file, so the
+//!    per-channel HPD split (a channel count that does not divide the
+//!    64 lines of a page) cannot drift unnoticed.
+//!
+//! To regenerate the goldens after an *intentional* behaviour change,
 //! run `HOPP_BLESS=1 cargo test --test determinism` and commit the
-//! updated file with an explanation.
+//! updated files with an explanation.
 
 use hopp_sim::{run_workload_with, BaselineKind, SimConfig, SystemConfig};
 use hopp_workloads::WorkloadKind;
@@ -20,6 +25,11 @@ use hopp_workloads::WorkloadKind;
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/kmeans_hopp_small.json"
+);
+
+const GOLDEN_CHANNELS3: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/quicksort_hopp_channels3_small.json"
 );
 
 fn small_hopp_report() -> String {
@@ -47,17 +57,37 @@ fn identical_fastswap_runs_are_byte_identical() {
     assert_eq!(run(), run());
 }
 
-#[test]
-fn small_scale_report_matches_pre_migration_golden() {
-    let got = small_hopp_report();
+fn three_channel_hopp_report() -> String {
+    let config = SimConfig {
+        channels: 3,
+        ..SimConfig::with_system(SystemConfig::hopp_default())
+    };
+    run_workload_with(config, WorkloadKind::Quicksort, 2_048, 7, 0.5)
+        .expect("small three-channel hopp run")
+        .metrics_json()
+}
+
+/// Compares `got` with the golden file at `path`, or rewrites the file
+/// when `HOPP_BLESS` is set.
+fn check_golden(path: &str, got: &str) {
     if std::env::var_os("HOPP_BLESS").is_some() {
-        std::fs::write(GOLDEN, &got).expect("write golden");
+        std::fs::write(path, got).expect("write golden");
         return;
     }
-    let want = std::fs::read_to_string(GOLDEN).expect("golden file (bless with HOPP_BLESS=1)");
+    let want = std::fs::read_to_string(path).expect("golden file (bless with HOPP_BLESS=1)");
     assert_eq!(
         got, want,
-        "fixed-seed report drifted from the pre-migration golden; \
+        "fixed-seed report drifted from the golden {path}; \
          if the behaviour change is intentional, re-bless with HOPP_BLESS=1"
     );
+}
+
+#[test]
+fn small_scale_report_matches_pre_migration_golden() {
+    check_golden(GOLDEN, &small_hopp_report());
+}
+
+#[test]
+fn three_channel_report_matches_golden() {
+    check_golden(GOLDEN_CHANNELS3, &three_channel_hopp_report());
 }
