@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use hopp_core::stt::{StreamTrainingTable, SttConfig};
 use hopp_core::three_tier::{ThreeTier, TierConfig};
-use hopp_hw::{HotPageDetector, HpdConfig, ReversePageTable, RptCacheConfig};
+use hopp_hw::{HotPageDetector, HpdConfig, McPipeline, ReversePageTable, RptCacheConfig};
 use hopp_obs::NopRecorder;
 use hopp_trace::llc::{LastLevelCache, LlcConfig};
 use hopp_types::{AccessKind, HotPage, Nanos, PageFlags, Pid, Ppn, Vpn, LINES_PER_PAGE};
@@ -57,6 +57,14 @@ fn bench_hpd() {
             Ppn::new(i / 8 % 4_096).line((i % 64) as u8),
             AccessKind::Read,
         ));
+    });
+    // The simulator's page-granular MC path, in Quicksort's shape: one
+    // op is a 40-line page touch with 27 LLC misses.
+    let misses = (0..40).filter(|j| j % 3 != 2).fold(0u64, |m, j| m | 1 << j);
+    assert_eq!(misses.count_ones(), 27);
+    let mut mc = McPipeline::new(HpdConfig::default(), RptCacheConfig::default()).unwrap();
+    bench("mc/on_page_misses", 1_000_000, |i| {
+        black_box(mc.on_page_misses(Ppn::new(i % 4_096), misses, AccessKind::Read));
     });
 }
 

@@ -25,6 +25,18 @@
 //! new entry at the front. An invalidation removes the entry and
 //! appends an empty one. The set is picked with a mask, since
 //! [`HpdConfig::validate`] requires a power-of-two set count.
+//!
+//! # Page runs
+//!
+//! The simulator delivers a page touch's LLC misses together, so the
+//! table counts them as one run: [`HotPageDetector::on_misses`] applies
+//! `n` misses of one page with one lookup and one move to the front,
+//! then `count += n`, capped at the threshold. It returns the index of
+//! the miss that crossed the threshold, and the misses after it count as
+//! send-bit drops. This is exact, because after the first miss of the
+//! run the page's entry is at the front of its set and no other page's
+//! miss comes between the rest. [`HotPageDetector::on_miss`] is the
+//! one-miss run, so counting has one implementation.
 
 use std::ops::Range;
 
@@ -188,14 +200,32 @@ impl HotPageDetector {
     }
 
     /// Processes one LLC miss; returns the PPN if this miss makes the
-    /// page hot.
+    /// page hot. One-miss form of [`HotPageDetector::on_misses`].
     pub fn on_miss(&mut self, line: LineAddr, kind: AccessKind) -> Option<Ppn> {
-        if !kind.is_read() {
-            self.stats.writes_ignored += 1;
+        let ppn = line.ppn();
+        self.on_misses(ppn, 1, kind).map(|_| ppn)
+    }
+
+    /// Processes `n` consecutive LLC misses to page `ppn` in one table
+    /// update and returns the 0-based index of the miss that made the
+    /// page hot, if one did.
+    ///
+    /// Equivalent to `n` calls of [`HotPageDetector::on_miss`] on lines
+    /// of `ppn`: after the first of them the page's entry is at the front
+    /// of its set and every later one hits it there, so the run costs one
+    /// lookup and one move to the front, then `count += n`. Misses after
+    /// the one that crosses the threshold, and all `n` misses to an entry
+    /// whose send bit is already set, count as send-bit drops. `n == 0`
+    /// leaves the table untouched.
+    pub fn on_misses(&mut self, ppn: Ppn, n: u32, kind: AccessKind) -> Option<u32> {
+        if n == 0 {
             return None;
         }
-        self.stats.reads += 1;
-        let ppn = line.ppn();
+        if !kind.is_read() {
+            self.stats.writes_ignored += u64::from(n);
+            return None;
+        }
+        self.stats.reads += u64::from(n);
         let range = self.set_range(ppn);
         let set = &mut self.entries[range];
         // A page's misses come in bursts, so its entry is usually already
@@ -217,10 +247,9 @@ impl HotPageDetector {
         if entry.ppn == ppn {
             if entry.sent {
                 set[0] = entry;
-                self.stats.send_bit_drops += 1;
+                self.stats.send_bit_drops += u64::from(n);
                 return None;
             }
-            entry.count += 1;
         } else {
             if entry.ppn != EMPTY_PPN {
                 if entry.sent {
@@ -231,15 +260,23 @@ impl HotPageDetector {
             }
             entry = HpdEntry {
                 ppn,
-                count: 1,
+                count: 0,
                 sent: false,
             };
         }
-        entry.sent = entry.count >= self.config.threshold;
+        // An unsent entry is below the threshold, so `to_hot >= 1`.
+        let to_hot = self.config.threshold - entry.count;
+        entry.sent = n >= to_hot;
+        entry.count = if entry.sent {
+            self.config.threshold
+        } else {
+            entry.count + n
+        };
         set[0] = entry;
         if entry.sent {
             self.stats.hot_pages += 1;
-            return Some(ppn);
+            self.stats.send_bit_drops += u64::from(n - to_hot);
+            return Some(to_hot - 1);
         }
         None
     }
@@ -399,6 +436,61 @@ mod tests {
         h.invalidate(page);
         assert_eq!(h.on_miss(page.line(1), AccessKind::Read), None);
         assert_eq!(h.on_miss(page.line(2), AccessKind::Read), Some(page));
+    }
+
+    #[test]
+    fn on_misses_returns_the_crossing_index() {
+        let mut h = hpd(8);
+        let page = Ppn::new(20);
+        assert_eq!(h.on_misses(page, 3, AccessKind::Read), None);
+        // Count 3 needs 5 more: the fifth miss (index 4) crosses, and
+        // the 5 after it hit the fresh send bit.
+        assert_eq!(h.on_misses(page, 10, AccessKind::Read), Some(4));
+        let fresh = Ppn::new(24);
+        assert_eq!(h.on_misses(fresh, 64, AccessKind::Read), Some(7));
+        let s = h.stats();
+        assert_eq!((s.reads, s.hot_pages, s.send_bit_drops), (77, 2, 5 + 56));
+    }
+
+    #[test]
+    fn on_misses_to_a_sent_entry_are_all_dropped() {
+        let mut h = hpd(2);
+        let page = Ppn::new(4);
+        assert_eq!(h.on_misses(page, 2, AccessKind::Read), Some(1));
+        assert_eq!(h.on_misses(page, 9, AccessKind::Read), None);
+        assert_eq!(h.on_misses(page, 3, AccessKind::Write), None);
+        let s = h.stats();
+        assert_eq!((s.reads, s.send_bit_drops, s.hot_pages), (11, 9, 1));
+        assert_eq!(s.writes_ignored, 3);
+    }
+
+    #[test]
+    fn zero_misses_leave_the_set_order_untouched() {
+        // Fill set 0; pages[0] is its LRU entry. A zero-miss touch of it
+        // must not refresh it, so the next new page evicts it, while a
+        // one-miss touch would have made pages[1] the victim.
+        let pages: Vec<Ppn> = (0..17u64).map(|i| Ppn::new(i * 4)).collect();
+        for refresh in [0, 1] {
+            let mut h = hpd(8);
+            for p in &pages[..16] {
+                h.on_misses(*p, 1, AccessKind::Read);
+            }
+            assert_eq!(h.on_misses(pages[0], refresh, AccessKind::Read), None);
+            h.on_misses(pages[16], 1, AccessKind::Read);
+            assert_eq!(h.stats().cold_evictions, 1);
+            // The survivor keeps its count (1 + refresh), so 7 - refresh
+            // more misses make it hot; the victim restarts from zero.
+            let (victim, survivor) = if refresh == 0 {
+                (pages[0], pages[1])
+            } else {
+                (pages[1], pages[0])
+            };
+            assert_eq!(
+                h.on_misses(survivor, 7 - refresh, AccessKind::Read),
+                Some(6 - refresh)
+            );
+            assert_eq!(h.on_misses(victim, 7, AccessKind::Read), None);
+        }
     }
 
     #[test]

@@ -6,6 +6,16 @@
 //! reserved DRAM area for software to consume. [`McPipeline`] wires the
 //! two modules together, keeps the bandwidth ledger, and exposes the
 //! kernel-facing PTE hooks.
+//!
+//! The miss stream arrives one page touch at a time: bit `j` of a miss
+//! mask is line `j` of the page. [`McPipeline::on_page_misses`] splits
+//! the mask into one lane per memory channel (line `j` of page `ppn` goes
+//! to channel `(ppn.line(0) + j) % channels`, with the lane masks built
+//! once in [`McPipeline::with_channels`]), counts each lane as one HPD
+//! run and returns the lines that made the page hot. The caller passes
+//! each of them, in line order, to [`McPipeline::resolve_hot`], which
+//! does the RPT lookup and writes the hot-page record.
+//! [`McPipeline::on_llc_miss`] is the single-line form of the two.
 
 use hopp_mem::PteListener;
 use hopp_obs::{Event, NopRecorder, Recorder};
@@ -38,6 +48,9 @@ pub struct McPipeline {
     /// each see a share of a page's cachelines, so each channel runs a
     /// proportionally reduced threshold).
     hpds: Vec<HotPageDetector>,
+    /// `lanes[r]` has bit `j` set for every line `j ≡ r (mod channels)`
+    /// of a page: the lines that share one channel.
+    lanes: Vec<u64>,
     rpt: ReversePageTable,
     ledger: BandwidthLedger,
 }
@@ -85,6 +98,13 @@ impl McPipeline {
             hpds: (0..channels)
                 .map(|_| HotPageDetector::new(per_channel))
                 .collect::<Result<_>>()?,
+            lanes: (0..channels)
+                .map(|r| {
+                    (r..hopp_types::LINES_PER_PAGE)
+                        .step_by(channels)
+                        .fold(0, |lane, j| lane | 1 << j)
+                })
+                .collect(),
             rpt: ReversePageTable::new(rpt)?,
             ledger: BandwidthLedger::new(),
         })
@@ -100,42 +120,55 @@ impl McPipeline {
     /// for the prefetch training framework.
     ///
     /// Hot pages whose frame cannot be resolved (freed or kernel-owned)
-    /// are dropped, as the real hardware would drop them.
+    /// are dropped, as the real hardware would drop them. One-line form
+    /// of [`McPipeline::on_page_misses`] followed by
+    /// [`McPipeline::resolve_hot`].
     pub fn on_llc_miss(&mut self, line: LineAddr, kind: AccessKind, now: Nanos) -> Option<HotPage> {
-        self.on_llc_miss_rec(line, kind, now, &mut NopRecorder)
+        let ppn = line.ppn();
+        if self.on_page_misses(ppn, 1 << line.line_in_page(), kind) == 0 {
+            return None;
+        }
+        self.resolve_hot(ppn, now, &mut NopRecorder)
     }
 
-    /// [`McPipeline::on_llc_miss`], recording the hardware-side events:
-    /// [`Event::HpdHot`] when the threshold fires, then
-    /// [`Event::RptHit`] or [`Event::RptMiss`] (with whether the walk
-    /// resolved) and [`Event::RptWriteback`] when the cache evicted a
-    /// dirty way to DRAM.
+    /// Feeds the LLC misses of one touch of page `ppn` through the HPD
+    /// tables: bit `j` of `misses` set means line `j` missed. Returns
+    /// the mask of lines whose miss made the page hot in that line's
+    /// channel; each such line is then passed to
+    /// [`McPipeline::resolve_hot`], in line order.
+    ///
+    /// Equivalent to feeding the missed lines one by one: line `j` goes
+    /// to channel `(ppn.line(0) + j) % channels`, and the channels'
+    /// tables are independent, so each channel takes its share of the
+    /// mask as one [`HotPageDetector::on_misses`] run.
     #[inline]
-    pub fn on_llc_miss_rec(
-        &mut self,
-        line: LineAddr,
-        kind: AccessKind,
-        now: Nanos,
-        rec: &mut dyn Recorder,
-    ) -> Option<HotPage> {
-        self.ledger.app_misses += 1;
+    pub fn on_page_misses(&mut self, ppn: Ppn, misses: u64, kind: AccessKind) -> u64 {
+        self.ledger.app_misses += u64::from(misses.count_ones());
         let channels = self.hpds.len();
-        let channel = if channels == 1 {
-            0
-        } else {
-            (line.raw() % channels as u64) as usize
-        };
-        let ppn = self.hpds[channel].on_miss(line, kind)?;
-        self.extract(ppn, now, rec)
+        if channels == 1 {
+            return lane_hot(&mut self.hpds[0], ppn, misses, kind);
+        }
+        // Lines `j ≡ r (mod channels)` go to channel `(first + r) % channels`.
+        let first = (ppn.line(0).raw() % channels as u64) as usize;
+        let mut hot = 0;
+        for (r, &lane) in self.lanes.iter().enumerate() {
+            let channel = (first + r) % channels;
+            hot |= lane_hot(&mut self.hpds[channel], ppn, misses & lane, kind);
+        }
+        hot
     }
 
     /// The rare path of a miss that made `ppn` hot: resolve it through
-    /// the RPT and write the hot-page record. Kept out of line so the
-    /// common not-hot miss stays small enough to inline.
+    /// the RPT and write the hot-page record, recording
+    /// [`Event::HpdHot`], then [`Event::RptHit`] or [`Event::RptMiss`]
+    /// (with whether the walk resolved) and [`Event::RptWriteback`] when
+    /// the cache evicted a dirty way to DRAM. Returns `None` for a frame
+    /// the RPT cannot resolve. Kept out of line so the common not-hot
+    /// page touch stays small enough to inline.
     #[inline(never)]
-    fn extract(&mut self, ppn: Ppn, now: Nanos, rec: &mut dyn Recorder) -> Option<HotPage> {
+    pub fn resolve_hot(&mut self, ppn: Ppn, now: Nanos, rec: &mut dyn Recorder) -> Option<HotPage> {
         // Host-profiling scope for the hot-extraction path only; the
-        // common not-hot miss in `on_llc_miss_rec` stays span-free.
+        // common not-hot page touch in `on_page_misses` stays span-free.
         let _prof = hopp_prof::span("hw/hpd_extract");
         if rec.is_enabled() {
             rec.record(now, Event::HpdHot { ppn });
@@ -211,6 +244,22 @@ impl McPipeline {
     pub fn ledger(&self) -> BandwidthLedger {
         self.ledger
     }
+}
+
+/// Feeds the misses in `lane`, all to page `ppn` and all in `hpd`'s
+/// channel, as one run; returns the bit of the line that made the page
+/// hot, or 0.
+#[inline]
+fn lane_hot(hpd: &mut HotPageDetector, ppn: Ppn, lane: u64, kind: AccessKind) -> u64 {
+    let Some(k) = hpd.on_misses(ppn, lane.count_ones(), kind) else {
+        return 0;
+    };
+    // Drop the `k` lowest set bits; the lowest one left is the line.
+    let mut rest = lane;
+    for _ in 0..k {
+        rest &= rest - 1;
+    }
+    rest & rest.wrapping_neg()
 }
 
 impl PteListener for McPipeline {
@@ -309,14 +358,9 @@ mod tests {
         // misses the cache and resolves via the DRAM walk.
         mc.bootstrap_rpt([(Ppn::new(4), Pid::new(1), Vpn::new(0x10))]);
         let feed = |mc: &mut McPipeline, sink: &mut TraceSink| {
-            for i in 0..2u8 {
-                mc.on_llc_miss_rec(
-                    Ppn::new(4).line(i),
-                    AccessKind::Read,
-                    Nanos::from_nanos(u64::from(i)),
-                    sink,
-                );
-            }
+            let hot = mc.on_page_misses(Ppn::new(4), 0b11, AccessKind::Read);
+            assert_eq!(hot, 0b10);
+            mc.resolve_hot(Ppn::new(4), Nanos::from_nanos(1), sink);
         };
         feed(&mut mc, &mut sink);
         // Clearing the send-bit lets the page fire again; this time the

@@ -9,19 +9,27 @@
 //! * HPD: identical hot-page emission sequences while set pressure
 //!   stays below the associativity (no replacement ties to break
 //!   differently), and emission volume within ±25% under thrash;
+//! * the MC pipeline's page-granular path (`McPipeline::on_page_misses`,
+//!   one HPD run per channel per page touch) against line-by-line loops
+//!   over per-channel behavioural and RTL tables, routed by line address,
+//!   and against single-bit `on_page_misses` calls: identical hot
+//!   `(line, ppn)` sequences, HPD counters, resolved hot pages and
+//!   bandwidth ledgers;
 //! * RPT: identical lookup resolutions on arbitrary op streams — the
 //!   replacement policies may cache different frames, but write-back
 //!   keeps cache ∪ DRAM architecturally equal, so every lookup must
 //!   resolve to the same mapping.
 
 use hopp_ds::PageMap;
-use hopp_hw::hpd::{HotPageDetector, HpdConfig};
+use hopp_hw::hpd::{HotPageDetector, HpdConfig, HpdStats};
 use hopp_hw::rpt::{ReversePageTable, RptCacheConfig, RptEntry, RPT_ENTRY_BYTES};
 use hopp_hw::rtl::HpdRtl;
 use hopp_hw::rtl_rpt::{PackedRptEntry, RptRtl, RptRtlResponse};
+use hopp_hw::McPipeline;
 use hopp_mem::PteListener;
+use hopp_obs::NopRecorder;
 use hopp_types::rng::SplitMix64;
-use hopp_types::{AccessKind, PageFlags, Pid, Ppn, Vpn};
+use hopp_types::{AccessKind, HotPage, Nanos, PageFlags, Pid, Ppn, Vpn};
 
 /// Drives one access through the RTL pipeline and drains it, so the
 /// RTL retires ops in the same order the behavioural model applies
@@ -113,6 +121,258 @@ fn hpd_models_track_volume_under_eviction_pressure() {
             "seed {seed}: rtl {} vs behavioural {behav_hot}",
             rtl.emitted()
         );
+    }
+}
+
+/// One op of the page-touch stream fed to the MC pipeline.
+#[derive(Clone, Copy, Debug)]
+enum PageOp {
+    /// A page touch whose LLC misses are `misses` (bit `j`: line `j`).
+    Touch {
+        ppn: Ppn,
+        misses: u64,
+        kind: AccessKind,
+    },
+    /// The frame left DRAM.
+    Reclaim(Ppn),
+}
+
+/// A pool of `per_set` distinct frames in each of the four HPD sets, so
+/// the pages collide in every set; high PPN bits are random, which
+/// varies the first line's channel for any channel count.
+fn page_pool(rng: &mut SplitMix64, per_set: u64) -> Vec<Ppn> {
+    let mut pool = Vec::new();
+    for set in 0..4 {
+        while pool.iter().filter(|p: &&Ppn| p.raw() % 4 == set).count() < per_set as usize {
+            let ppn = Ppn::new(rng.gen_range(0..1 << 20) << 2 | set);
+            if !pool.contains(&ppn) {
+                pool.push(ppn);
+            }
+        }
+    }
+    pool
+}
+
+/// A seeded stream of page touches over `pool`: miss masks of every
+/// shape (none, all 64 lines, dense and sparse prefixes), mostly reads,
+/// with reclaims interleaved.
+fn page_ops(rng: &mut SplitMix64, pool: &[Ppn], n: usize) -> Vec<PageOp> {
+    (0..n)
+        .map(|_| {
+            let ppn = pool[rng.gen_range(0..pool.len() as u64) as usize];
+            if rng.gen_range(0..16) == 0 {
+                return PageOp::Reclaim(ppn);
+            }
+            let lines = rng.gen_range(1..65) as u32;
+            let prefix = u64::MAX >> (64 - lines);
+            let misses = match rng.gen_range(0..6) {
+                0 => 0,
+                1 => u64::MAX,
+                2 => prefix,
+                3 => rng.next_u64() & rng.next_u64() & prefix,
+                _ => rng.next_u64() & prefix,
+            };
+            let kind = if rng.gen_range(0..5) == 0 {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            PageOp::Touch { ppn, misses, kind }
+        })
+        .collect()
+}
+
+/// What one pipeline produced for a stream: the hot `(op, line, ppn)`
+/// sequence and the pages resolved from it.
+#[derive(PartialEq, Debug, Default)]
+struct PipelineOut {
+    hot: Vec<(usize, u32, Ppn)>,
+    resolved: Vec<Option<HotPage>>,
+}
+
+/// A pipeline with `pool` mapped, except every fifth frame, so both the
+/// resolved and the dropped hot-page paths run.
+fn mapped_pipeline(threshold: u32, channels: usize, pool: &[Ppn]) -> McPipeline {
+    let mut mc = McPipeline::with_channels(
+        HpdConfig::with_threshold(threshold),
+        RptCacheConfig::default(),
+        channels,
+    )
+    .unwrap();
+    for (i, &ppn) in pool.iter().enumerate() {
+        if i % 5 != 0 {
+            mc.pte_set(Pid::new(1 + i as u16 % 3), Vpn::new(0x1000 + i as u64), ppn);
+        }
+    }
+    mc
+}
+
+/// Feeds `ops` through the page path: one `on_page_misses` per touch,
+/// then `resolve_hot` for each fired line in line order.
+fn run_page_path(mc: &mut McPipeline, ops: &[PageOp]) -> PipelineOut {
+    let mut out = PipelineOut::default();
+    for (i, op) in ops.iter().enumerate() {
+        match *op {
+            PageOp::Touch { ppn, misses, kind } => {
+                let mut fired = mc.on_page_misses(ppn, misses, kind);
+                assert_eq!(fired & !misses, 0, "only missed lines can fire");
+                while fired != 0 {
+                    let line = fired.trailing_zeros();
+                    fired &= fired - 1;
+                    out.hot.push((i, line, ppn));
+                    let now = Nanos::from_nanos((i * 64) as u64 + u64::from(line));
+                    out.resolved
+                        .push(mc.resolve_hot(ppn, now, &mut NopRecorder));
+                }
+            }
+            PageOp::Reclaim(ppn) => mc.on_page_reclaimed(ppn),
+        }
+    }
+    out
+}
+
+/// Feeds `ops` line by line: one single-bit `on_page_misses` call per
+/// missed line, resolving each line that fires at once.
+fn run_single_bits(mc: &mut McPipeline, ops: &[PageOp]) -> PipelineOut {
+    let mut out = PipelineOut::default();
+    for (i, op) in ops.iter().enumerate() {
+        match *op {
+            PageOp::Touch { ppn, misses, kind } => {
+                for line in (0..64).filter(|j| misses >> j & 1 == 1) {
+                    if mc.on_page_misses(ppn, 1 << line, kind) != 0 {
+                        out.hot.push((i, line, ppn));
+                        let now = Nanos::from_nanos((i * 64) as u64 + u64::from(line));
+                        out.resolved
+                            .push(mc.resolve_hot(ppn, now, &mut NopRecorder));
+                    }
+                }
+            }
+            PageOp::Reclaim(ppn) => mc.on_page_reclaimed(ppn),
+        }
+    }
+    out
+}
+
+/// One table per channel, built with the pipeline's per-channel
+/// threshold.
+fn channel_tables<T>(
+    threshold: u32,
+    channels: usize,
+    new: fn(HpdConfig) -> hopp_types::Result<T>,
+) -> Vec<T> {
+    let per_channel = HpdConfig::with_threshold((threshold / channels as u32).max(1));
+    (0..channels).map(|_| new(per_channel).unwrap()).collect()
+}
+
+/// Feeds `ops` line by line through per-channel `tables`, routing line
+/// `j` of page `ppn` by its address, `ppn.line(j) % channels`, not by
+/// the pipeline's lane masks; returns the hot `(op, line, ppn)`
+/// sequence.
+fn run_lines<T>(
+    tables: &mut [T],
+    ops: &[PageOp],
+    miss: fn(&mut T, Ppn, u8, AccessKind) -> Option<Ppn>,
+    reclaim: fn(&mut T, Ppn),
+) -> Vec<(usize, u32, Ppn)> {
+    let channels = tables.len() as u64;
+    let mut hot = Vec::new();
+    for (i, op) in ops.iter().enumerate() {
+        match *op {
+            PageOp::Touch { ppn, misses, kind } => {
+                for line in (0..64u8).filter(|j| misses >> j & 1 == 1) {
+                    let channel = (ppn.line(line).raw() % channels) as usize;
+                    if let Some(p) = miss(&mut tables[channel], ppn, line, kind) {
+                        hot.push((i, u32::from(line), p));
+                    }
+                }
+            }
+            PageOp::Reclaim(ppn) => tables.iter_mut().for_each(|t| reclaim(t, ppn)),
+        }
+    }
+    hot
+}
+
+/// [`run_lines`] over behavioural HPD tables; also returns their merged
+/// counters.
+fn run_hpd_lines(
+    threshold: u32,
+    channels: usize,
+    ops: &[PageOp],
+) -> (Vec<(usize, u32, Ppn)>, HpdStats) {
+    let mut hpds = channel_tables(threshold, channels, HotPageDetector::new);
+    let hot = run_lines(
+        &mut hpds,
+        ops,
+        |h, ppn, line, kind| h.on_miss(ppn.line(line), kind),
+        HotPageDetector::invalidate,
+    );
+    let mut stats = HpdStats::default();
+    hpds.iter().for_each(|h| stats.merge(h.stats()));
+    (hot, stats)
+}
+
+/// [`run_lines`] over RTL tables, each op drained before the next.
+fn run_rtl_lines(threshold: u32, channels: usize, ops: &[PageOp]) -> Vec<(usize, u32, Ppn)> {
+    let mut rtls = channel_tables(threshold, channels, HpdRtl::new);
+    run_lines(&mut rtls, ops, feed, HpdRtl::invalidate)
+}
+
+#[test]
+fn page_path_matches_line_by_line_references() {
+    for threshold in [1u32, 2, 8, 64] {
+        for channels in [1usize, 2, 3, 4] {
+            let seed = u64::from(threshold) * 16 + channels as u64;
+            let mut rng = SplitMix64::seed_from_u64(seed);
+            // 16 frames per set: the sets fill but never evict, so the
+            // RTL's aging replacement has no victim to pick differently.
+            let pool = page_pool(&mut rng, 16);
+            let ops = page_ops(&mut rng, &pool, 4_000);
+            let mut page = mapped_pipeline(threshold, channels, &pool);
+            let mut single = mapped_pipeline(threshold, channels, &pool);
+            let got = run_page_path(&mut page, &ops);
+            let want = run_single_bits(&mut single, &ops);
+            let (lines, stats) = run_hpd_lines(threshold, channels, &ops);
+            let cell = format!("threshold {threshold} channels {channels}");
+            assert!(!got.hot.is_empty(), "{cell}: stream too cold");
+            assert!(got.resolved.iter().any(Option::is_none), "{cell}");
+            assert_eq!(
+                got.hot,
+                run_rtl_lines(threshold, channels, &ops),
+                "{cell}: vs RTL"
+            );
+            assert_eq!(got.hot, lines, "{cell}: vs behavioural line loop");
+            assert_eq!(page.hpd_stats(), stats, "{cell}");
+            assert_eq!(got, want, "{cell}: vs single bits");
+            assert_eq!(page.ledger(), single.ledger(), "{cell}");
+            assert_eq!(page.rpt().stats(), single.rpt().stats(), "{cell}");
+        }
+    }
+}
+
+#[test]
+fn page_path_matches_line_by_line_references_under_eviction_pressure() {
+    for threshold in [1u32, 2, 8, 64] {
+        for channels in [1usize, 2, 3, 4] {
+            let seed = 1_000 + u64::from(threshold) * 16 + channels as u64;
+            let mut rng = SplitMix64::seed_from_u64(seed);
+            // 24 frames per set against 16 ways: constant eviction, where
+            // the RTL's replacement differs, so only the behavioural
+            // tables are a line-by-line reference here.
+            let pool = page_pool(&mut rng, 24);
+            let ops = page_ops(&mut rng, &pool, 4_000);
+            let mut page = mapped_pipeline(threshold, channels, &pool);
+            let mut single = mapped_pipeline(threshold, channels, &pool);
+            let got = run_page_path(&mut page, &ops);
+            let want = run_single_bits(&mut single, &ops);
+            let (lines, stats) = run_hpd_lines(threshold, channels, &ops);
+            let cell = format!("threshold {threshold} channels {channels}");
+            assert!(stats.cold_evictions + stats.sent_evictions > 0, "{cell}");
+            assert_eq!(got.hot, lines, "{cell}: vs behavioural line loop");
+            assert_eq!(page.hpd_stats(), stats, "{cell}");
+            assert_eq!(got, want, "{cell}: vs single bits");
+            assert_eq!(page.ledger(), single.ledger(), "{cell}");
+            assert_eq!(page.rpt().stats(), single.rpt().stats(), "{cell}");
+        }
     }
 }
 

@@ -350,7 +350,7 @@ impl Simulator {
                 .mark_dirty(vpn);
         }
         self.record_first_hit(pid, vpn);
-        self.line_loop(pid, vpn, ppn, access)
+        self.line_loop(ppn, access)
     }
 
     /// First application access to a prefetched page: metrics +
@@ -437,7 +437,7 @@ impl Simulator {
             hit_swapcache: true,
             slot: None,
         })?;
-        self.line_loop(pid, vpn, entry.ppn, access)
+        self.line_loop(entry.ppn, access)
     }
 
     /// Major fault: synchronous remote read plus the kernel fault path.
@@ -493,7 +493,7 @@ impl Simulator {
             slot: Some(slot),
         })?;
         self.drain_completions()?;
-        self.line_loop(pid, vpn, ppn, access)
+        self.line_loop(ppn, access)
     }
 
     /// First touch: zero-fill, no remote traffic.
@@ -513,7 +513,7 @@ impl Simulator {
                 .ok_or(Error::UnknownProcess { pid })?
                 .mark_dirty(vpn);
         }
-        self.line_loop(pid, vpn, ppn, access)
+        self.line_loop(ppn, access)
     }
 
     /// Installs a PTE, charges the cgroup and reclaims if over limit.
@@ -552,34 +552,52 @@ impl Simulator {
         Ok(())
     }
 
-    /// The per-cacheline memory-system walk of one page touch.
-    fn line_loop(&mut self, pid: Pid, vpn: Vpn, ppn: Ppn, access: &PageAccess) -> Result<()> {
+    /// The memory-system walk of one page touch: lines
+    /// `0..access.lines` cost `llc_hit` each on a hit and `dram_miss`
+    /// each on a miss, in line order, and every miss goes to the MC.
+    fn line_loop(&mut self, ppn: Ppn, access: &PageAccess) -> Result<()> {
         let _prof = hopp_prof::span("llc/loop");
-        // The whole page goes through the LLC first; its misses are then
-        // fed to the MC in line order. That is exact only because nothing
-        // reachable from `on_llc_miss_rec` or `on_hot_page` mutates the
-        // LLC: `invalidate_page` is reached only from `map_page` and
-        // reclaim, neither of which runs inside this loop.
+        // The whole page goes through the LLC and its misses through the
+        // HPD tables first; only then are the lines that made the page
+        // hot resolved and handed to HoPP, in line order, each at the
+        // clock its line reaches. That is exact only because nothing
+        // reachable from `resolve_hot` or `on_hot_page` touches the LLC,
+        // the HPD tables or the clock: `invalidate_page` and
+        // `on_page_reclaimed` are reached only from `map_page` and
+        // reclaim, neither of which runs inside this walk.
         let misses = self.llc.access_lines(ppn, access.lines);
-        for line in 0..access.lines {
-            if misses & (1 << line) == 0 {
-                self.clock += self.config.llc_hit;
-            } else {
-                let addr = ppn.line(line);
-                self.clock += self.config.latency.dram_miss;
-                if let Some(hot) =
-                    self.mc
-                        .on_llc_miss_rec(addr, access.kind, self.clock, &mut self.recorder)
-                {
-                    if self.config.trace_assisted_reclaim.is_some() {
-                        self.last_hot.insert(ppn, self.clock);
-                    }
-                    self.on_hot_page(hot)?;
+        let mut hot = self.mc.on_page_misses(ppn, misses, access.kind);
+        let start = self.clock;
+        while hot != 0 {
+            let line = hot.trailing_zeros();
+            hot &= hot - 1;
+            self.clock = self.walk_end(start, misses, line + 1);
+            if let Some(page) = self.mc.resolve_hot(ppn, self.clock, &mut self.recorder) {
+                if self.config.trace_assisted_reclaim.is_some() {
+                    self.last_hot.insert(ppn, self.clock);
                 }
+                self.on_hot_page(page)?;
             }
         }
-        let _ = (pid, vpn);
+        self.clock = self.walk_end(start, misses, u32::from(access.lines));
         Ok(())
+    }
+
+    /// The clock after lines `0..lines` of a walk that began at `start`
+    /// with miss mask `misses`. Saturates at the end of `Nanos`'s range,
+    /// as adding the lines' costs one by one does.
+    fn walk_end(&self, start: Nanos, misses: u64, lines: u32) -> Nanos {
+        if lines == 0 {
+            return start;
+        }
+        let missed = u64::from((misses & (u64::MAX >> (64 - lines))).count_ones());
+        let hits = u64::from(lines) - missed;
+        let hit_ns = self.config.llc_hit.as_nanos();
+        let miss_ns = self.config.latency.dram_miss.as_nanos();
+        let cost = hit_ns
+            .saturating_mul(hits)
+            .saturating_add(miss_ns.saturating_mul(missed));
+        start + Nanos::from_nanos(cost)
     }
 
     /// Hot page from the MC: feed HoPP's training stack and issue the
