@@ -9,6 +9,7 @@
 use hopp_core::three_tier::TierConfig;
 use hopp_core::{HoppConfig, PolicyConfig};
 use hopp_hw::{HpdConfig, HwCostModel, RptCacheConfig};
+use hopp_net::RdmaConfig;
 use hopp_scn::{Scenario, WorkloadSource};
 use hopp_sim::runner::SOLO_PID;
 use hopp_sim::{
@@ -59,6 +60,33 @@ impl Scale {
             self.footprint
         }
     }
+
+    /// `kind` at this scale on `config`, with `ratio` of its footprint
+    /// local.
+    fn run(&self, kind: WorkloadKind, config: SimConfig, ratio: f64) -> Result<SimReport> {
+        hopp_sim::run_workload_with(config, kind, self.footprint_of(kind), self.seed, ratio)
+    }
+
+    /// `CT_local` of `kind` at this scale, in ns (§VI-A).
+    fn local_ns(&self, kind: WorkloadKind) -> Result<f64> {
+        let local = hopp_sim::run_local(kind, self.footprint_of(kind), self.seed)?;
+        Ok(local.completion.as_nanos() as f64)
+    }
+}
+
+/// The default machine under HoPP with a custom software configuration.
+fn hopp_machine(config: HoppConfig) -> SimConfig {
+    SimConfig::with_system(SystemConfig::hopp_with(config))
+}
+
+/// The default machine under Fastswap.
+fn fastswap() -> SimConfig {
+    SimConfig::with_system(SystemConfig::Baseline(BaselineKind::Fastswap))
+}
+
+/// Normalized performance `CT_local / CT_system` (§VI-A).
+fn normalized(local_ns: f64, r: &SimReport) -> f64 {
+    local_ns / r.completion.as_nanos() as f64
 }
 
 /// The four workloads the tracked `BENCH_quality.json` baseline is recorded
@@ -114,22 +142,16 @@ pub fn perf_matrix(scale: &Scale, group: &[WorkloadKind], ratio: f64) -> Result<
     let mut records = Vec::with_capacity(group.len());
     for &kind in group {
         let fp = scale.footprint_of(kind);
-        let local = hopp_sim::run_local(kind, fp, scale.seed)?;
-        let fastswap = hopp_sim::run_workload(
-            kind,
-            fp,
-            scale.seed,
-            SystemConfig::Baseline(BaselineKind::Fastswap),
-            ratio,
-        )?;
-        let hopp =
-            hopp_sim::run_workload(kind, fp, scale.seed, SystemConfig::hopp_default(), ratio)?;
         records.push(PerfRecord {
             workload: kind,
             ratio,
-            local_ct: local.completion,
-            fastswap,
-            hopp,
+            local_ct: hopp_sim::run_local(kind, fp, scale.seed)?.completion,
+            fastswap: scale.run(kind, fastswap(), ratio)?,
+            hopp: scale.run(
+                kind,
+                SimConfig::with_system(SystemConfig::hopp_default()),
+                ratio,
+            )?,
         });
     }
     Ok(records)
@@ -146,52 +168,37 @@ pub fn table2(scale: &Scale) -> Result<Vec<(WorkloadKind, Vec<(u32, f64)>)>> {
         WorkloadKind::GraphLp,
         WorkloadKind::GraphBfs,
     ];
-    let mut out = Vec::with_capacity(workloads.len());
-    for &kind in &workloads {
-        let mut rows = Vec::with_capacity(NS.len());
-        for &n in &NS {
-            let config = SimConfig {
-                hpd: HpdConfig::with_threshold(n),
-                ..SimConfig::with_system(SystemConfig::hopp_default())
-            };
-            let report = hopp_sim::run_workload_with(
-                config,
-                kind,
-                scale.footprint_of(kind),
-                scale.seed,
-                0.5,
-            )?;
-            rows.push((n, report.hpd.hot_ratio() * 100.0));
-        }
-        out.push((kind, rows));
-    }
-    Ok(out)
+    workloads
+        .into_iter()
+        .map(|kind| {
+            let rows = NS.into_iter().map(|n| {
+                let config = SimConfig {
+                    hpd: HpdConfig::with_threshold(n),
+                    ..SimConfig::with_system(SystemConfig::hopp_default())
+                };
+                Ok((n, scale.run(kind, config, 0.5)?.hpd.hot_ratio() * 100.0))
+            });
+            Ok((kind, rows.collect::<Result<_>>()?))
+        })
+        .collect()
 }
 
 /// Table III: RPT cache hit rate while sweeping its capacity.
 pub fn table3(scale: &Scale) -> Result<Vec<(WorkloadKind, Vec<(usize, f64)>)>> {
     const KIBS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
-    let workloads = [WorkloadKind::Kmeans, WorkloadKind::GraphPr];
-    let mut out = Vec::with_capacity(workloads.len());
-    for &kind in &workloads {
-        let mut rows = Vec::with_capacity(KIBS.len());
-        for &kib in &KIBS {
-            let config = SimConfig {
-                rpt: RptCacheConfig::with_kib(kib),
-                ..SimConfig::with_system(SystemConfig::hopp_default())
-            };
-            let report = hopp_sim::run_workload_with(
-                config,
-                kind,
-                scale.footprint_of(kind),
-                scale.seed,
-                0.5,
-            )?;
-            rows.push((kib, report.rpt.hit_rate()));
-        }
-        out.push((kind, rows));
-    }
-    Ok(out)
+    [WorkloadKind::Kmeans, WorkloadKind::GraphPr]
+        .into_iter()
+        .map(|kind| {
+            let rows = KIBS.into_iter().map(|kib| {
+                let config = SimConfig {
+                    rpt: RptCacheConfig::with_kib(kib),
+                    ..SimConfig::with_system(SystemConfig::hopp_default())
+                };
+                Ok((kib, scale.run(kind, config, 0.5)?.rpt.hit_rate()))
+            });
+            Ok((kind, rows.collect::<Result<_>>()?))
+        })
+        .collect()
 }
 
 /// Table V: DRAM bandwidth consumed by hot-page extraction and RPT
@@ -199,25 +206,31 @@ pub fn table3(scale: &Scale) -> Result<Vec<(WorkloadKind, Vec<(usize, f64)>)>> {
 pub fn table5(scale: &Scale) -> Result<Vec<(WorkloadKind, f64, f64)>> {
     let mut programs: Vec<WorkloadKind> = WorkloadKind::NON_JVM.to_vec();
     programs.extend(WorkloadKind::SPARK);
-    let mut out = Vec::with_capacity(programs.len());
-    for kind in programs {
-        // 4x the usual footprint so the working set exceeds the
-        // 8192-entry RPT cache and its DRAM traffic is measurable,
-        // as with the paper's multi-GB footprints.
-        let report = hopp_sim::run_workload(
-            kind,
-            scale.footprint_of(kind) * 4,
-            scale.seed,
-            SystemConfig::hopp_default(),
-            0.5,
-        )?;
-        out.push((
-            kind,
-            report.ledger.hpd_overhead_percent(),
-            report.ledger.rpt_overhead_percent(),
-        ));
-    }
-    Ok(out)
+    // 4x the usual footprint so the working set exceeds the 8192-entry
+    // RPT cache and its DRAM traffic is measurable, as with the paper's
+    // multi-GB footprints.
+    let scale = Scale {
+        footprint: scale.footprint * 4,
+        spark_footprint: scale.spark_footprint * 4,
+        ..*scale
+    };
+    programs
+        .into_iter()
+        .map(|kind| {
+            let ledger = scale
+                .run(
+                    kind,
+                    SimConfig::with_system(SystemConfig::hopp_default()),
+                    0.5,
+                )?
+                .ledger;
+            Ok((
+                kind,
+                ledger.hpd_overhead_percent(),
+                ledger.rpt_overhead_percent(),
+            ))
+        })
+        .collect()
 }
 
 /// Figures 9–11: non-JVM workloads at 50 % and 25 % local memory.
@@ -277,18 +290,14 @@ pub fn fig15(scale: &Scale) -> Result<Vec<(String, Vec<(WorkloadKind, f64)>)>> {
         };
         let fs = run_group(SystemConfig::Baseline(BaselineKind::Fastswap))?;
         let hp = run_group(SystemConfig::hopp_default())?;
+        let ct = |r: &SimReport, pid| {
+            let done = r.app_completion(pid).ok_or(Error::UnknownProcess { pid })?;
+            Ok(done.as_nanos() as f64)
+        };
         let mut speedups = Vec::with_capacity(group.len());
         for (i, &kind) in group.iter().enumerate() {
             let pid = Pid::from_index(i + 1);
-            let f = fs
-                .app_completion(pid)
-                .ok_or(Error::UnknownProcess { pid })?
-                .as_nanos() as f64;
-            let h = hp
-                .app_completion(pid)
-                .ok_or(Error::UnknownProcess { pid })?
-                .as_nanos() as f64;
-            speedups.push((kind, f / h));
+            speedups.push((kind, ct(&fs, pid)? / ct(&hp, pid)?));
         }
         let label = group.iter().map(|k| k.name()).collect::<Vec<_>>().join("+");
         out.push((label, speedups));
@@ -330,24 +339,19 @@ pub fn fig16_17(scale: &Scale) -> Result<Vec<DepthRow>> {
     ];
     let mut out = Vec::with_capacity(workloads.len());
     for &kind in &workloads {
-        let fp = scale.footprint_of(kind);
-        let local = hopp_sim::run_local(kind, fp, scale.seed)?
-            .completion
-            .as_nanos() as f64;
-        let no_prefetch = hopp_sim::run_workload(
+        let local = scale.local_ns(kind)?;
+        let no_prefetch = scale.run(
             kind,
-            fp,
-            scale.seed,
-            SystemConfig::Baseline(BaselineKind::NoPrefetch),
+            SimConfig::with_system(SystemConfig::Baseline(BaselineKind::NoPrefetch)),
             0.5,
         )?;
         let base_remote = no_prefetch.remote_reads().max(1) as f64;
         let mut systems = Vec::with_capacity(fig16_systems().len());
         for &(name, system) in fig16_systems().iter() {
-            let r = hopp_sim::run_workload(kind, fp, scale.seed, system, 0.5)?;
+            let r = scale.run(kind, SimConfig::with_system(system), 0.5)?;
             systems.push((
                 name,
-                local / r.completion.as_nanos() as f64,
+                normalized(local, &r),
                 r.remote_reads() as f64 / base_remote,
             ));
         }
@@ -383,22 +387,13 @@ pub fn fig18_20(scale: &Scale) -> Result<Vec<TierRow>> {
     ];
     let mut out = Vec::with_capacity(workloads.len());
     for &kind in &workloads {
-        let fp = scale.footprint_of(kind);
-        let fs_ct = hopp_sim::run_workload(
-            kind,
-            fp,
-            scale.seed,
-            SystemConfig::Baseline(BaselineKind::Fastswap),
-            0.5,
-        )?
-        .completion
-        .as_nanos() as f64;
-        let run_tier = |tiers: TierConfig| -> Result<SimReport> {
+        let fs_ct = scale.run(kind, fastswap(), 0.5)?.completion.as_nanos() as f64;
+        let run_tier = |tiers: TierConfig| {
             let config = HoppConfig {
                 tiers,
                 ..HoppConfig::default()
             };
-            hopp_sim::run_workload(kind, fp, scale.seed, SystemConfig::hopp_with(config), 0.5)
+            scale.run(kind, hopp_machine(config), 0.5)
         };
         let speedup_of = |r: &SimReport| 1.0 - r.completion.as_nanos() as f64 / fs_ct;
         let ssp = run_tier(TierConfig::ssp_only())?;
@@ -416,12 +411,8 @@ pub fn fig18_20(scale: &Scale) -> Result<Vec<TierRow>> {
         out.push(TierRow {
             workload: kind,
             speedup,
-            tier_accuracy: [tiers[0].accuracy, tiers[1].accuracy, tiers[2].accuracy],
-            tier_coverage: [
-                tiers[0].prefetch_hits as f64 / denom,
-                tiers[1].prefetch_hits as f64 / denom,
-                tiers[2].prefetch_hits as f64 / denom,
-            ],
+            tier_accuracy: tiers.map(|t| t.accuracy),
+            tier_coverage: tiers.map(|t| t.prefetch_hits as f64 / denom),
         });
     }
     Ok(out)
@@ -449,58 +440,29 @@ pub fn fig21(scale: &Scale) -> Result<Vec<ScatterPoint>> {
     let mut group: Vec<WorkloadKind> = WorkloadKind::NON_JVM.to_vec();
     group.extend(WorkloadKind::SPARK);
     for rec in perf_matrix(scale, &group, 0.5)? {
-        points.push(ScatterPoint {
-            workload: rec.workload,
-            system: "fastswap",
-            accuracy: rec.fastswap.accuracy(),
-            coverage: rec.fastswap.coverage(),
-            normalized: rec.normalized(&rec.fastswap),
-        });
-        points.push(ScatterPoint {
-            workload: rec.workload,
-            system: "hopp",
-            accuracy: rec.hopp.accuracy(),
-            coverage: rec.hopp.coverage(),
-            normalized: rec.normalized(&rec.hopp),
-        });
+        for (system, r) in [("fastswap", &rec.fastswap), ("hopp", &rec.hopp)] {
+            points.push(ScatterPoint {
+                workload: rec.workload,
+                system,
+                accuracy: r.accuracy(),
+                coverage: r.coverage(),
+                normalized: rec.normalized(r),
+            });
+        }
     }
     Ok(points)
 }
 
 /// The systems compared on the §VI-E microbenchmark (Fig 22).
 pub fn fig22(scale: &Scale) -> Result<Vec<(&'static str, f64)>> {
-    let kind = WorkloadKind::Microbench;
-    let fp = scale.footprint;
-    let fs_ct = hopp_sim::run_workload(
-        kind,
-        fp,
-        scale.seed,
-        SystemConfig::Baseline(BaselineKind::Fastswap),
-        0.5,
-    )?
-    .completion
-    .as_nanos() as f64;
-    let speedup = |system: SystemConfig| -> Result<f64> {
-        let r = hopp_sim::run_workload(kind, fp, scale.seed, system, 0.5)?;
-        Ok(1.0 - r.completion.as_nanos() as f64 / fs_ct)
-    };
-    let hopp_fixed = |offset: f64| {
-        SystemConfig::hopp_with(HoppConfig {
-            policy: PolicyConfig::fixed_offset(offset),
-            ..HoppConfig::default()
-        })
-    };
-    Ok(vec![
-        ("Leap", speedup(SystemConfig::Baseline(BaselineKind::Leap))?),
-        ("VMA", speedup(SystemConfig::Baseline(BaselineKind::Vma))?),
-        (
-            "Depth-32",
-            speedup(SystemConfig::Baseline(BaselineKind::DepthN(32)))?,
-        ),
-        ("HoPP (offset=1)", speedup(hopp_fixed(1.0))?),
-        ("HoPP (offset=20K)", speedup(hopp_fixed(20_000.0))?),
-        ("HoPP (dynamic)", speedup(SystemConfig::hopp_default())?),
-    ])
+    let baselines = [
+        ("Leap", BaselineKind::Leap),
+        ("VMA", BaselineKind::Vma),
+        ("Depth-32", BaselineKind::DepthN(32)),
+    ]
+    .map(|(name, b)| (name, SystemConfig::Baseline(b)));
+    let systems: Vec<_> = baselines.into_iter().chain(hopp_offsets()).collect();
+    microbench_speedups(scale, RdmaConfig::default(), &systems)
 }
 
 /// Fig 22 under latency volatility (§III-E's stated motivation): the
@@ -508,37 +470,50 @@ pub fn fig22(scale: &Scale) -> Result<Vec<(&'static str, f64)>> {
 /// congestion bursts. This is where the dynamic controller separates
 /// from a pinned offset of 1.
 pub fn fig22_volatile(scale: &Scale) -> Result<Vec<(&'static str, f64)>> {
-    use hopp_net::RdmaConfig;
-    let kind = WorkloadKind::Microbench;
-    let fp = scale.footprint;
-    let volatile = |system: SystemConfig| SimConfig {
-        rdma: RdmaConfig::volatile(),
-        ..SimConfig::with_system(system)
-    };
-    let fs_ct = hopp_sim::run_workload_with(
-        volatile(SystemConfig::Baseline(BaselineKind::Fastswap)),
-        kind,
-        fp,
-        scale.seed,
-        0.5,
-    )?
-    .completion
-    .as_nanos() as f64;
-    let speedup = |system: SystemConfig| -> Result<f64> {
-        let r = hopp_sim::run_workload_with(volatile(system), kind, fp, scale.seed, 0.5)?;
-        Ok(1.0 - r.completion.as_nanos() as f64 / fs_ct)
-    };
-    let hopp_fixed = |offset: f64| {
+    microbench_speedups(scale, RdmaConfig::volatile(), &hopp_offsets())
+}
+
+/// HoPP with its offset pinned low, pinned high, and dynamic.
+fn hopp_offsets() -> [(&'static str, SystemConfig); 3] {
+    let fixed = |offset: f64| {
         SystemConfig::hopp_with(HoppConfig {
             policy: PolicyConfig::fixed_offset(offset),
             ..HoppConfig::default()
         })
     };
-    Ok(vec![
-        ("HoPP (offset=1)", speedup(hopp_fixed(1.0))?),
-        ("HoPP (offset=20K)", speedup(hopp_fixed(20_000.0))?),
-        ("HoPP (dynamic)", speedup(SystemConfig::hopp_default())?),
-    ])
+    [
+        ("HoPP (offset=1)", fixed(1.0)),
+        ("HoPP (offset=20K)", fixed(20_000.0)),
+        ("HoPP (dynamic)", SystemConfig::hopp_default()),
+    ]
+}
+
+/// Each system's speedup over Fastswap (`1 − CT_system / CT_Fastswap`,
+/// §VI-D) on the microbenchmark, every run on a link with `rdma`.
+fn microbench_speedups(
+    scale: &Scale,
+    rdma: RdmaConfig,
+    systems: &[(&'static str, SystemConfig)],
+) -> Result<Vec<(&'static str, f64)>> {
+    let run = |system| {
+        let config = SimConfig {
+            rdma,
+            ..SimConfig::with_system(system)
+        };
+        scale.run(WorkloadKind::Microbench, config, 0.5)
+    };
+    let fs_ct = run(SystemConfig::Baseline(BaselineKind::Fastswap))?
+        .completion
+        .as_nanos() as f64;
+    systems
+        .iter()
+        .map(|&(name, system)| {
+            Ok((
+                name,
+                1.0 - run(system)?.completion.as_nanos() as f64 / fs_ct,
+            ))
+        })
+        .collect()
 }
 
 /// Ablation of Leap's own adaptive prefetch-window sizing: fixed depth
@@ -552,9 +527,7 @@ pub fn leap_window(scale: &Scale) -> Result<Vec<(WorkloadKind, f64, f64, f64, f6
     let mut out = Vec::with_capacity(workloads.len());
     for &kind in &workloads {
         let fp = scale.footprint_of(kind);
-        let local = hopp_sim::run_local(kind, fp, scale.seed)?
-            .completion
-            .as_nanos() as f64;
+        let local = scale.local_ns(kind)?;
         let run_leap = |leap: Box<dyn Prefetcher>| -> Result<SimReport> {
             let app = AppSpec {
                 pid: Pid::new(1),
@@ -574,8 +547,8 @@ pub fn leap_window(scale: &Scale) -> Result<Vec<(WorkloadKind, f64, f64, f64, f6
             kind,
             fixed.coverage(),
             adaptive.coverage(),
-            local / fixed.completion.as_nanos() as f64,
-            local / adaptive.completion.as_nanos() as f64,
+            normalized(local, &fixed),
+            normalized(local, &adaptive),
         ));
     }
     Ok(out)
@@ -585,38 +558,31 @@ pub fn leap_window(scale: &Scale) -> Result<Vec<(WorkloadKind, f64, f64, f64, f6
 /// majority prefetcher on the full trace (page clustering + large
 /// window == HoPP restricted to SSP).
 pub fn motivate(scale: &Scale) -> Result<Vec<(WorkloadKind, [f64; 2], [f64; 2])>> {
+    let ssp = hopp_machine(HoppConfig {
+        tiers: TierConfig::ssp_only(),
+        ..HoppConfig::default()
+    });
     let workloads = [
         WorkloadKind::Microbench,
         WorkloadKind::Kmeans,
         WorkloadKind::NpbLu,
     ];
-    let mut out = Vec::with_capacity(workloads.len());
-    for &kind in &workloads {
-        let fp = scale.footprint_of(kind);
-        let leap = hopp_sim::run_workload(
-            kind,
-            fp,
-            scale.seed,
-            SystemConfig::Baseline(BaselineKind::Leap),
-            0.5,
-        )?;
-        let ssp = hopp_sim::run_workload(
-            kind,
-            fp,
-            scale.seed,
-            SystemConfig::hopp_with(HoppConfig {
-                tiers: TierConfig::ssp_only(),
-                ..HoppConfig::default()
-            }),
-            0.5,
-        )?;
-        out.push((
-            kind,
-            [leap.accuracy(), leap.coverage()],
-            [ssp.accuracy(), ssp.coverage()],
-        ));
-    }
-    Ok(out)
+    workloads
+        .into_iter()
+        .map(|kind| {
+            let leap = scale.run(
+                kind,
+                SimConfig::with_system(SystemConfig::Baseline(BaselineKind::Leap)),
+                0.5,
+            )?;
+            let ssp = scale.run(kind, ssp, 0.5)?;
+            Ok((
+                kind,
+                [leap.accuracy(), leap.coverage()],
+                [ssp.accuracy(), ssp.coverage()],
+            ))
+        })
+        .collect()
 }
 
 /// Policy-engine sensitivity (an ablation of §III-E's *prefetch
@@ -629,33 +595,23 @@ pub fn intensity_sweep(scale: &Scale) -> Result<Vec<(WorkloadKind, Vec<(u32, f64
         WorkloadKind::NpbCg,
         WorkloadKind::NpbIs,
     ];
-    let mut out = Vec::with_capacity(workloads.len());
-    for &kind in &workloads {
-        let fp = scale.footprint_of(kind);
-        let local = hopp_sim::run_local(kind, fp, scale.seed)?
-            .completion
-            .as_nanos() as f64;
-        let mut rows = Vec::new();
-        for &intensity in &[1u32, 2, 4] {
-            let config = HoppConfig {
-                policy: PolicyConfig {
-                    intensity,
-                    ..PolicyConfig::default()
-                },
-                ..HoppConfig::default()
-            };
-            let r =
-                hopp_sim::run_workload(kind, fp, scale.seed, SystemConfig::hopp_with(config), 0.5)?;
-            rows.push((
-                intensity,
-                local / r.completion.as_nanos() as f64,
-                r.coverage_swapcache(),
-                r.coverage_injected(),
-            ));
-        }
-        out.push((kind, rows));
-    }
-    Ok(out)
+    let config = |intensity| {
+        let policy = PolicyConfig {
+            intensity,
+            ..PolicyConfig::default()
+        };
+        hopp_machine(HoppConfig {
+            policy,
+            ..HoppConfig::default()
+        })
+    };
+    variant_sweep(
+        scale,
+        &workloads,
+        &[1u32, 2, 4],
+        config,
+        |intensity, np, r| (intensity, np, r.coverage_swapcache(), r.coverage_injected()),
+    )
 }
 
 /// §III-B extension: the impact of multiple interleaved memory
@@ -664,29 +620,17 @@ pub fn intensity_sweep(scale: &Scale) -> Result<Vec<(WorkloadKind, Vec<(u32, f64
 /// Reports (channels, hot-page ratio %, coverage, normalized perf).
 pub fn channels_sweep(scale: &Scale) -> Result<Vec<(WorkloadKind, Vec<(usize, f64, f64, f64)>)>> {
     let workloads = [WorkloadKind::Kmeans, WorkloadKind::NpbLu];
-    let mut out = Vec::with_capacity(workloads.len());
-    for &kind in &workloads {
-        let fp = scale.footprint_of(kind);
-        let local = hopp_sim::run_local(kind, fp, scale.seed)?
-            .completion
-            .as_nanos() as f64;
-        let mut rows = Vec::new();
-        for &channels in &[1usize, 2, 4] {
-            let config = SimConfig {
-                channels,
-                ..SimConfig::with_system(SystemConfig::hopp_default())
-            };
-            let r = hopp_sim::run_workload_with(config, kind, fp, scale.seed, 0.5)?;
-            rows.push((
-                channels,
-                r.hpd.hot_ratio() * 100.0,
-                r.coverage(),
-                local / r.completion.as_nanos() as f64,
-            ));
-        }
-        out.push((kind, rows));
-    }
-    Ok(out)
+    let config = |channels| SimConfig {
+        channels,
+        ..SimConfig::with_system(SystemConfig::hopp_default())
+    };
+    variant_sweep(
+        scale,
+        &workloads,
+        &[1usize, 2, 4],
+        config,
+        |channels, np, r| (channels, r.hpd.hot_ratio() * 100.0, r.coverage(), np),
+    )
 }
 
 /// §IV extension: huge-page batched prefetching for proven long
@@ -698,47 +642,38 @@ pub fn hugepage_study(scale: &Scale) -> Result<Vec<(WorkloadKind, bool, f64, u64
         WorkloadKind::Microbench,
         WorkloadKind::Quicksort,
     ];
-    let mut rows = Vec::new();
-    for &kind in &workloads {
-        let fp = scale.footprint_of(kind);
-        let local = hopp_sim::run_local(kind, fp, scale.seed)?
-            .completion
-            .as_nanos() as f64;
-        for batching in [false, true] {
-            // The paper's batch is 512 pages (2 MB) against multi-GB
-            // footprints; at this simulation's ~16 MB footprints the
-            // proportional batch is 64 pages.
-            let policy = if batching {
-                PolicyConfig {
-                    huge_batch: Some(hopp_core::policy::HugeBatchConfig {
-                        min_confirmations: 64,
-                        batch_pages: 64,
-                    }),
-                    ..PolicyConfig::default()
-                }
-            } else {
-                PolicyConfig::default()
-            };
-            let r = hopp_sim::run_workload(
-                kind,
-                fp,
-                scale.seed,
-                SystemConfig::hopp_with(HoppConfig {
-                    policy,
-                    ..HoppConfig::default()
-                }),
-                0.5,
-            )?;
-            rows.push((
-                kind,
-                batching,
-                local / r.completion.as_nanos() as f64,
-                r.rdma.reads,
-                r.rdma.bytes / hopp_types::PAGE_SIZE as u64,
-            ));
-        }
-    }
-    Ok(rows)
+    // The paper's batch is 512 pages (2 MB) against multi-GB footprints;
+    // at this simulation's ~16 MB footprints the proportional batch is
+    // 64 pages.
+    let config = |batching: bool| {
+        let huge_batch = batching.then_some(hopp_core::policy::HugeBatchConfig {
+            min_confirmations: 64,
+            batch_pages: 64,
+        });
+        let policy = PolicyConfig {
+            huge_batch,
+            ..PolicyConfig::default()
+        };
+        hopp_machine(HoppConfig {
+            policy,
+            ..HoppConfig::default()
+        })
+    };
+    let sweep = variant_sweep(
+        scale,
+        &workloads,
+        &[false, true],
+        config,
+        |batching, np, r| {
+            let pages = r.rdma.bytes / hopp_types::PAGE_SIZE as u64;
+            (batching, np, r.rdma.reads, pages)
+        },
+    )?;
+    let flat = sweep.into_iter().flat_map(|(kind, rows)| {
+        rows.into_iter()
+            .map(move |(batching, np, reads, pages)| (kind, batching, np, reads, pages))
+    });
+    Ok(flat.collect())
 }
 
 /// §III-D extension: the Markov (address-correlation) trainer against
@@ -755,37 +690,19 @@ pub fn markov_study(
         WorkloadKind::GraphBfs,
         WorkloadKind::NpbCg,
     ];
-    let mut out = Vec::with_capacity(workloads.len());
-    for &kind in &workloads {
-        let fp = scale.footprint_of(kind);
-        let local = hopp_sim::run_local(kind, fp, scale.seed)?
-            .completion
-            .as_nanos() as f64;
-        let mut rows = Vec::new();
-        for &(name, trainer) in &[
-            ("three-tier", TrainerKind::ThreeTier),
-            ("markov", TrainerKind::Markov(MarkovConfig::default())),
-        ] {
-            let r = hopp_sim::run_workload(
-                kind,
-                fp,
-                scale.seed,
-                SystemConfig::hopp_with(HoppConfig {
-                    trainer,
-                    ..HoppConfig::default()
-                }),
-                0.5,
-            )?;
-            rows.push((
-                name,
-                r.accuracy(),
-                r.coverage(),
-                local / r.completion.as_nanos() as f64,
-            ));
-        }
-        out.push((kind, rows));
-    }
-    Ok(out)
+    let trainers = [
+        ("three-tier", TrainerKind::ThreeTier),
+        ("markov", TrainerKind::Markov(MarkovConfig::default())),
+    ];
+    let config = |(_, trainer)| {
+        hopp_machine(HoppConfig {
+            trainer,
+            ..HoppConfig::default()
+        })
+    };
+    variant_sweep(scale, &workloads, &trainers, config, |(name, _), np, r| {
+        (name, r.accuracy(), r.coverage(), np)
+    })
 }
 
 /// §IV extension: trace-assisted reclaim (hot pages get a second
@@ -793,34 +710,43 @@ pub fn markov_study(
 /// perf) per workload.
 pub fn reclaim_study(scale: &Scale) -> Result<Vec<(WorkloadKind, Vec<(&'static str, u64, f64)>)>> {
     let workloads = [WorkloadKind::NpbCg, WorkloadKind::GraphPr];
+    // The hot window must span a reuse period (a superstep is tens of
+    // milliseconds at this scale) to protect anything.
+    let windows = [
+        ("off", None),
+        ("2ms", Some(Nanos::from_millis(2))),
+        ("20ms", Some(Nanos::from_millis(20))),
+        ("100ms", Some(Nanos::from_millis(100))),
+    ];
+    // Run with fault-order LRU (no accessed-bit scanning): the regime
+    // where the MC's hotness info is new signal.
+    let config = |(_, window)| SimConfig {
+        trace_assisted_reclaim: window,
+        precise_lru: false,
+        ..SimConfig::with_system(SystemConfig::hopp_default())
+    };
+    variant_sweep(scale, &workloads, &windows, config, |(name, _), np, r| {
+        (name, r.counters.major_faults, np)
+    })
+}
+
+/// Per workload: `CT_local`, then one run at 50 % local per variant on
+/// the machine `config` builds, each turned into a row by `row`, which
+/// also gets the run's normalized performance.
+fn variant_sweep<V: Copy, R>(
+    scale: &Scale,
+    workloads: &[WorkloadKind],
+    variants: &[V],
+    config: impl Fn(V) -> SimConfig,
+    row: impl Fn(V, f64, &SimReport) -> R,
+) -> Result<Vec<(WorkloadKind, Vec<R>)>> {
     let mut out = Vec::with_capacity(workloads.len());
-    for &kind in &workloads {
-        let fp = scale.footprint_of(kind);
-        let local = hopp_sim::run_local(kind, fp, scale.seed)?
-            .completion
-            .as_nanos() as f64;
-        // The hot window must span a reuse period (a superstep is
-        // tens of milliseconds at this scale) to protect anything.
-        let mut rows = Vec::new();
-        for &(name, window) in &[
-            ("off", None),
-            ("2ms", Some(Nanos::from_millis(2))),
-            ("20ms", Some(Nanos::from_millis(20))),
-            ("100ms", Some(Nanos::from_millis(100))),
-        ] {
-            // Run with fault-order LRU (no accessed-bit scanning):
-            // the regime where the MC's hotness info is new signal.
-            let config = SimConfig {
-                trace_assisted_reclaim: window,
-                precise_lru: false,
-                ..SimConfig::with_system(SystemConfig::hopp_default())
-            };
-            let r = hopp_sim::run_workload_with(config, kind, fp, scale.seed, 0.5)?;
-            rows.push((
-                name,
-                r.counters.major_faults,
-                local / r.completion.as_nanos() as f64,
-            ));
+    for &kind in workloads {
+        let local = scale.local_ns(kind)?;
+        let mut rows = Vec::with_capacity(variants.len());
+        for &v in variants {
+            let r = scale.run(kind, config(v), 0.5)?;
+            rows.push(row(v, normalized(local, &r), &r));
         }
         out.push((kind, rows));
     }
@@ -835,7 +761,6 @@ pub fn stt_sensitivity(scale: &Scale) -> Result<Vec<(WorkloadKind, Vec<(usize, u
     let workloads = [WorkloadKind::Hpl, WorkloadKind::GraphBfs];
     let mut out = Vec::with_capacity(workloads.len());
     for &kind in &workloads {
-        let fp = scale.footprint_of(kind);
         let mut rows = Vec::new();
         for &history in &[8usize, 16, 32] {
             for &delta in &[16u64, 64, 256] {
@@ -847,13 +772,7 @@ pub fn stt_sensitivity(scale: &Scale) -> Result<Vec<(WorkloadKind, Vec<(usize, u
                     },
                     ..HoppConfig::default()
                 };
-                let r = hopp_sim::run_workload(
-                    kind,
-                    fp,
-                    scale.seed,
-                    SystemConfig::hopp_with(config),
-                    0.5,
-                )?;
+                let r = scale.run(kind, hopp_machine(config), 0.5)?;
                 rows.push((history, delta, r.coverage(), r.accuracy()));
             }
         }
@@ -869,13 +788,12 @@ pub fn stt_sensitivity(scale: &Scale) -> Result<Vec<(WorkloadKind, Vec<(usize, u
 /// counts over the run for Fastswap and HoPP.
 pub fn warmup(scale: &Scale) -> Result<Vec<(&'static str, Vec<u64>)>> {
     let kind = WorkloadKind::Kmeans;
-    let fp = scale.footprint;
     let run = |system: SystemConfig| -> Result<Vec<u64>> {
         let config = SimConfig {
-            timeline_every: fp * 3 / 12, // 12 windows over the run
+            timeline_every: scale.footprint_of(kind) * 3 / 12, // 12 windows over the run
             ..SimConfig::with_system(system)
         };
-        let r = hopp_sim::run_workload_with(config, kind, fp, scale.seed, 0.5)?;
+        let r = scale.run(kind, config, 0.5)?;
         let mut windows = Vec::new();
         let mut prev = 0u64;
         for sample in &r.timeline {
@@ -907,22 +825,25 @@ pub fn scale_robustness() -> Result<Vec<(u64, u64, WorkloadKind, f64, f64)>> {
     let mut rows = Vec::new();
     for &fp in &[2_048u64, 4_096, 8_192] {
         for &seed in &[42u64, 7] {
+            let scale = Scale {
+                footprint: fp,
+                spark_footprint: fp,
+                seed,
+            };
             for &kind in &workloads {
-                let local = hopp_sim::run_local(kind, fp, seed)?.completion.as_nanos() as f64;
-                let fs = hopp_sim::run_workload(
+                let local = scale.local_ns(kind)?;
+                let fs = scale.run(kind, fastswap(), 0.5)?;
+                let hp = scale.run(
                     kind,
-                    fp,
-                    seed,
-                    SystemConfig::Baseline(BaselineKind::Fastswap),
+                    SimConfig::with_system(SystemConfig::hopp_default()),
                     0.5,
                 )?;
-                let hp = hopp_sim::run_workload(kind, fp, seed, SystemConfig::hopp_default(), 0.5)?;
                 rows.push((
                     fp,
                     seed,
                     kind,
-                    local / fs.completion.as_nanos() as f64,
-                    local / hp.completion.as_nanos() as f64,
+                    normalized(local, &fs),
+                    normalized(local, &hp),
                 ));
             }
         }
@@ -934,17 +855,13 @@ pub fn scale_robustness() -> Result<Vec<(u64, u64, WorkloadKind, f64, f64)>> {
 /// and RDMA percentiles for Fastswap vs HoPP on the same workload —
 /// the distribution-level view the paper's mean-only tables hide.
 pub fn latency_study(scale: &Scale) -> Result<Vec<(&'static str, hopp_obs::LatencySummaries)>> {
-    let kind = WorkloadKind::Kmeans;
-    let fp = scale.footprint_of(kind);
-    let mut out = Vec::new();
-    for (name, system) in [
-        ("fastswap", SystemConfig::Baseline(BaselineKind::Fastswap)),
-        ("hopp", SystemConfig::hopp_default()),
-    ] {
-        let report = hopp_sim::run_workload(kind, fp, scale.seed, system, 0.5)?;
-        out.push((name, report.obs.latency));
-    }
-    Ok(out)
+    quality_systems()
+        .into_iter()
+        .map(|(name, system)| {
+            let report = scale.run(WorkloadKind::Kmeans, SimConfig::with_system(system), 0.5)?;
+            Ok((name, report.obs.latency))
+        })
+        .collect()
 }
 
 /// One row of the `hopp-fabric` node-count sweep.
@@ -971,8 +888,7 @@ pub struct FabricRow {
 /// bursts over parallel links, so queueing falls as nodes grow.
 pub fn fabric_sweep(scale: &Scale) -> Result<Vec<FabricRow>> {
     let kind = WorkloadKind::Kmeans;
-    let fp = scale.footprint_of(kind);
-    let local = hopp_sim::run_local(kind, fp, scale.seed)?.completion;
+    let local = scale.local_ns(kind)?;
     let system = SystemConfig::hopp_with(HoppConfig {
         policy: PolicyConfig {
             intensity: 4,
@@ -999,11 +915,11 @@ pub fn fabric_sweep(scale: &Scale) -> Result<Vec<FabricRow>> {
                 },
                 ..SimConfig::with_system(system)
             };
-            let r = hopp_sim::run_workload_with(config, kind, fp, scale.seed, 0.25)?;
+            let r = scale.run(kind, config, 0.25)?;
             rows.push(FabricRow {
                 nodes,
                 placement: placement.name(),
-                normalized: local.as_nanos() as f64 / r.completion.as_nanos() as f64,
+                normalized: normalized(local, &r),
                 major_p99: Nanos::from_nanos(r.obs.latency.major_fault.p99),
                 queueing: r.rdma.queueing,
                 reads: r.rdma.reads,
@@ -1038,19 +954,16 @@ pub struct FaultRow {
 pub fn fault_study(scale: &Scale) -> Result<Vec<FaultRow>> {
     let kind = WorkloadKind::Kmeans;
     let fp = scale.footprint_of(kind);
-    let local = hopp_sim::run_local(kind, fp, scale.seed)?.completion;
-    let scenarios: [(&'static str, Option<&str>); 3] = [
-        ("healthy", None),
-        ("node0 4x slow", Some("2:0:slow:4")),
-        ("node1 lost", Some("5:1:down")),
-    ];
-    let systems = [
-        ("fastswap", SystemConfig::Baseline(BaselineKind::Fastswap)),
-        ("hopp", SystemConfig::hopp_default()),
+    let local = scale.local_ns(kind)?;
+    let scenarios: [(&'static str, &str); 3] = [
+        ("healthy", ""),
+        ("node0 4x slow", "2:0:slow:4"),
+        ("node1 lost", "5:1:down"),
     ];
     let mut rows = Vec::new();
     for (scenario, script) in scenarios {
-        for (name, system) in systems {
+        let script = FaultScript::parse(script)?;
+        for (name, system) in quality_systems() {
             let config = SimConfig {
                 fabric: FabricConfig {
                     nodes: 4,
@@ -1059,13 +972,7 @@ pub fn fault_study(scale: &Scale) -> Result<Vec<FaultRow>> {
                 },
                 ..SimConfig::with_system(system)
             };
-            let r = match script {
-                Some(s) => {
-                    let script = FaultScript::parse(s)?;
-                    hopp_sim::run_workload_with_faults(config, kind, fp, scale.seed, 0.5, &script)?
-                }
-                None => hopp_sim::run_workload_with(config, kind, fp, scale.seed, 0.5)?,
-            };
+            let r = hopp_sim::run_workload_with_faults(config, kind, fp, scale.seed, 0.5, &script)?;
             let fabric = r.fabric.as_ref().ok_or(Error::InvalidConfig {
                 what: "fabric",
                 constraint: "multi-node pools report fabric stats",
@@ -1073,7 +980,7 @@ pub fn fault_study(scale: &Scale) -> Result<Vec<FaultRow>> {
             rows.push(FaultRow {
                 system: name,
                 scenario,
-                normalized: local.as_nanos() as f64 / r.completion.as_nanos() as f64,
+                normalized: normalized(local, &r),
                 major_p99: Nanos::from_nanos(r.obs.latency.major_fault.p99),
                 failovers: fabric.failovers,
                 retries: fabric.nodes.iter().map(|n| n.retries).sum(),

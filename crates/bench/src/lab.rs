@@ -40,6 +40,8 @@ use hopp_types::json::{self, escape, Value};
 use hopp_types::{Nanos, Result};
 use hopp_workloads::WorkloadKind;
 
+use crate::experiments::quality_systems;
+
 /// Runs `jobs` independent tasks over a pool of at most `threads`
 /// worker threads and returns their results **in job-index order**,
 /// regardless of completion order.
@@ -113,13 +115,7 @@ impl SweepSpec {
                 WorkloadSource::Catalogue(WorkloadKind::Kmeans),
                 WorkloadSource::Catalogue(WorkloadKind::Quicksort),
             ],
-            systems: vec![
-                (
-                    "fastswap".to_string(),
-                    SystemConfig::Baseline(hopp_sim::BaselineKind::Fastswap),
-                ),
-                ("hopp".to_string(), SystemConfig::hopp_default()),
-            ],
+            systems: labelled_quality_systems(),
             seeds: vec![42, 7],
             footprint: 1_024,
             spark_footprint: 1_024,
@@ -128,6 +124,13 @@ impl SweepSpec {
             cache_dir: None,
         }
     }
+}
+
+/// [`quality_systems`], labelled for a sweep grid.
+fn labelled_quality_systems() -> Vec<(String, SystemConfig)> {
+    quality_systems()
+        .map(|(name, system)| (name.to_string(), system))
+        .to_vec()
 }
 
 /// One cell of the grid, fully identifying one simulator run.
@@ -519,50 +522,6 @@ fn mean_min_max(values: &[f64]) -> (f64, f64, f64) {
     (sum / values.len() as f64, min, max)
 }
 
-/// Resolves a workload by paper name, slug or unique prefix (the same
-/// lookup `hoppsim --workload` uses).
-pub fn workload_by_name(name: &str) -> Option<WorkloadKind> {
-    let slug = |s: &str| s.to_ascii_lowercase().replace(['-', '_'], "");
-    let wanted = slug(name);
-    let exact = WorkloadKind::ALL
-        .into_iter()
-        .find(|k| k.name().eq_ignore_ascii_case(name) || slug(k.name()) == wanted);
-    if exact.is_some() {
-        return exact;
-    }
-    if wanted == "kmeans" {
-        return Some(WorkloadKind::Kmeans);
-    }
-    let mut hits = WorkloadKind::ALL
-        .into_iter()
-        .filter(|k| slug(k.name()).starts_with(&wanted));
-    let first = hits.next()?;
-    hits.next().is_none().then_some(first)
-}
-
-/// Resolves a system label (`hopp`, `fastswap`, `leap`, `vma`,
-/// `no-prefetch`, `depth-<N>`) to its configuration.
-pub fn system_by_name(name: &str) -> Option<SystemConfig> {
-    use hopp_sim::BaselineKind;
-    let lower = name.to_ascii_lowercase();
-    match lower.as_str() {
-        "hopp" => Some(SystemConfig::hopp_default()),
-        "fastswap" => Some(SystemConfig::Baseline(BaselineKind::Fastswap)),
-        "leap" => Some(SystemConfig::Baseline(BaselineKind::Leap)),
-        "vma" => Some(SystemConfig::Baseline(BaselineKind::Vma)),
-        "noprefetch" | "no-prefetch" => Some(SystemConfig::Baseline(BaselineKind::NoPrefetch)),
-        _ => {
-            let depth = lower
-                .strip_prefix("depth-")
-                .or_else(|| lower.strip_prefix("depth"))?;
-            depth
-                .parse::<usize>()
-                .ok()
-                .map(|n| SystemConfig::Baseline(BaselineKind::DepthN(n)))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -570,16 +529,7 @@ mod tests {
     fn tiny_spec(threads: usize, cache_dir: Option<PathBuf>) -> SweepSpec {
         SweepSpec {
             workloads: vec![WorkloadSource::Catalogue(WorkloadKind::Kmeans)],
-            systems: vec![
-                (
-                    "fastswap".to_string(),
-                    system_by_name("fastswap").expect("known system"),
-                ),
-                (
-                    "hopp".to_string(),
-                    system_by_name("hopp").expect("known system"),
-                ),
-            ],
+            systems: labelled_quality_systems(),
             seeds: vec![42, 7],
             footprint: 256,
             spark_footprint: 256,
@@ -657,15 +607,5 @@ mod tests {
             let parsed: f64 = rendered.parse().expect("shortest display reparses");
             assert_eq!(parsed.to_bits(), v.to_bits(), "{rendered}");
         }
-    }
-
-    #[test]
-    fn lookups_resolve_names() {
-        assert_eq!(workload_by_name("kmeans"), Some(WorkloadKind::Kmeans));
-        assert_eq!(workload_by_name("npb-mg"), Some(WorkloadKind::NpbMg));
-        assert_eq!(workload_by_name("zzz"), None);
-        assert!(system_by_name("hopp").is_some());
-        assert!(system_by_name("depth-32").is_some());
-        assert!(system_by_name("warp-drive").is_none());
     }
 }

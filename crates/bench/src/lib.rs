@@ -18,5 +18,6 @@ pub mod experiments;
 pub mod format;
 pub mod gate;
 pub mod lab;
+pub mod registry;
 
 pub use experiments::Scale;

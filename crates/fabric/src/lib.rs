@@ -156,7 +156,7 @@ impl RemotePool for RdmaEngine {
         now: Nanos,
         rec: &mut dyn Recorder,
     ) -> Result<Nanos> {
-        Ok(self.issue_page_read_rec(now, rec))
+        Ok(self.issue_page_read(now, rec))
     }
 
     fn read_span(
@@ -167,11 +167,11 @@ impl RemotePool for RdmaEngine {
         now: Nanos,
         rec: &mut dyn Recorder,
     ) -> Result<Nanos> {
-        Ok(self.issue_read_rec(now, span.max(1) as usize * PAGE_SIZE, rec))
+        Ok(self.issue_read(now, span.max(1) as usize * PAGE_SIZE, rec))
     }
 
     fn write_page(&mut self, _pid: Pid, _vpn: Vpn, now: Nanos, rec: &mut dyn Recorder) -> Nanos {
-        self.issue_page_write_rec(now, rec)
+        self.issue_page_write(now, rec)
     }
 }
 

@@ -286,7 +286,7 @@ impl MemoryPool {
                 continue;
             }
             let node = &mut self.nodes[idx];
-            let mut done = node.link.issue_read_rec(t, bytes, rec);
+            let mut done = node.link.issue_read(t, bytes, rec);
             // Node-side slowness stretches the op without occupying
             // the wire longer (the NIC serializes at full rate; the
             // node is slow to serve).
@@ -434,7 +434,7 @@ impl RemotePool for MemoryPool {
                 continue;
             }
             let node = &mut self.nodes[idx];
-            let mut d = node.link.issue_page_write_rec(t, rec);
+            let mut d = node.link.issue_page_write(t, rec);
             let pct = node.health.slow_factor_pct(t);
             if pct > 100 {
                 d += node
@@ -570,16 +570,13 @@ mod tests {
             match i % 3 {
                 0 => assert_eq!(
                     p.read_page(pid, vpn, t, rec).unwrap(),
-                    e.issue_page_read_rec(t, rec)
+                    e.issue_page_read(t, rec)
                 ),
                 1 => assert_eq!(
                     p.read_span(pid, vpn, 8, t, rec).unwrap(),
-                    e.issue_read_rec(t, 8 * PAGE_SIZE, rec)
+                    e.issue_read(t, 8 * PAGE_SIZE, rec)
                 ),
-                _ => assert_eq!(
-                    p.write_page(pid, vpn, t, rec),
-                    e.issue_page_write_rec(t, rec)
-                ),
+                _ => assert_eq!(p.write_page(pid, vpn, t, rec), e.issue_page_write(t, rec)),
             }
             t += Nanos::from_nanos(i * 311);
         }

@@ -7,8 +7,7 @@
 //! page stored there.
 
 use hopp_ds::DetMap;
-use hopp_obs::{Event, NopRecorder, Recorder};
-use hopp_types::{Error, Nanos, Pid, Result, SwapSlot, Vpn};
+use hopp_types::{Error, Pid, Result, SwapSlot, Vpn};
 
 use crate::prefetcher::SlotView;
 
@@ -48,23 +47,6 @@ impl SwapDevice {
     /// Returns [`Error::RemoteMemoryExhausted`] when the remote node is
     /// at capacity.
     pub fn alloc(&mut self, pid: Pid, vpn: Vpn) -> Result<SwapSlot> {
-        self.alloc_rec(pid, vpn, Nanos::ZERO, &mut NopRecorder)
-    }
-
-    /// [`SwapDevice::alloc`], recording an [`Event::SwapOut`] with the
-    /// slot the page landed in.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::RemoteMemoryExhausted`] when the remote node is
-    /// at capacity.
-    pub fn alloc_rec(
-        &mut self,
-        pid: Pid,
-        vpn: Vpn,
-        now: Nanos,
-        rec: &mut dyn Recorder,
-    ) -> Result<SwapSlot> {
         let _prof = hopp_prof::span("kernel/swap_alloc");
         if let Some(cap) = self.capacity {
             if self.contents.len() >= cap {
@@ -79,9 +61,6 @@ impl SwapDevice {
             s
         });
         self.contents.insert(slot, (pid, vpn));
-        if rec.is_enabled() {
-            rec.record(now, Event::SwapOut { pid, vpn, slot });
-        }
         Ok(slot)
     }
 

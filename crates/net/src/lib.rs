@@ -17,11 +17,12 @@
 //!
 //! ```
 //! use hopp_net::{RdmaConfig, RdmaEngine};
+//! use hopp_obs::NopRecorder;
 //! use hopp_types::{Nanos, PAGE_SIZE};
 //!
 //! let cfg = RdmaConfig::default();
 //! let mut link = RdmaEngine::new(cfg);
-//! let done = link.issue_page_read(Nanos::ZERO);
+//! let done = link.issue_page_read(Nanos::ZERO, &mut NopRecorder);
 //! // An idle link completes in exactly base + serialization — ~4 us
 //! // with the default (paper) parameters.
 //! assert_eq!(done, cfg.base_latency + cfg.serialization(PAGE_SIZE));
@@ -29,7 +30,7 @@
 
 use std::collections::BinaryHeap;
 
-use hopp_obs::{Event, NopRecorder, Recorder};
+use hopp_obs::{Event, Recorder};
 use hopp_types::{Nanos, PAGE_SIZE};
 
 /// Deterministic latency volatility: the datacenter fabric periodically
@@ -164,14 +165,9 @@ impl RdmaEngine {
     }
 
     /// Issues a read of `bytes` at time `now`; returns its completion
-    /// time.
-    pub fn issue_read(&mut self, now: Nanos, bytes: usize) -> Nanos {
-        self.issue_read_rec(now, bytes, &mut NopRecorder)
-    }
-
-    /// [`RdmaEngine::issue_read`], recording an [`Event::RdmaRead`]
-    /// whose latency includes time queued behind earlier transfers.
-    pub fn issue_read_rec(&mut self, now: Nanos, bytes: usize, rec: &mut dyn Recorder) -> Nanos {
+    /// time. Records an [`Event::RdmaRead`] whose latency includes time
+    /// queued behind earlier transfers.
+    pub fn issue_read(&mut self, now: Nanos, bytes: usize, rec: &mut dyn Recorder) -> Nanos {
         let start = now.max(self.wire_free_at);
         self.stats.queueing += start.saturating_since(now);
         let ser = self.config.serialization(bytes);
@@ -192,25 +188,14 @@ impl RdmaEngine {
     }
 
     /// Issues a 4 KB page read at `now`; returns its completion time.
-    pub fn issue_page_read(&mut self, now: Nanos) -> Nanos {
-        self.issue_read(now, PAGE_SIZE)
-    }
-
-    /// [`RdmaEngine::issue_page_read`] with event recording.
-    pub fn issue_page_read_rec(&mut self, now: Nanos, rec: &mut dyn Recorder) -> Nanos {
-        self.issue_read_rec(now, PAGE_SIZE, rec)
+    pub fn issue_page_read(&mut self, now: Nanos, rec: &mut dyn Recorder) -> Nanos {
+        self.issue_read(now, PAGE_SIZE, rec)
     }
 
     /// Issues a 4 KB page *write* (dirty-page writeback during reclaim)
     /// at `now`; returns its completion time. Writes share the wire with
-    /// reads and therefore delay them.
-    pub fn issue_page_write(&mut self, now: Nanos) -> Nanos {
-        self.issue_page_write_rec(now, &mut NopRecorder)
-    }
-
-    /// [`RdmaEngine::issue_page_write`], recording an
-    /// [`Event::RdmaWrite`].
-    pub fn issue_page_write_rec(&mut self, now: Nanos, rec: &mut dyn Recorder) -> Nanos {
+    /// reads and therefore delay them. Records an [`Event::RdmaWrite`].
+    pub fn issue_page_write(&mut self, now: Nanos, rec: &mut dyn Recorder) -> Nanos {
         let start = now.max(self.wire_free_at);
         self.stats.queueing += start.saturating_since(now);
         let ser = self.config.serialization(PAGE_SIZE);
@@ -357,11 +342,12 @@ impl<T: Eq> CompletionQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hopp_obs::NopRecorder;
 
     #[test]
     fn idle_link_page_read_is_about_4us() {
         let mut link = RdmaEngine::new(RdmaConfig::default());
-        let done = link.issue_page_read(Nanos::ZERO);
+        let done = link.issue_page_read(Nanos::ZERO, &mut NopRecorder);
         let us = done.as_micros_f64();
         assert!((3.9..4.1).contains(&us), "got {us}");
     }
@@ -370,9 +356,9 @@ mod tests {
     fn queueing_backs_up_fifo() {
         let mut link = RdmaEngine::new(RdmaConfig::default());
         let ser = RdmaConfig::default().serialization(PAGE_SIZE);
-        let d1 = link.issue_page_read(Nanos::ZERO);
-        let d2 = link.issue_page_read(Nanos::ZERO);
-        let d3 = link.issue_page_read(Nanos::ZERO);
+        let d1 = link.issue_page_read(Nanos::ZERO, &mut NopRecorder);
+        let d2 = link.issue_page_read(Nanos::ZERO, &mut NopRecorder);
+        let d3 = link.issue_page_read(Nanos::ZERO, &mut NopRecorder);
         assert_eq!(d2, d1 + ser);
         assert_eq!(d3, d2 + ser);
         assert_eq!(link.stats().reads, 3);
@@ -382,10 +368,10 @@ mod tests {
     #[test]
     fn idle_gaps_do_not_accumulate() {
         let mut link = RdmaEngine::new(RdmaConfig::default());
-        let d1 = link.issue_page_read(Nanos::ZERO);
+        let d1 = link.issue_page_read(Nanos::ZERO, &mut NopRecorder);
         // Issue long after the wire went idle.
         let later = d1 + Nanos::from_micros(100);
-        let d2 = link.issue_page_read(later);
+        let d2 = link.issue_page_read(later, &mut NopRecorder);
         assert_eq!(
             d2,
             later
@@ -417,9 +403,9 @@ mod tests {
         assert_eq!(j.factor_at(Nanos::from_micros(2_001)), 8.0);
 
         let mut link = RdmaEngine::new(cfg);
-        let burst = link.issue_page_read(Nanos::ZERO);
+        let burst = link.issue_page_read(Nanos::ZERO, &mut NopRecorder);
         let mut quiet_link = RdmaEngine::new(cfg);
-        let quiet = quiet_link.issue_page_read(Nanos::from_micros(600));
+        let quiet = quiet_link.issue_page_read(Nanos::from_micros(600), &mut NopRecorder);
         let burst_latency = burst.as_nanos();
         let quiet_latency = quiet.saturating_since(Nanos::from_micros(600)).as_nanos();
         assert!(
@@ -452,8 +438,8 @@ mod tests {
     #[test]
     fn stats_count_bytes() {
         let mut link = RdmaEngine::new(RdmaConfig::default());
-        link.issue_read(Nanos::ZERO, 100);
-        link.issue_read(Nanos::ZERO, 200);
+        link.issue_read(Nanos::ZERO, 100, &mut NopRecorder);
+        link.issue_read(Nanos::ZERO, 200, &mut NopRecorder);
         assert_eq!(link.stats().bytes, 300);
     }
 
@@ -462,9 +448,9 @@ mod tests {
         use hopp_obs::TraceSink;
         let mut sink = TraceSink::new(16);
         let mut link = RdmaEngine::new(RdmaConfig::default());
-        let d1 = link.issue_page_read_rec(Nanos::ZERO, &mut sink);
-        let d2 = link.issue_page_read_rec(Nanos::ZERO, &mut sink);
-        link.issue_page_write_rec(Nanos::ZERO, &mut sink);
+        let d1 = link.issue_page_read(Nanos::ZERO, &mut sink);
+        let d2 = link.issue_page_read(Nanos::ZERO, &mut sink);
+        link.issue_page_write(Nanos::ZERO, &mut sink);
         let events = sink.into_events();
         assert_eq!(events.len(), 3);
         match (events[0].event, events[1].event, events[2].event) {
@@ -495,7 +481,7 @@ mod tests {
         let mut dones = Vec::new();
         for i in 0..64u64 {
             let issue = Nanos::from_nanos(i * 13); // ≪ ser ≈ 586 ns apart
-            let done = link.issue_page_read(issue);
+            let done = link.issue_page_read(issue, &mut NopRecorder);
             cq.push(done, i);
             dones.push(done);
         }
@@ -526,7 +512,7 @@ mod tests {
             // Irregular but non-decreasing issue times: bursts of
             // back-to-back ops separated by occasional long gaps.
             issue += Nanos::from_nanos((i * 37) % 4_000);
-            let done = link.issue_page_read(issue);
+            let done = link.issue_page_read(issue, &mut NopRecorder);
             assert!(
                 done >= last,
                 "op issued at {issue:?} completed at {done:?}, before {last:?}"
@@ -540,7 +526,7 @@ mod tests {
         let mut jl = RdmaEngine::new(RdmaConfig::volatile());
         let mut last_free = Nanos::ZERO;
         for i in 0..50u64 {
-            jl.issue_page_read(Nanos::from_nanos(i * 100));
+            jl.issue_page_read(Nanos::from_nanos(i * 100), &mut NopRecorder);
             assert!(jl.wire_free_at() > last_free);
             last_free = jl.wire_free_at();
         }
@@ -549,8 +535,8 @@ mod tests {
     #[test]
     fn writes_share_the_wire_with_reads() {
         let mut link = RdmaEngine::new(RdmaConfig::default());
-        let w = link.issue_page_write(Nanos::ZERO);
-        let r = link.issue_page_read(Nanos::ZERO);
+        let w = link.issue_page_write(Nanos::ZERO, &mut NopRecorder);
+        let r = link.issue_page_read(Nanos::ZERO, &mut NopRecorder);
         assert!(r > w, "the read queues behind the writeback");
         assert_eq!(link.stats().writes, 1);
         assert_eq!(link.stats().reads, 1);

@@ -59,7 +59,7 @@ use hopp_types::rng::SplitMix64;
 use hopp_types::{PageAccess, Pid, Vpn};
 use hopp_workloads::{WorkloadKind, HEAP_BASE};
 
-use crate::{catalogue_by_name, fnv1a64, ScnError, ScnResult};
+use crate::{fnv1a64, ScnError, ScnResult};
 
 /// Upper bound on any page count/address/drift magnitude in a scenario
 /// file. Keeps every internal address computation overflow-free while
@@ -989,7 +989,7 @@ fn parse_mix_member(t: &mut Tbl<'_>) -> ScnResult<MemberKind> {
             "a mix entry needs a `workload` or a `pattern`".to_string(),
         )),
         (Some(w), None) => {
-            let Some(kind) = catalogue_by_name(&w) else {
+            let Some(kind) = WorkloadKind::from_name(&w) else {
                 return Err(t.err(
                     t.line,
                     format!("unknown workload `{w}` (try `hoppsim --list`)"),
@@ -1221,6 +1221,24 @@ rise = 12
         let c = collect(scn.spec.build("kitchen-sink", Pid::new(1), 1024, 43));
         assert_ne!(a, c, "different seed must change the stream");
         assert!(!a.is_empty());
+    }
+
+    #[test]
+    fn mix_workloads_resolve_like_the_cli() {
+        let text = "\n[[phase]]\n[[phase.mix]]\nworkload = \"npbmg\"\n\
+                    [[phase.mix]]\nworkload = \"kmeans\"\n";
+        let scn = Scenario::from_text(text, "t.toml", "mix").unwrap();
+        let kinds: Vec<WorkloadKind> = scn.spec.phases[0]
+            .members
+            .iter()
+            .map(|m| match &m.kind {
+                MemberKind::Workload(w) => w.kind,
+                other => panic!("want a workload member, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(kinds, [WorkloadKind::NpbMg, WorkloadKind::Kmeans]);
+        let unknown = "\n[[phase]]\n[[phase.mix]]\nworkload = \"npb\"\n";
+        assert!(Scenario::from_text(unknown, "t.toml", "x").is_err());
     }
 
     #[test]

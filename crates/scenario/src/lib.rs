@@ -184,39 +184,6 @@ impl WorkloadSource {
     }
 }
 
-/// Resolves a catalogue workload from a user-facing name: exact (the
-/// Table IV name), slugged (`kmeans-omp`), or a unique lowercase prefix
-/// (`quick` → Quicksort).
-pub fn catalogue_by_name(input: &str) -> Option<WorkloadKind> {
-    let want = normalize(input);
-    if let Some(k) = WorkloadKind::ALL
-        .iter()
-        .find(|k| normalize(k.name()) == want)
-    {
-        return Some(*k);
-    }
-    let mut prefix_matches = WorkloadKind::ALL
-        .iter()
-        .filter(|k| normalize(k.name()).starts_with(&want));
-    match (prefix_matches.next(), prefix_matches.next()) {
-        (Some(k), None) => Some(*k),
-        _ => None,
-    }
-}
-
-/// Lowercases and maps every non-alphanumeric run to a single `-`.
-fn normalize(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        if c.is_ascii_alphanumeric() {
-            out.push(c.to_ascii_lowercase());
-        } else if !out.ends_with('-') {
-            out.push('-');
-        }
-    }
-    out.trim_matches('-').to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,15 +192,6 @@ mod tests {
     fn fnv_matches_reference_vectors() {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-    }
-
-    #[test]
-    fn catalogue_lookup_accepts_names_slugs_and_prefixes() {
-        assert_eq!(catalogue_by_name("Kmeans-OMP"), Some(WorkloadKind::Kmeans));
-        assert_eq!(catalogue_by_name("kmeans-omp"), Some(WorkloadKind::Kmeans));
-        assert_eq!(catalogue_by_name("quick"), Some(WorkloadKind::Quicksort));
-        assert_eq!(catalogue_by_name("npb-mg"), Some(WorkloadKind::NpbMg));
-        assert_eq!(catalogue_by_name("no-such-workload"), None);
     }
 
     #[test]

@@ -83,6 +83,26 @@ impl SystemConfig {
         }
     }
 
+    /// Resolves a system label, ignoring case: `hopp` (the paper's
+    /// default deployment), `fastswap`, `leap`, `vma`, `no-prefetch`
+    /// (also `noprefetch` and `none`) and `depth-<N>` (also `depth<N>`).
+    pub fn from_name(name: &str) -> Option<Self> {
+        let lower = name.to_ascii_lowercase();
+        let baseline = match lower.as_str() {
+            "hopp" => return Some(SystemConfig::hopp_default()),
+            "fastswap" => BaselineKind::Fastswap,
+            "leap" => BaselineKind::Leap,
+            "vma" => BaselineKind::Vma,
+            "no-prefetch" | "noprefetch" | "none" => BaselineKind::NoPrefetch,
+            _ => {
+                let depth = lower.strip_prefix("depth")?;
+                let depth = depth.strip_prefix('-').unwrap_or(depth);
+                BaselineKind::DepthN(depth.parse().ok()?)
+            }
+        };
+        Some(SystemConfig::Baseline(baseline))
+    }
+
     /// Display name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -247,6 +267,29 @@ mod tests {
         assert!(c.llc.sets().is_ok());
         assert!(c.hpd.validate().is_ok());
         assert!(c.rpt.sets().is_ok());
+    }
+
+    #[test]
+    fn system_labels_parse_with_every_accepted_spelling() {
+        let baseline = |b| Some(SystemConfig::Baseline(b));
+        for (name, want) in [
+            ("hopp", Some(SystemConfig::hopp_default())),
+            ("HoPP", Some(SystemConfig::hopp_default())),
+            ("fastswap", baseline(BaselineKind::Fastswap)),
+            ("leap", baseline(BaselineKind::Leap)),
+            ("vma", baseline(BaselineKind::Vma)),
+            ("no-prefetch", baseline(BaselineKind::NoPrefetch)),
+            ("noprefetch", baseline(BaselineKind::NoPrefetch)),
+            ("none", baseline(BaselineKind::NoPrefetch)),
+            ("depth-16", baseline(BaselineKind::DepthN(16))),
+            ("depth32", baseline(BaselineKind::DepthN(32))),
+            ("Depth-8", baseline(BaselineKind::DepthN(8))),
+            ("depth-x", None),
+            ("depth-", None),
+            ("warp-drive", None),
+        ] {
+            assert_eq!(SystemConfig::from_name(name), want, "{name:?}");
+        }
     }
 
     #[test]

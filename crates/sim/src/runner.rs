@@ -71,9 +71,7 @@ pub fn run_workload_with(
 
 /// Runs an arbitrary pre-built access stream — a replayed `.hst` trace,
 /// a compiled scenario, or anything else implementing [`AccessStream`]
-/// — under the same measurement protocol as [`run_workload_with`]:
-/// `pid` must match the PID the stream emits, and the local-memory
-/// limit is `ceil(footprint_pages * mem_ratio)` clamped to ≥ 64 pages.
+/// — under the same measurement protocol as [`run_workload_with`].
 ///
 /// # Errors
 ///
@@ -89,14 +87,7 @@ pub fn run_stream_with(
     footprint_pages: u64,
     mem_ratio: f64,
 ) -> Result<SimReport> {
-    assert!(mem_ratio > 0.0, "memory ratio must be positive");
-    let limit = ((footprint_pages as f64 * mem_ratio).ceil() as usize).max(64);
-    let app = AppSpec {
-        pid,
-        stream,
-        limit_pages: limit,
-    };
-    Simulator::new(config, vec![app])?.run()
+    solo_simulator(config, pid, stream, footprint_pages, mem_ratio)?.run()
 }
 
 /// [`run_workload_with`] plus a deterministic [`FaultScript`] attached
@@ -122,16 +113,39 @@ pub fn run_workload_with_faults(
     mem_ratio: f64,
     script: &FaultScript,
 ) -> Result<SimReport> {
+    let stream = kind.build(SOLO_PID, footprint_pages, seed);
+    let mut sim = solo_simulator(config, SOLO_PID, stream, footprint_pages, mem_ratio)?;
+    sim.set_fault_script(script)?;
+    sim.run()
+}
+
+/// The one application of a solo run, not yet started: `pid` must
+/// match the PID the stream emits, and the local-memory limit is
+/// `ceil(footprint_pages * mem_ratio)` clamped to ≥ 64 pages. Attach a
+/// fault script before calling [`Simulator::run`].
+///
+/// # Errors
+///
+/// Returns configuration validation errors.
+///
+/// # Panics
+///
+/// Panics if `mem_ratio` is not positive (experiment-code bug).
+pub fn solo_simulator(
+    config: SimConfig,
+    pid: Pid,
+    stream: Box<dyn AccessStream>,
+    footprint_pages: u64,
+    mem_ratio: f64,
+) -> Result<Simulator> {
     assert!(mem_ratio > 0.0, "memory ratio must be positive");
     let limit = ((footprint_pages as f64 * mem_ratio).ceil() as usize).max(64);
     let app = AppSpec {
-        pid: SOLO_PID,
-        stream: kind.build(SOLO_PID, footprint_pages, seed),
+        pid,
+        stream,
         limit_pages: limit,
     };
-    let mut sim = Simulator::new(config, vec![app])?;
-    sim.set_fault_script(script)?;
-    sim.run()
+    Simulator::new(config, vec![app])
 }
 
 /// The all-local reference run (`CT_local`): limit ≥ footprint, no
@@ -150,78 +164,13 @@ pub fn run_local(kind: WorkloadKind, footprint_pages: u64, seed: u64) -> Result<
     )
 }
 
-/// Normalized performance `CT_local / CT_system` for one configuration.
-///
-/// # Errors
-///
-/// Returns configuration validation errors and fatal run errors from
-/// either run.
-pub fn normalized_performance(
-    kind: WorkloadKind,
-    footprint_pages: u64,
-    seed: u64,
-    system: SystemConfig,
-    mem_ratio: f64,
-) -> Result<f64> {
-    let local = run_local(kind, footprint_pages, seed)?;
-    let sys = run_workload(kind, footprint_pages, seed, system, mem_ratio)?;
-    Ok(local.completion.as_nanos() as f64 / sys.completion.as_nanos() as f64)
-}
-
-/// Completion-time speedup of `system` over a reference system
-/// (`1 − CT_system / CT_reference`, §VI-D; positive is faster).
-///
-/// # Errors
-///
-/// Returns configuration validation errors and fatal run errors from
-/// either run.
-pub fn speedup_over(
-    kind: WorkloadKind,
-    footprint_pages: u64,
-    seed: u64,
-    system: SystemConfig,
-    reference: SystemConfig,
-    mem_ratio: f64,
-) -> Result<f64> {
-    let sys = run_workload(kind, footprint_pages, seed, system, mem_ratio)?;
-    let base = run_workload(kind, footprint_pages, seed, reference, mem_ratio)?;
-    Ok(1.0 - sys.completion.as_nanos() as f64 / base.completion.as_nanos() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn normalized_performance_is_in_unit_range_for_streams() {
-        let np = normalized_performance(
-            WorkloadKind::Kmeans,
-            1_024,
-            3,
-            SystemConfig::Baseline(BaselineKind::Fastswap),
-            0.5,
-        )
-        .unwrap();
-        assert!(np > 0.0 && np <= 1.0, "np = {np}");
-    }
-
-    #[test]
     fn local_run_is_full_speed() {
         let r = run_local(WorkloadKind::Kmeans, 1_024, 3).unwrap();
         assert_eq!(r.counters.major_faults, 0);
-    }
-
-    #[test]
-    fn hopp_speedup_over_fastswap_is_positive_on_kmeans() {
-        let s = speedup_over(
-            WorkloadKind::Kmeans,
-            2_048,
-            3,
-            SystemConfig::hopp_default(),
-            SystemConfig::Baseline(BaselineKind::Fastswap),
-            0.5,
-        )
-        .unwrap();
-        assert!(s > 0.0, "speedup {s}");
     }
 }

@@ -950,9 +950,11 @@ impl Simulator {
             wasted = self.base_metrics.on_evicted_unused(pid, vpn);
             dirty = false;
         } else {
-            let slot = self
-                .swapdev
-                .alloc_rec(pid, vpn, self.clock, &mut self.recorder)?;
+            let slot = self.swapdev.alloc(pid, vpn)?;
+            if self.recorder.is_enabled() {
+                self.recorder
+                    .record(self.clock, Event::SwapOut { pid, vpn, slot });
+            }
             let pte = self
                 .spaces
                 .get_mut(&pid)

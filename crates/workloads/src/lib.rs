@@ -149,6 +149,34 @@ impl WorkloadKind {
         }
     }
 
+    /// Resolves a user-facing workload name. Case and punctuation are
+    /// ignored (`kmeans-omp`, `KMEANS_OMP` and `npbmg` all resolve),
+    /// `kmeans` is the paper's shorthand for Kmeans-OMP, and any other
+    /// unique prefix resolves (`quick` → Quicksort). Unknown and
+    /// ambiguous names (`npb`) give `None`.
+    pub fn from_name(name: &str) -> Option<WorkloadKind> {
+        let slug = |s: &str| -> String {
+            s.chars()
+                .filter(char::is_ascii_alphanumeric)
+                .map(|c| c.to_ascii_lowercase())
+                .collect()
+        };
+        let wanted = slug(name);
+        if wanted == "kmeans" {
+            return Some(WorkloadKind::Kmeans);
+        }
+        if let Some(k) = Self::ALL.into_iter().find(|k| slug(k.name()) == wanted) {
+            return Some(k);
+        }
+        let mut hits = Self::ALL
+            .into_iter()
+            .filter(|k| slug(k.name()).starts_with(&wanted));
+        match (hits.next(), hits.next()) {
+            (Some(k), None) => Some(k),
+            _ => None,
+        }
+    }
+
     /// True for JVM-hosted workloads (different memory layout; §VI-B).
     pub fn is_jvm(self) -> bool {
         matches!(
@@ -341,6 +369,31 @@ mod tests {
         }
         for k in WorkloadKind::NON_JVM {
             assert!(!k.is_jvm());
+        }
+    }
+
+    #[test]
+    fn names_resolve_through_one_table() {
+        use WorkloadKind::*;
+        for k in WorkloadKind::ALL {
+            assert_eq!(WorkloadKind::from_name(k.name()), Some(k), "{}", k.name());
+        }
+        for (name, want) in [
+            ("kmeans-omp", Some(Kmeans)),
+            ("KMEANS_OMP", Some(Kmeans)),
+            ("Kmeans OMP", Some(Kmeans)),
+            ("npbmg", Some(NpbMg)),
+            ("npb-mg", Some(NpbMg)),
+            ("graphx-pr", Some(GraphPr)),
+            // The paper's shorthand, though Kmeans-Spark shares the prefix.
+            ("kmeans", Some(Kmeans)),
+            ("quick", Some(Quicksort)),
+            // Prefixes NPB-CG, NPB-FT, NPB-LU, NPB-MG and NPB-IS.
+            ("npb", None),
+            ("", None),
+            ("no-such-workload", None),
+        ] {
+            assert_eq!(WorkloadKind::from_name(name), want, "{name:?}");
         }
     }
 

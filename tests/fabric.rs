@@ -4,9 +4,11 @@
 //! failover instead of killing the run.
 
 use hopp::fabric::{FabricConfig, FaultScript, PlacementKind};
+use hopp::scn::{hst, HstHeader};
+use hopp::sim::runner::SOLO_PID;
 use hopp::sim::{
-    run_workload, run_workload_with, run_workload_with_faults, BaselineKind, SimConfig,
-    SystemConfig,
+    run_workload, run_workload_with, run_workload_with_faults, solo_simulator, BaselineKind,
+    SimConfig, SystemConfig,
 };
 use hopp::types::{Error, NodeId};
 use hopp::workloads::WorkloadKind;
@@ -66,6 +68,50 @@ fn fault_runs_replay_byte_identically() {
         .metrics_json()
     };
     assert_eq!(run(), run(), "same seed + script must replay exactly");
+}
+
+/// A recorded `.hst` trace replayed under a fault script reports exactly
+/// what the live run under the same script reported: the script applies
+/// to whatever source feeds the run.
+#[test]
+fn replayed_trace_under_a_fault_script_matches_the_live_run() {
+    let script = FaultScript::parse("1:1:down").unwrap();
+    let config = || pool_config(4, 2, SystemConfig::hopp_default());
+    let (footprint, seed) = (256, 42);
+    let live = run_workload_with_faults(
+        config(),
+        WorkloadKind::Kmeans,
+        footprint,
+        seed,
+        0.5,
+        &script,
+    )
+    .unwrap();
+    let fabric = live.fabric.as_ref().expect("multi-node pool reports");
+    assert!(fabric.failovers > 0 && fabric.nodes[1].lost, "node 1 dies");
+
+    let header = HstHeader {
+        pid: SOLO_PID,
+        footprint_pages: footprint,
+        seed,
+        source: WorkloadKind::Kmeans.name().to_string(),
+    };
+    let path = std::env::temp_dir().join(format!("hopp-fault-replay-{}.hst", std::process::id()));
+    let mut stream = WorkloadKind::Kmeans.build(SOLO_PID, footprint, seed);
+    hst::record_file(&path, &header, &mut *stream).unwrap();
+    let trace = hst::read_file(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    let mut sim = solo_simulator(
+        config(),
+        SOLO_PID,
+        Box::new(trace.into_stream()),
+        footprint,
+        0.5,
+    )
+    .unwrap();
+    sim.set_fault_script(&script).unwrap();
+    let replayed = sim.run().unwrap();
+    assert_eq!(live.metrics_json(), replayed.metrics_json());
 }
 
 /// Acceptance: a scripted node loss mid-run completes via failover
