@@ -18,7 +18,7 @@ use hopp_core::three_tier::{ThreeTier, TierConfig};
 use hopp_hw::{HotPageDetector, HpdConfig, McPipeline, ReversePageTable, RptCacheConfig};
 use hopp_obs::NopRecorder;
 use hopp_trace::llc::{LastLevelCache, LlcConfig};
-use hopp_types::{AccessKind, HotPage, Nanos, PageFlags, Pid, Ppn, Vpn, LINES_PER_PAGE};
+use hopp_types::{AccessKind, HotPage, Nanos, PageFlags, Pid, Ppn, Vpn, LINES_PER_PAGE, PAGE_SIZE};
 
 /// Times `iters` calls of `op` and prints a one-line report.
 fn bench(name: &str, iters: u64, mut op: impl FnMut(u64)) {
@@ -43,10 +43,24 @@ fn bench_llc() {
     bench("llc/access_stream", 2_000_000, |i| {
         black_box(llc.access(Ppn::new(i % 100_000).line((i % 64) as u8), AccessKind::Read));
     });
+    // The simulator's own geometry (2 MB, 16-way: 512 pages fit).
+    // Round-robin walks over twice that many hot pages keep every set
+    // full and make every line miss.
+    let config = LlcConfig::simulator_default();
+    let hot = 2 * config.capacity_bytes as u64 / PAGE_SIZE as u64;
+    let mut llc = LastLevelCache::new(config).unwrap();
+    for page in 0..hot {
+        llc.access_lines(Ppn::new(page), LINES_PER_PAGE as u8);
+    }
+    // What reclaim does: drop a page none of whose lines are cached. The
+    // pages come from outside the hot set, so the sets stay full.
+    bench("llc/invalidate_page_cold", 200_000, |i| {
+        llc.invalidate_page(black_box(Ppn::new(hot + i)));
+    });
+    assert_eq!(llc.stats().invalidations, 0, "cold pages have no lines");
     // The simulator's page-granular path: one op is a whole 64-line page.
-    let mut llc = LastLevelCache::new(LlcConfig::default_server()).unwrap();
     bench("llc/access_lines", 200_000, |i| {
-        black_box(llc.access_lines(Ppn::new(i % 100_000), LINES_PER_PAGE as u8));
+        black_box(llc.access_lines(Ppn::new(i % hot), LINES_PER_PAGE as u8));
     });
 }
 

@@ -24,7 +24,7 @@ use hopp_sim::{
 };
 use hopp_trace::AccessStream;
 use hopp_types::Nanos;
-use hopp_workloads::WorkloadKind;
+use hopp_workloads::{WorkloadKind, MIN_FOOTPRINT_PAGES};
 
 /// Count heap allocations per thread so `--prof-json` spans can report
 /// allocation churn alongside wall time (allocators are per-binary).
@@ -93,7 +93,7 @@ fn usage() -> ! {
          \n  --workload <name>    one of the 15 paper workloads (--list, default {})\
          \n  --system <name>      hopp | fastswap | leap | vma | no-prefetch | depth-<N> (default {})\
          \n  --ratio <f>          local memory / footprint, finite and > 0 (default {})\
-         \n  --footprint <pages>  heap size in 4 KB pages (default {})\
+         \n  --footprint <pages>  heap size in 4 KB pages, at least {} (default {})\
          \n  --seed <n>           workload RNG seed (default {})\
          \n  --channels <n>       interleaved memory channels (default {})\
          \n  --llc-kb <n>         LLC capacity in KiB (default {})\
@@ -130,6 +130,7 @@ fn usage() -> ! {
         d.workload.name(),
         c.system.name(),
         d.ratio,
+        MIN_FOOTPRINT_PAGES,
         d.footprint,
         d.seed,
         c.channels,
@@ -191,7 +192,15 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Request, String>
                     return Err(format!("--ratio must be finite and > 0, got {}", cli.ratio));
                 }
             }
-            "--footprint" => cli.footprint = number(it, flag)?,
+            "--footprint" => {
+                cli.footprint = number(it, flag)?;
+                if cli.footprint < MIN_FOOTPRINT_PAGES {
+                    return Err(format!(
+                        "--footprint must be at least {MIN_FOOTPRINT_PAGES} pages, got {}",
+                        cli.footprint
+                    ));
+                }
+            }
             "--seed" => cli.seed = number(it, flag)?,
             "--channels" => c.channels = number(it, flag)?,
             "--llc-kb" => c.llc.capacity_bytes = number::<usize>(it, flag)?.saturating_mul(1024),
@@ -604,6 +613,8 @@ mod tests {
             &["--ratio", "half"],
             &["--ratio"],
             &["--footprint"],
+            &["--footprint", "0"],
+            &["--footprint", "255"],
             &["--volatile"],
             &["--system", "depth-x"],
             &["--workload", "npb"],
@@ -616,6 +627,11 @@ mod tests {
         );
         assert_eq!(parse(&["--bogus"]).unwrap_err(), "unknown flag --bogus");
         assert_eq!(parse_cli(&["--ratio", "0.25"]).ratio, 0.25);
+        assert_eq!(
+            parse(&["--footprint", "255"]).unwrap_err(),
+            "--footprint must be at least 256 pages, got 255"
+        );
+        assert_eq!(parse_cli(&["--footprint", "256"]).footprint, 256);
     }
 
     #[test]

@@ -179,10 +179,7 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            llc: LlcConfig {
-                capacity_bytes: 2 * 1024 * 1024,
-                ways: 16,
-            },
+            llc: LlcConfig::simulator_default(),
             hpd: HpdConfig::default(),
             rpt: RptCacheConfig::default(),
             rdma: RdmaConfig::default(),

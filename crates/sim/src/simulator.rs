@@ -115,22 +115,34 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns configuration validation errors, or
+    /// Returns configuration validation errors, among them
+    /// [`Error::InvalidConfig`] when the frame pool holds more pages than
+    /// the LLC can tag ([`hopp_trace::LlcConfig::max_pages`]), or
     /// [`Error::UnknownProcess`] if two apps share a PID or use the
     /// kernel PID.
     pub fn new(config: SimConfig, apps: Vec<AppSpec>) -> Result<Self> {
+        // Checked before anything is sized by it: every frame must be
+        // taggable by the LLC.
+        let frames = apps
+            .iter()
+            .map(|app| app.limit_pages)
+            .fold(config.slack_frames, usize::saturating_add);
+        if frames as u64 > config.llc.max_pages()? {
+            return Err(Error::InvalidConfig {
+                what: "frame count",
+                constraint: "at most LlcConfig::max_pages (a smaller LLC tags fewer pages)",
+            });
+        }
         let llc = LastLevelCache::new(config.llc)?;
         let mc = McPipeline::with_channels(config.hpd, config.rpt, config.channels)?;
         let mut spaces = BTreeMap::new();
         let mut mapped_lru = BTreeMap::new();
         let mut cgroups = BTreeMap::new();
         let mut runtimes = Vec::new();
-        let mut total_limit = 0usize;
         for app in apps {
             if app.pid == Pid::KERNEL || spaces.contains_key(&app.pid) {
                 return Err(Error::UnknownProcess { pid: app.pid });
             }
-            total_limit += app.limit_pages;
             spaces.insert(app.pid, AddressSpace::new(app.pid));
             mapped_lru.insert(app.pid, LruLists::new());
             cgroups.insert(app.pid, Cgroup::with_limit(app.limit_pages)?);
@@ -167,7 +179,7 @@ impl Simulator {
             clock: Nanos::ZERO,
             llc,
             mc,
-            frames: FrameAllocator::new(total_limit + config.slack_frames),
+            frames: FrameAllocator::new(frames),
             spaces,
             lrus: mapped_lru,
             cgroups,

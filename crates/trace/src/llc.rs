@@ -16,17 +16,24 @@
 //!
 //! # Layout
 //!
-//! The tags live in one flat `sets × ways` array of `u64`. Each set is
+//! The tags live in one flat `sets × ways` array of `u32`. Each set is
 //! kept in most-recently-used-first order, with empty ways (tag
-//! `u64::MAX`) at the tail, so recency is the position in the set and
+//! `u32::MAX`) at the tail, so recency is the position in the set and
 //! no LRU stamps are stored. A hit moves its tag to the front. A miss
 //! takes the first empty way or, in a full set, the LRU way at the
 //! tail, shifts the ways before it back by one and writes the new tag
 //! at the front. An invalidation removes the tag and appends an empty
 //! way. A lookup stops at the first empty way. With at least 64 sets
 //! the lines of a page fall in consecutive sets under one tag, so
-//! [`LastLevelCache::access_lines`] walks one contiguous block of the
-//! array; with fewer sets the same loop wraps around them.
+//! [`LastLevelCache::access_lines`] walks one contiguous block of
+//! `64 × ways` tags, and [`LastLevelCache::invalidate_page`] first
+//! scans that block once for the tag and returns if it is absent; with
+//! fewer sets the same loops wrap around them.
+//!
+//! A tag is the line address shifted right by the set bits, so `u32`
+//! tags cover pages `0..`[`LlcConfig::max_pages`]: 2^37 pages for a
+//! 2 MB, 16-way cache. Half-width tags halve the array, and SSE2
+//! compares 32-bit lanes natively.
 
 use std::ops::Range;
 
@@ -47,6 +54,17 @@ impl LlcConfig {
     pub const fn default_server() -> Self {
         LlcConfig {
             capacity_bytes: 16 * 1024 * 1024,
+            ways: 16,
+        }
+    }
+
+    /// A 2 MB, 16-way LLC (2,048 sets): the simulator's default. It is
+    /// small next to the simulated footprints on purpose, so capacity
+    /// misses reach the memory controller as they do when multi-GB
+    /// footprints meet a real 16 MB LLC.
+    pub const fn simulator_default() -> Self {
+        LlcConfig {
+            capacity_bytes: 2 * 1024 * 1024,
             ways: 16,
         }
     }
@@ -83,6 +101,20 @@ impl LlcConfig {
         }
         Ok(sets)
     }
+
+    /// The number of pages the cache can tag: it models pages
+    /// `0..max_pages()`. A tag is a line address shifted right by the
+    /// set bits and must stay below the `u32::MAX` that marks an empty
+    /// way, so the bound is `(2^32 − 1) · sets / 64`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfig`] if the geometry is invalid (see
+    /// [`LlcConfig::sets`]).
+    pub fn max_pages(&self) -> Result<u64> {
+        let sets = self.sets()? as u64;
+        Ok(u64::from(EMPTY).saturating_mul(sets) / LINES_PER_PAGE as u64)
+    }
 }
 
 /// Hit/miss counters for the cache model.
@@ -113,10 +145,15 @@ impl LlcStats {
 }
 
 /// Tag value of an empty way. A real tag is a line address shifted
-/// right by the set bits, so it never reaches `u64::MAX`.
-const EMPTY: u64 = u64::MAX;
+/// right by the set bits, which stays below `u32::MAX` for every page
+/// below [`LlcConfig::max_pages`].
+const EMPTY: u32 = u32::MAX;
 
 /// A set-associative, physically-indexed LLC with true-LRU replacement.
+///
+/// Every page passed in must lie below [`LlcConfig::max_pages`]; the
+/// line loop checks this in debug builds only, so callers bound their
+/// frame numbers up front (the simulator does in `Simulator::new`).
 ///
 /// # Example
 ///
@@ -136,7 +173,7 @@ const EMPTY: u64 = u64::MAX;
 pub struct LastLevelCache {
     /// `sets × ways` tags; each set most-recently-used first, empty ways
     /// at the tail.
-    tags: Vec<u64>,
+    tags: Vec<u32>,
     ways: usize,
     set_mask: u64,
     set_bits: u32,
@@ -193,16 +230,20 @@ impl LastLevelCache {
 
     /// The index range of the set holding line address `raw`, and the
     /// tag the line is stored as.
-    fn locate(&self, raw: u64) -> (Range<usize>, u64) {
+    fn locate(&self, raw: u64) -> (Range<usize>, u32) {
         let base = (raw & self.set_mask) as usize * self.ways;
-        (base..base + self.ways, raw >> self.set_bits)
+        let tag = raw >> self.set_bits;
+        debug_assert!(
+            tag < u64::from(EMPTY),
+            "line {raw:#x} lies past LlcConfig::max_pages"
+        );
+        (base..base + self.ways, tag as u32)
     }
 
     /// One access to line address `raw`; returns `true` on a hit. The
     /// line ends up most recently used either way.
     fn touch(&mut self, raw: u64) -> bool {
         let (range, tag) = self.locate(raw);
-        debug_assert_ne!(tag, EMPTY);
         // Shift the set one way towards the tail, front to back, until
         // the tag itself (a hit) or an empty way is displaced; if neither
         // turns up, the LRU tag falls off the tail. The tag ends up at
@@ -229,6 +270,16 @@ impl LastLevelCache {
     /// must not keep serving hits for data that is no longer local.
     pub fn invalidate_page(&mut self, ppn: Ppn) {
         let first = ppn.line(0).raw();
+        if self.set_bits >= LINES_PER_PAGE.trailing_zeros() {
+            // The page's lines fill one block of 64 sets under one tag.
+            // A reclaimed page is cold, so one branch-free scan of the
+            // block almost always finds nothing and ends the call.
+            let (set, tag) = self.locate(first);
+            let block = &self.tags[set.start..set.start + LINES_PER_PAGE * self.ways];
+            if !block.iter().fold(false, |any, &t| any | (t == tag)) {
+                return;
+            }
+        }
         for j in 0..LINES_PER_PAGE as u64 {
             let (range, tag) = self.locate(first + j);
             let set = &mut self.tags[range];
@@ -288,6 +339,58 @@ mod tests {
         .is_err());
         assert_eq!(LlcConfig::tiny().sets().unwrap(), 512);
         assert_eq!(LlcConfig::default_server().sets().unwrap(), 16384);
+    }
+
+    #[test]
+    fn max_pages_is_the_u32_tag_range() {
+        let geometry = |sets: usize, ways: usize| LlcConfig {
+            capacity_bytes: sets * ways * LINE_SIZE,
+            ways,
+        };
+        assert_eq!(geometry(1, 16).max_pages().unwrap(), (1 << 26) - 1);
+        assert_eq!(geometry(4, 4).max_pages().unwrap(), (1 << 28) - 1);
+        assert_eq!(geometry(64, 16).max_pages().unwrap(), u64::from(u32::MAX));
+        let sim = LlcConfig::simulator_default();
+        assert_eq!(sim.sets().unwrap(), 2_048);
+        assert_eq!(sim.max_pages().unwrap(), u64::from(u32::MAX) * 32);
+        assert!(geometry(3, 8).max_pages().is_err());
+    }
+
+    #[test]
+    fn highest_taggable_page_hits_misses_and_invalidates_exactly() {
+        for (sets, ways) in [(1, 16), (4, 4), (64, 4), (2_048, 16)] {
+            let config = LlcConfig {
+                capacity_bytes: sets * ways * LINE_SIZE,
+                ways,
+            };
+            let top = Ppn::new(config.max_pages().unwrap() - 1);
+            // A page that shares top's sets, with a tag far from it.
+            let low = Ppn::new(top.raw() % (sets as u64).div_ceil(64));
+            let mut llc = LastLevelCache::new(config).unwrap();
+            let all = u64::MAX;
+            let resident = LINES_PER_PAGE.min(sets * ways) as u64;
+            assert_eq!(llc.access_lines(top, 64), all, "{sets} sets: cold");
+            // A walk longer than the cache thrashes true LRU.
+            let warm = if resident == 64 { 0 } else { all };
+            assert_eq!(llc.access_lines(top, 64), warm, "{sets} sets: warm");
+            llc.invalidate_page(low);
+            assert_eq!(llc.stats().invalidations, 0, "{sets} sets: low page");
+            llc.invalidate_page(top);
+            assert_eq!(llc.stats().invalidations, resident, "{sets} sets");
+            assert_eq!(llc.access_lines(top, 64), all, "{sets} sets: dropped");
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "past LlcConfig::max_pages")]
+    fn first_untaggable_page_trips_the_debug_check() {
+        let config = LlcConfig {
+            capacity_bytes: 16 * LINE_SIZE,
+            ways: 16,
+        };
+        let mut llc = LastLevelCache::new(config).unwrap();
+        llc.access_lines(Ppn::new(config.max_pages().unwrap()), 64);
     }
 
     #[test]

@@ -8,6 +8,13 @@
 //! page walks (`access_lines` prefixes of 1..=64 lines), single-line
 //! accesses and page invalidations, and must agree on every line's
 //! hit/miss outcome and on every counter.
+//!
+//! With at least 64 sets, `invalidate_page` first scans the page's block
+//! of `64 × ways` tags and returns early when the page has no resident
+//! line. Every run must exercise both outcomes: invalidations that find
+//! lines and invalidations of cold pages. The invalidate-heavy mix
+//! mostly invalidates pages touched a few operations earlier, the case
+//! where lines *are* resident at reclaim.
 
 use hopp_trace::llc::{LastLevelCache, LlcConfig, LlcStats};
 use hopp_types::rng::SplitMix64;
@@ -80,48 +87,77 @@ impl RefLlc {
     }
 }
 
+/// The operation mix a run draws from.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Mix {
+    /// 60% page walks, 30% single lines, 10% invalidations of a random
+    /// page.
+    Uniform,
+    /// 40% page walks, 20% single lines, 40% invalidations, three in
+    /// four of them of one of the last four pages touched.
+    InvalidateHeavy,
+}
+
 /// Drives both models with `ops` seeded operations over pages
 /// `0..pages` and checks they never diverge.
-fn run(name: &str, config: LlcConfig, pages: u64, ops: u32, seed: u64) {
+fn run(name: &str, config: LlcConfig, pages: u64, ops: u32, seed: u64, mix: Mix) {
     let mut real = LastLevelCache::new(config).unwrap();
     let mut reference = RefLlc::new(config);
     let mut rng = SplitMix64::seed_from_u64(seed);
+    let (walks, lines_end) = match mix {
+        Mix::Uniform => (6, 9),
+        Mix::InvalidateHeavy => (4, 6),
+    };
+    let mut recent = [Ppn::new(0); 4];
+    // Invalidations that found resident lines, and ones that found none.
+    let (mut found, mut cold) = (0u32, 0u32);
     for step in 0..ops {
         let ppn = Ppn::new(rng.gen_range(0..pages));
-        match rng.gen_range(0..10) {
-            0..=5 => {
-                let lines = 1 + rng.gen_range(0..LINES_PER_PAGE as u64) as u8;
-                let misses = real.access_lines(ppn, lines);
-                for line in 0..lines {
-                    let hit = reference.access(ppn.line(line));
-                    assert_eq!(
-                        misses & (1 << line) == 0,
-                        hit,
-                        "{name}: line {line} of {ppn:?} diverged at step {step}"
-                    );
-                }
+        let op = rng.gen_range(0..10);
+        if op < lines_end {
+            recent[step as usize % recent.len()] = ppn;
+        }
+        if op < walks {
+            let lines = 1 + rng.gen_range(0..LINES_PER_PAGE as u64) as u8;
+            let misses = real.access_lines(ppn, lines);
+            for line in 0..lines {
+                let hit = reference.access(ppn.line(line));
                 assert_eq!(
-                    misses.checked_shr(lines.into()).unwrap_or(0),
-                    0,
-                    "{name}: bits set past line {lines}"
+                    misses & (1 << line) == 0,
+                    hit,
+                    "{name}: line {line} of {ppn:?} diverged at step {step}"
                 );
             }
-            6..=8 => {
-                let line = ppn.line(rng.gen_range(0..LINES_PER_PAGE as u64) as u8);
-                let kind = if rng.gen_bool(0.5) {
-                    AccessKind::Read
-                } else {
-                    AccessKind::Write
-                };
-                assert_eq!(
-                    real.access(line, kind),
-                    reference.access(line),
-                    "{name}: {line:?} diverged at step {step}"
-                );
-            }
-            _ => {
-                real.invalidate_page(ppn);
-                reference.invalidate_page(ppn);
+            assert_eq!(
+                misses.checked_shr(lines.into()).unwrap_or(0),
+                0,
+                "{name}: bits set past line {lines}"
+            );
+        } else if op < lines_end {
+            let line = ppn.line(rng.gen_range(0..LINES_PER_PAGE as u64) as u8);
+            let kind = if rng.gen_bool(0.5) {
+                AccessKind::Read
+            } else {
+                AccessKind::Write
+            };
+            assert_eq!(
+                real.access(line, kind),
+                reference.access(line),
+                "{name}: {line:?} diverged at step {step}"
+            );
+        } else {
+            let ppn = if mix == Mix::InvalidateHeavy && rng.gen_bool(0.75) {
+                recent[rng.gen_range(0..recent.len() as u64) as usize]
+            } else {
+                ppn
+            };
+            let before = real.stats().invalidations;
+            real.invalidate_page(ppn);
+            reference.invalidate_page(ppn);
+            if real.stats().invalidations > before {
+                found += 1;
+            } else {
+                cold += 1;
             }
         }
         assert_eq!(
@@ -135,6 +171,11 @@ fn run(name: &str, config: LlcConfig, pages: u64, ops: u32, seed: u64) {
         stats.hits > 0 && stats.misses > 0 && stats.invalidations > 0,
         "{name}: stream too one-sided to be a useful check: {stats:?}"
     );
+    assert!(
+        found > 0 && cold > 0,
+        "{name}: invalidations too one-sided to check the block scan: \
+         {found} found lines, {cold} found none"
+    );
 }
 
 #[test]
@@ -146,13 +187,59 @@ fn default_server_matches_the_stamp_model() {
         6_144,
         30_000,
         1,
+        Mix::Uniform,
+    );
+}
+
+#[test]
+fn simulator_default_matches_the_stamp_model() {
+    // The geometry every simulation runs by default: 2,048 sets of 16
+    // ways. 512 pages fit; 768 overcommit every set by half.
+    let config = LlcConfig::simulator_default();
+    assert_eq!(config.sets().unwrap(), 2_048);
+    run("simulator_default", config, 768, 30_000, 4, Mix::Uniform);
+    run(
+        "simulator_default/invalidate_heavy",
+        config,
+        768,
+        30_000,
+        5,
+        Mix::InvalidateHeavy,
+    );
+}
+
+#[test]
+fn sixty_four_set_cache_matches_the_stamp_model() {
+    // 64 sets of 4 ways: a page's block is the whole tag array, and 4
+    // pages fit.
+    let config = LlcConfig {
+        capacity_bytes: 64 * 4 * LINE_SIZE,
+        ways: 4,
+    };
+    assert_eq!(config.sets().unwrap(), 64);
+    run("sixty_four_set", config, 12, 30_000, 6, Mix::Uniform);
+    run(
+        "sixty_four_set/invalidate_heavy",
+        config,
+        12,
+        30_000,
+        7,
+        Mix::InvalidateHeavy,
     );
 }
 
 #[test]
 fn tiny_matches_the_stamp_model() {
     // 64 pages fit; 160 keep every set thrashing.
-    run("tiny", LlcConfig::tiny(), 160, 30_000, 2);
+    run("tiny", LlcConfig::tiny(), 160, 30_000, 2, Mix::Uniform);
+    run(
+        "tiny/invalidate_heavy",
+        LlcConfig::tiny(),
+        160,
+        30_000,
+        8,
+        Mix::InvalidateHeavy,
+    );
 }
 
 #[test]
@@ -164,5 +251,13 @@ fn four_set_cache_matches_the_stamp_model() {
         ways: 4,
     };
     assert_eq!(config.sets().unwrap(), 4);
-    run("four_set", config, 8, 30_000, 3);
+    run("four_set", config, 8, 30_000, 3, Mix::Uniform);
+    run(
+        "four_set/invalidate_heavy",
+        config,
+        8,
+        30_000,
+        9,
+        Mix::InvalidateHeavy,
+    );
 }

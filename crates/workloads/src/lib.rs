@@ -50,6 +50,9 @@ use hopp_types::Pid;
 /// negative-stride prediction never underflows the address space.
 pub const HEAP_BASE: u64 = 1 << 20;
 
+/// Smallest heap, in 4 KB pages, that [`WorkloadKind::build`] accepts.
+pub const MIN_FOOTPRINT_PAGES: u64 = 256;
+
 /// The workload catalogue (Table IV of the paper).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum WorkloadKind {
@@ -259,9 +262,13 @@ impl WorkloadKind {
     /// `footprint_pages` is the model's heap size in 4 KB pages; the
     /// stream touches pages in `[HEAP_BASE, HEAP_BASE + footprint)`.
     /// `seed` drives all randomness deterministically.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `footprint_pages` is below [`MIN_FOOTPRINT_PAGES`].
     pub fn build(self, pid: Pid, footprint_pages: u64, seed: u64) -> Box<dyn AccessStream> {
         assert!(
-            footprint_pages >= 256,
+            footprint_pages >= MIN_FOOTPRINT_PAGES,
             "footprint too small to be meaningful"
         );
         match self {

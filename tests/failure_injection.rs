@@ -58,6 +58,38 @@ fn invalid_geometries_are_rejected_up_front() {
 }
 
 #[test]
+fn frame_pool_beyond_the_llc_tag_range_is_rejected_up_front() {
+    // One set of 16 ways: u32 tags then cover 2^26 - 1 pages.
+    let one_set = SimConfig {
+        llc: LlcConfig {
+            capacity_bytes: 16 * 64,
+            ways: 16,
+        },
+        ..SimConfig::default()
+    };
+    let max = one_set.llc.max_pages().unwrap();
+    assert_eq!(max, (1 << 26) - 1);
+    // One frame too many, and a pool no allocator could hold: both are
+    // refused before any table is sized.
+    let over = max as usize + 1 - one_set.slack_frames;
+    for limit in [over, usize::MAX] {
+        let err = Simulator::new(one_set, vec![scan_app(512, limit)])
+            .err()
+            .expect("frame count above max_pages must be rejected");
+        assert!(
+            matches!(
+                err,
+                Error::InvalidConfig {
+                    what: "frame count",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+    }
+}
+
+#[test]
 fn zero_cgroup_limit_is_rejected() {
     assert!(Simulator::new(SimConfig::default(), vec![scan_app(512, 0)]).is_err());
 }
