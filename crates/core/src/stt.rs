@@ -41,6 +41,20 @@ impl StreamId {
     pub fn generation(self) -> u32 {
         self.generation
     }
+
+    /// The stream as one integer: the slot in the low 16 bits, the
+    /// generation above them.
+    pub fn key(self) -> u64 {
+        u64::from(self.slot) | u64::from(self.generation) << 16
+    }
+
+    /// The stream whose [`StreamId::key`] is `key`.
+    pub fn from_key(key: u64) -> Self {
+        StreamId {
+            slot: key as u16,
+            generation: (key >> 16) as u32,
+        }
+    }
 }
 
 /// STT parameters.
@@ -434,6 +448,16 @@ mod tests {
             ..Default::default()
         })
         .unwrap()
+    }
+
+    #[test]
+    fn stream_keys_round_trip() {
+        let id = StreamId {
+            slot: 63,
+            generation: u32::MAX,
+        };
+        assert_eq!(StreamId::from_key(id.key()), id);
+        assert_eq!(id.key() & 0xFFFF, 63);
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //! * [`swapcache::SwapCache`] — pages fetched (or prefetched) from
 //!   remote that have a frame but no PTE yet; hitting one is a *minor*
 //!   fault costing 2.3 µs instead of a full remote round trip.
-//! * [`lru::LruLists`] — active/inactive page lists driving reclaim.
-//!   Early-injected pages land on the active list, which is what makes
-//!   inaccurate Depth-N prefetches expensive to get rid of (§II-C).
+//! * [`lru::LruLinks`] — intrusive active/inactive page lists driving
+//!   reclaim, one frame-indexed link table shared by every owner
+//!   ([`lru::LruLists`] is its one-owner view). Early-injected pages
+//!   land on the active list, which is what makes inaccurate Depth-N
+//!   prefetches expensive to get rid of (§II-C).
 //! * [`swap::SwapDevice`] — swap-slot allocation; Fastswap's readahead
 //!   prefetches pages *adjacent in slot order*, so slot assignment
 //!   (i.e. eviction order) shapes its behaviour.
@@ -33,7 +35,7 @@ pub mod swapcache;
 
 pub use cgroup::Cgroup;
 pub use latency::FaultLatencyModel;
-pub use lru::{LruLists, LruTier};
+pub use lru::{LruLinks, LruLists, LruTier};
 pub use prefetcher::{FaultInfo, NoPrefetch, PrefetchRequest, Prefetcher, SlotView};
 pub use swap::SwapDevice;
 pub use swapcache::{SwapCache, SwapCacheStats};
