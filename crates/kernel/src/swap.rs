@@ -4,9 +4,9 @@
 //! together occupy adjacent slots. Fastswap's readahead exploits exactly
 //! this adjacency — it prefetches the pages stored in neighbouring
 //! slots — which is why the device keeps a reverse map from slot to the
-//! page stored there.
+//! page stored there. Slots are minted densely from 0 and reused, so
+//! that map is a slot-indexed table.
 
-use hopp_ds::DetMap;
 use hopp_types::{Error, Pid, Result, SwapSlot, Vpn};
 
 use crate::prefetcher::SlotView;
@@ -14,9 +14,12 @@ use crate::prefetcher::SlotView;
 /// Swap-slot allocator and directory.
 #[derive(Clone, Debug, Default)]
 pub struct SwapDevice {
-    next: u64,
+    /// `contents[slot]`: the page stored in each slot minted so far.
+    contents: Vec<Option<(Pid, Vpn)>>,
+    /// Freed slots, the most recently freed last.
     free: Vec<SwapSlot>,
-    contents: DetMap<SwapSlot, (Pid, Vpn)>,
+    /// Slots currently holding a page.
+    used: usize,
     /// Remote node capacity in pages (`None` = unbounded). The paper's
     /// memory node offers 6 x 8 GB of DRAM; exhausting it is an
     /// operator error this surfaces.
@@ -49,18 +52,18 @@ impl SwapDevice {
     pub fn alloc(&mut self, pid: Pid, vpn: Vpn) -> Result<SwapSlot> {
         let _prof = hopp_prof::span("kernel/swap_alloc");
         if let Some(cap) = self.capacity {
-            if self.contents.len() >= cap {
+            if self.used >= cap {
                 return Err(Error::RemoteMemoryExhausted {
                     capacity_pages: cap,
                 });
             }
         }
         let slot = self.free.pop().unwrap_or_else(|| {
-            let s = SwapSlot::new(self.next);
-            self.next += 1;
-            s
+            self.contents.push(None);
+            SwapSlot::from_index(self.contents.len() - 1)
         });
-        self.contents.insert(slot, (pid, vpn));
+        self.contents[slot.index()] = Some((pid, vpn));
+        self.used += 1;
         Ok(slot)
     }
 
@@ -69,25 +72,28 @@ impl SwapDevice {
     /// Unknown slots are ignored (the page may have been freed twice by
     /// racing paths in a real kernel; here it is simply idempotent).
     pub fn free(&mut self, slot: SwapSlot) {
-        if self.contents.remove(&slot).is_some() {
-            self.free.push(slot);
+        if let Some(page) = self.contents.get_mut(slot.index()) {
+            if page.take().is_some() {
+                self.free.push(slot);
+                self.used -= 1;
+            }
         }
     }
 
     /// The number of pages currently swapped out.
     pub fn used_slots(&self) -> usize {
-        self.contents.len()
+        self.used
     }
 
     /// Highest slot index ever allocated (device footprint).
     pub fn high_water(&self) -> u64 {
-        self.next
+        self.contents.len() as u64
     }
 }
 
 impl SlotView for SwapDevice {
     fn page_at(&self, slot: SwapSlot) -> Option<(Pid, Vpn)> {
-        self.contents.get(&slot).copied()
+        self.contents.get(slot.index()).copied().flatten()
     }
 }
 
@@ -141,6 +147,54 @@ mod tests {
         // Freeing makes room again.
         dev.free(a);
         assert!(dev.alloc(Pid::new(1), Vpn::new(3)).is_ok());
+    }
+
+    /// Seeded alloc/free/`page_at` traffic against a `BTreeMap`
+    /// directory and a LIFO free list: same slots, same pages, same
+    /// exhaustion.
+    #[test]
+    fn directory_matches_a_btreemap_model() {
+        use hopp_types::rng::SplitMix64;
+        use std::collections::BTreeMap;
+        const CAP: usize = 48;
+        for seed in [1, 7, 42] {
+            let mut rng = SplitMix64::seed_from_u64(seed);
+            let mut dev = SwapDevice::with_capacity(CAP);
+            let mut model: BTreeMap<SwapSlot, (Pid, Vpn)> = BTreeMap::new();
+            let mut freed: Vec<SwapSlot> = Vec::new();
+            let mut minted = 0;
+            for op in 0..4_000usize {
+                let slot = SwapSlot::new(rng.gen_range(0..minted + 4));
+                match rng.gen_range(0..3) {
+                    0 => {
+                        let pid = [Pid::new(1), Pid::new(2), Pid::new(3)][op % 3];
+                        let page = (pid, Vpn::new(op as u64));
+                        let got = dev.alloc(page.0, page.1);
+                        if model.len() >= CAP {
+                            assert!(got.is_err(), "seed {seed} op {op}");
+                            continue;
+                        }
+                        let want = freed.pop().unwrap_or_else(|| {
+                            minted += 1;
+                            SwapSlot::new(minted - 1)
+                        });
+                        assert_eq!(got.unwrap(), want, "seed {seed} op {op}");
+                        model.insert(want, page);
+                    }
+                    1 => {
+                        dev.free(slot);
+                        if model.remove(&slot).is_some() {
+                            freed.push(slot);
+                        }
+                    }
+                    _ => {
+                        assert_eq!(dev.page_at(slot), model.get(&slot).copied());
+                    }
+                }
+                assert_eq!(dev.used_slots(), model.len(), "seed {seed} op {op}");
+                assert_eq!(dev.high_water(), minted);
+            }
+        }
     }
 
     #[test]

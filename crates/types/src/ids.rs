@@ -277,6 +277,17 @@ impl SwapSlot {
     pub fn offset(self, delta: i64) -> Option<SwapSlot> {
         self.0.checked_add_signed(delta).map(SwapSlot)
     }
+
+    /// The slot index as a `usize`, for indexing slot tables.
+    #[allow(clippy::cast_possible_truncation)]
+    pub const fn index(self) -> usize {
+        self.0 as usize
+    }
+
+    /// The slot at position `index` of a slot table.
+    pub const fn from_index(index: usize) -> Self {
+        SwapSlot(index as u64)
+    }
 }
 
 impl fmt::Debug for SwapSlot {
