@@ -16,6 +16,8 @@ use std::time::Instant;
 use hopp_core::stt::{StreamTrainingTable, SttConfig};
 use hopp_core::three_tier::{ThreeTier, TierConfig};
 use hopp_hw::{HotPageDetector, HpdConfig, McPipeline, ReversePageTable, RptCacheConfig};
+use hopp_kernel::{LruLinks, LruTier};
+use hopp_mem::FrameAllocator;
 use hopp_obs::NopRecorder;
 use hopp_trace::llc::{LastLevelCache, LlcConfig};
 use hopp_types::{AccessKind, HotPage, Nanos, PageFlags, Pid, Ppn, Vpn, LINES_PER_PAGE, PAGE_SIZE};
@@ -108,9 +110,31 @@ fn bench_stt() {
     });
 }
 
+fn bench_frames() {
+    // A full 64K-frame pool, as under reclaim: each op evicts the least
+    // recently used frame, frees it, hands it to a new page, puts that
+    // on the list and touches a resident page elsewhere.
+    const FRAMES: u64 = 65_536;
+    let mut frames = FrameAllocator::new(FRAMES as usize);
+    let mut lru = LruLinks::new(FRAMES as usize, 2);
+    for vpn in 0..FRAMES {
+        let ppn = frames.alloc(Pid::new(1), Vpn::new(vpn)).unwrap();
+        lru.insert(1, ppn, LruTier::Active);
+    }
+    bench("frames/evict_cycle", 2_000_000, |i| {
+        let (victim, _) = lru.pop_evict(1).unwrap();
+        frames.free(victim).unwrap();
+        let ppn = frames.alloc(Pid::new(1), Vpn::new(FRAMES + i)).unwrap();
+        lru.insert(1, ppn, LruTier::Active);
+        lru.touch(1, Ppn::new(i * 7_919 % FRAMES));
+        black_box(frames.owner(ppn));
+    });
+}
+
 fn main() {
     bench_llc();
     bench_hpd();
     bench_rpt();
     bench_stt();
+    bench_frames();
 }
