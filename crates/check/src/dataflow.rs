@@ -18,7 +18,7 @@
 //!   output that outlives the loop is flagged, workspace-wide: harness
 //!   crates escape the blanket `HashMap` ban, but artifact bytes they
 //!   write must still not depend on hash-iteration order. `hopp_ds`
-//!   types (`DetMap`, `PageMap`, `Lru`) and `BTreeMap`/`BTreeSet`
+//!   types (`DetMap`, `PageMap`) and `BTreeMap`/`BTreeSet`
 //!   iterate deterministically and are never tracked.
 //! * **unsafe-audit** — every `unsafe` token must carry a `// SAFETY:`
 //!   comment on its own line or within the three lines above it,

@@ -82,15 +82,6 @@ impl<K: PageIndex, V> PageMap<K, V> {
         }
     }
 
-    /// Creates an empty map with directory space for keys up to
-    /// `pages` (avoids directory reallocation during warm-up).
-    #[must_use]
-    pub fn with_capacity_pages(pages: usize) -> Self {
-        let mut m = Self::new();
-        m.chunks.reserve((pages >> CHUNK_BITS) + 1);
-        m
-    }
-
     /// Number of entries.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -241,7 +232,7 @@ mod tests {
 
     #[test]
     fn clear_empties() {
-        let mut m: PageMap<usize, u8> = PageMap::with_capacity_pages(4096);
+        let mut m: PageMap<usize, u8> = PageMap::new();
         for k in 0..100 {
             m.insert(k, 0);
         }
