@@ -1,7 +1,8 @@
 //! Steady-state allocation regression test (ISSUE 4, satellite 3).
 //!
-//! The simulator's hot-path collections (`DetMap`/`PageMap`/`Lru`) keep
-//! their backing storage across insert/remove churn, and the per-tick
+//! The simulator's hot-path collections (`DetMap`/`PageMap`) keep their
+//! backing storage across insert/remove churn, its frame table is sized
+//! once at construction, and the per-tick
 //! scratch buffers (`prefetch_buf`, the HoPP completion buffer, the
 //! baseline completion queue) are pre-sized and reused. This test pins
 //! that property end to end: once a fixed working set has been swept a
