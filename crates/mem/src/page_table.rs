@@ -176,6 +176,15 @@ impl AddressSpace {
             Mapping::Swapped(_) => None,
         })
     }
+
+    /// Iterates over swapped-out pages and their slots in ascending
+    /// `Vpn` order.
+    pub fn iter_swapped(&self) -> impl Iterator<Item = (Vpn, SwapSlot)> + '_ {
+        self.map.iter().filter_map(|(vpn, m)| match m {
+            Mapping::Swapped(slot) => Some((vpn, *slot)),
+            Mapping::Present(_) => None,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -310,5 +319,7 @@ mod tests {
         space.swap_out(Vpn::new(1), SwapSlot::new(0), &mut ());
         let present: Vec<_> = space.iter_present().map(|(v, _)| v).collect();
         assert_eq!(present, vec![Vpn::new(2)]);
+        let swapped: Vec<_> = space.iter_swapped().collect();
+        assert_eq!(swapped, vec![(Vpn::new(1), SwapSlot::new(0))]);
     }
 }
