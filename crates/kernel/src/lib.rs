@@ -9,9 +9,6 @@
 //!   swap fault (§II-A): context switch 0.3 µs, page-table walk 0.6 µs,
 //!   swapcache query 0.4 µs, PTE establish 1 µs, plus reclaim cost and
 //!   the DRAM-hit cost a prefetch-hit is compared against.
-//! * [`swapcache::SwapCache`] — pages fetched (or prefetched) from
-//!   remote that have a frame but no PTE yet; hitting one is a *minor*
-//!   fault costing 2.3 µs instead of a full remote round trip.
 //! * [`lru::LruLinks`] — intrusive active/inactive page lists driving
 //!   reclaim, one frame-indexed link table shared by every owner
 //!   ([`lru::LruLists`] is its one-owner view). Early-injected pages
@@ -19,7 +16,10 @@
 //!   prefetches expensive to get rid of (§II-C).
 //! * [`swap::SwapDevice`] — swap-slot allocation; Fastswap's readahead
 //!   prefetches pages *adjacent in slot order*, so slot assignment
-//!   (i.e. eviction order) shapes its behaviour.
+//!   (i.e. eviction order) shapes its behaviour. Its slot records also
+//!   hold the swapcache: the frame of a page fetched from remote that
+//!   has no PTE yet; hitting one is a *minor* fault costing 2.3 µs
+//!   instead of a full remote round trip.
 //! * [`cgroup::Cgroup`] — per-application local-memory limits; the
 //!   evaluation caps each workload at 50 % / 25 % of its footprint.
 //! * [`prefetcher`] — the kernel's readahead interface, implemented by
@@ -31,11 +31,9 @@ pub mod latency;
 pub mod lru;
 pub mod prefetcher;
 pub mod swap;
-pub mod swapcache;
 
 pub use cgroup::Cgroup;
 pub use latency::FaultLatencyModel;
 pub use lru::{LruLinks, LruLists, LruTier};
 pub use prefetcher::{FaultInfo, NoPrefetch, PrefetchRequest, Prefetcher, SlotView};
 pub use swap::SwapDevice;
-pub use swapcache::{SwapCache, SwapCacheStats};

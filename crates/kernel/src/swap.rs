@@ -1,4 +1,5 @@
-//! The (remote) swap device: slot allocation and the slot → page map.
+//! The (remote) swap device: slot allocation, the slot → page map and
+//! the swapcache.
 //!
 //! Swap slots are handed out in allocation order, so pages evicted
 //! together occupy adjacent slots. Fastswap's readahead exploits exactly
@@ -6,16 +7,37 @@
 //! slots — which is why the device keeps a reverse map from slot to the
 //! page stored there. Slots are minted densely from 0 and reused, so
 //! that map is a slot-indexed table.
+//!
+//! The swapcache lives in the same table. A page fetched ahead of its
+//! fault gets a local frame but no PTE; as in Linux, which indexes the
+//! swapcache by swap entry, the slot it came from records that frame
+//! until a fault maps it (a *minor* fault, 2.3 µs instead of a remote
+//! round trip) or reclaim drops it. HoPP bypasses the swapcache for its
+//! own prefetches: early PTE injection turns would-be prefetch-hits into
+//! plain DRAM hits, one of its headline wins (§II-C).
 
-use hopp_types::{Error, Pid, Result, SwapSlot, Vpn};
+use hopp_types::{Error, Pid, Ppn, Result, SwapSlot, Vpn};
 
+use crate::lru::MAX_FRAMES;
 use crate::prefetcher::SlotView;
 
-/// Swap-slot allocator and directory.
+/// One slot's record: 16 bytes, so the swapcache costs the directory no
+/// extra memory.
+#[derive(Clone, Copy, Debug, Default)]
+struct Slot {
+    vpn: Vpn,
+    /// The swapcache frame holding the page's data as `ppn + 1`
+    /// (0 = not cached).
+    cached: u32,
+    pid: Pid,
+    used: bool,
+}
+
+/// Swap-slot allocator, directory and swapcache.
 #[derive(Clone, Debug, Default)]
 pub struct SwapDevice {
-    /// `contents[slot]`: the page stored in each slot minted so far.
-    contents: Vec<Option<(Pid, Vpn)>>,
+    /// `slots[slot]`: every slot minted so far.
+    slots: Vec<Slot>,
     /// Freed slots, the most recently freed last.
     free: Vec<SwapSlot>,
     /// Slots currently holding a page.
@@ -59,25 +81,65 @@ impl SwapDevice {
             }
         }
         let slot = self.free.pop().unwrap_or_else(|| {
-            self.contents.push(None);
-            SwapSlot::from_index(self.contents.len() - 1)
+            self.slots.push(Slot::default());
+            SwapSlot::from_index(self.slots.len() - 1)
         });
-        self.contents[slot.index()] = Some((pid, vpn));
+        self.slots[slot.index()] = Slot {
+            vpn,
+            cached: 0,
+            pid,
+            used: true,
+        };
         self.used += 1;
         Ok(slot)
     }
 
-    /// Releases a slot once its page has been read back in.
+    /// Releases a slot once its page has been read back in; a
+    /// swapcache frame the slot recorded leaves the swapcache with it.
     ///
     /// Unknown slots are ignored (the page may have been freed twice by
     /// racing paths in a real kernel; here it is simply idempotent).
     pub fn free(&mut self, slot: SwapSlot) {
-        if let Some(page) = self.contents.get_mut(slot.index()) {
-            if page.take().is_some() {
-                self.free.push(slot);
-                self.used -= 1;
-            }
+        if let Some(s) = self.slots.get_mut(slot.index()).filter(|s| s.used) {
+            *s = Slot::default();
+            self.free.push(slot);
+            self.used -= 1;
         }
+    }
+
+    /// Records that frame `ppn` holds a local copy of `slot`'s page (a
+    /// swapcache fill). Ignored for a slot holding no page.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ppn` is not below [`MAX_FRAMES`].
+    pub fn cache(&mut self, slot: SwapSlot, ppn: Ppn) {
+        assert!(ppn.index() < MAX_FRAMES, "{ppn:?} beyond the frame range");
+        if let Some(s) = self.slots.get_mut(slot.index()).filter(|s| s.used) {
+            s.cached = (ppn.index() + 1) as u32;
+        }
+    }
+
+    /// The swapcache frame holding `slot`'s page, if any.
+    pub fn cached(&self, slot: SwapSlot) -> Option<Ppn> {
+        match self.slots.get(slot.index()) {
+            Some(s) if s.cached != 0 => Some(Ppn::from_index(s.cached as usize - 1)),
+            _ => None,
+        }
+    }
+
+    /// Removes `slot`'s page from the swapcache and returns its frame.
+    /// The slot keeps the page: the swap copy stays valid.
+    pub fn take_cached(&mut self, slot: SwapSlot) -> Option<Ppn> {
+        let ppn = self.cached(slot)?;
+        self.slots[slot.index()].cached = 0;
+        Some(ppn)
+    }
+
+    /// The number of slots whose page is in the swapcache (a scan of
+    /// every slot, for consistency checks).
+    pub fn cached_slots(&self) -> usize {
+        self.slots.iter().filter(|s| s.cached != 0).count()
     }
 
     /// The number of pages currently swapped out.
@@ -87,13 +149,16 @@ impl SwapDevice {
 
     /// Highest slot index ever allocated (device footprint).
     pub fn high_water(&self) -> u64 {
-        self.contents.len() as u64
+        self.slots.len() as u64
     }
 }
 
 impl SlotView for SwapDevice {
     fn page_at(&self, slot: SwapSlot) -> Option<(Pid, Vpn)> {
-        self.contents.get(slot.index()).copied().flatten()
+        match self.slots.get(slot.index()) {
+            Some(s) if s.used => Some((s.pid, s.vpn)),
+            _ => None,
+        }
     }
 }
 
@@ -149,9 +214,9 @@ mod tests {
         assert!(dev.alloc(Pid::new(1), Vpn::new(3)).is_ok());
     }
 
-    /// Seeded alloc/free/`page_at` traffic against a `BTreeMap`
-    /// directory and a LIFO free list: same slots, same pages, same
-    /// exhaustion.
+    /// Seeded alloc/free/cache/take traffic against a `BTreeMap`
+    /// directory and swapcache and a LIFO free list: same slots, same
+    /// pages, same cached frames, same exhaustion.
     #[test]
     fn directory_matches_a_btreemap_model() {
         use hopp_types::rng::SplitMix64;
@@ -161,11 +226,12 @@ mod tests {
             let mut rng = SplitMix64::seed_from_u64(seed);
             let mut dev = SwapDevice::with_capacity(CAP);
             let mut model: BTreeMap<SwapSlot, (Pid, Vpn)> = BTreeMap::new();
+            let mut cache: BTreeMap<SwapSlot, Ppn> = BTreeMap::new();
             let mut freed: Vec<SwapSlot> = Vec::new();
             let mut minted = 0;
             for op in 0..4_000usize {
                 let slot = SwapSlot::new(rng.gen_range(0..minted + 4));
-                match rng.gen_range(0..3) {
+                match rng.gen_range(0..5) {
                     0 => {
                         let pid = [Pid::new(1), Pid::new(2), Pid::new(3)][op % 3];
                         let page = (pid, Vpn::new(op as u64));
@@ -186,15 +252,79 @@ mod tests {
                         if model.remove(&slot).is_some() {
                             freed.push(slot);
                         }
+                        cache.remove(&slot);
+                    }
+                    2 => {
+                        let ppn = Ppn::new(rng.gen_range(0..1 << 20));
+                        dev.cache(slot, ppn);
+                        if model.contains_key(&slot) {
+                            cache.insert(slot, ppn);
+                        }
+                    }
+                    3 => {
+                        assert_eq!(dev.take_cached(slot), cache.remove(&slot));
                     }
                     _ => {
                         assert_eq!(dev.page_at(slot), model.get(&slot).copied());
+                        assert_eq!(dev.cached(slot), cache.get(&slot).copied());
                     }
                 }
                 assert_eq!(dev.used_slots(), model.len(), "seed {seed} op {op}");
+                assert_eq!(dev.cached_slots(), cache.len(), "seed {seed} op {op}");
                 assert_eq!(dev.high_water(), minted);
             }
         }
+    }
+
+    #[test]
+    fn a_cached_frame_is_taken_once() {
+        let mut dev = SwapDevice::new();
+        let slot = dev.alloc(Pid::new(1), Vpn::new(100)).unwrap();
+        assert_eq!(dev.cached(slot), None);
+        dev.cache(slot, Ppn::new(7));
+        assert_eq!(dev.cached(slot), Some(Ppn::new(7)));
+        assert_eq!(dev.cached_slots(), 1);
+        assert_eq!(dev.take_cached(slot), Some(Ppn::new(7)));
+        assert_eq!(dev.take_cached(slot), None);
+        assert_eq!(dev.cached_slots(), 0);
+    }
+
+    #[test]
+    fn eviction_keeps_the_slot_and_a_hit_frees_it() {
+        let mut dev = SwapDevice::new();
+        let page = (Pid::new(1), Vpn::new(100));
+        let evicted = dev.alloc(page.0, page.1).unwrap();
+        let hit = dev.alloc(Pid::new(1), Vpn::new(101)).unwrap();
+        dev.cache(evicted, Ppn::new(1));
+        dev.cache(hit, Ppn::new(2));
+        // Reclaim drops the local copy; the swap copy stays valid.
+        assert_eq!(dev.take_cached(evicted), Some(Ppn::new(1)));
+        assert_eq!(dev.page_at(evicted), Some(page));
+        // A minor fault maps the cached frame and frees the slot, which
+        // takes the page out of the swapcache with it.
+        assert_eq!(dev.cached(hit), Some(Ppn::new(2)));
+        dev.free(hit);
+        assert_eq!(dev.cached(hit), None);
+        assert_eq!(dev.page_at(hit), None);
+        assert_eq!((dev.used_slots(), dev.cached_slots()), (1, 0));
+    }
+
+    #[test]
+    fn caching_is_per_slot() {
+        let mut dev = SwapDevice::new();
+        let a = dev.alloc(Pid::new(1), Vpn::new(5)).unwrap();
+        let b = dev.alloc(Pid::new(2), Vpn::new(5)).unwrap();
+        dev.cache(a, Ppn::new(3));
+        assert_eq!(dev.cached(b), None);
+        // A slot holding no page caches nothing.
+        dev.cache(SwapSlot::new(9), Ppn::new(4));
+        assert_eq!(dev.cached(SwapSlot::new(9)), None);
+        assert_eq!(dev.cached_slots(), 1);
+    }
+
+    #[test]
+    fn a_slot_record_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<Slot>(), 16);
     }
 
     #[test]

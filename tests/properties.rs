@@ -7,6 +7,8 @@
 //! staying fast; failures print the offending case seed so a run can be
 //! reproduced by pinning it.
 
+use std::collections::{btree_map, BTreeMap};
+
 use hopp::core::metrics::PrefetchMetrics;
 use hopp::core::policy::{PolicyConfig, PolicyEngine};
 use hopp::core::stt::{StreamTrainingTable, SttConfig};
@@ -204,31 +206,50 @@ fn stt_windows_are_consistent() {
     });
 }
 
-/// Metrics stay in range whatever the event order.
+/// Metrics stay in range whatever the event order, driven as the
+/// simulator drives them: a page is pending from its arrival until its
+/// first hit or its reclaim, and only a pending page can hit or be
+/// wasted.
 #[test]
 fn metrics_bounds() {
     for_cases(8, |rng| {
         let len = rng.gen_range(0..500);
         let mut m = PrefetchMetrics::new();
+        let mut pending: BTreeMap<Vpn, u64> = BTreeMap::new();
+        let mut demand_remote = 0;
         let mut t = 0u64;
         for _ in 0..len {
             t += 1;
-            let (pid, vpn) = (Pid::new(1), Vpn::new(rng.gen_range(0..50)));
+            let vpn = Vpn::new(rng.gen_range(0..50));
             match rng.gen_range(0..4) {
-                0 => m.on_prefetch_arrival(pid, vpn, Nanos::from_nanos(t)),
-                1 => {
-                    m.on_first_access(pid, vpn, Nanos::from_nanos(t));
+                0 => {
+                    if let btree_map::Entry::Vacant(e) = pending.entry(vpn) {
+                        e.insert(t);
+                        m.on_arrival();
+                    }
                 }
-                2 => m.on_demand_remote(),
+                1 => {
+                    if let Some(arrived) = pending.remove(&vpn) {
+                        m.on_hit(Nanos::from_nanos(t - arrived));
+                    }
+                }
+                2 => demand_remote += 1,
                 _ => {
-                    m.on_evicted_unused(pid, vpn);
+                    if pending.remove(&vpn).is_some() {
+                        m.on_wasted();
+                    }
                 }
             }
         }
-        assert!(m.prefetch_hits() <= m.prefetched());
-        assert!((0.0..=1.0).contains(&m.accuracy()));
-        assert!((0.0..=1.0).contains(&m.coverage()));
-        assert!(m.pending() as u64 <= m.prefetched());
+        let r = m.report(demand_remote);
+        assert!(r.prefetch_hits <= r.prefetched);
+        assert_eq!(
+            r.prefetched,
+            r.prefetch_hits + r.wasted + pending.len() as u64
+        );
+        assert!((0.0..=1.0).contains(&r.accuracy));
+        assert!((0.0..=1.0).contains(&r.coverage));
+        assert!(r.timeliness.max <= t);
     });
 }
 
