@@ -16,9 +16,11 @@
 //! 3. [`policy::PolicyEngine`] applies the two knobs — *prefetch
 //!    intensity* and *prefetch offset* — and adapts the offset from
 //!    measured timeliness (`T_min = 40 µs`, `T_max = 5 ms`, `α = 0.2`).
-//! 4. [`exec::ExecutionEngine`] dedupes requests, issues asynchronous
-//!    RDMA reads and reports completions so the kernel side can perform
-//!    early PTE injection.
+//! 4. [`exec::ExecutionEngine`] issues asynchronous RDMA reads and
+//!    reports completions so the kernel side can perform early PTE
+//!    injection. The duplicate check before each read is the caller's,
+//!    which owns the page tables and the swap slots that record a read
+//!    in flight.
 //!
 //! [`metrics::PrefetchMetrics`] implements the paper's accuracy /
 //! coverage / timeliness definitions (§VI-A) and is shared with the
@@ -57,7 +59,7 @@ pub mod stt;
 pub mod three_tier;
 
 pub use engine::{HoppConfig, HoppEngine, PrefetchOrder, TrainerKind};
-pub use exec::{Completion, ExecStats, ExecutionEngine};
+pub use exec::{Completion, ExecutionEngine};
 pub use markov::{MarkovConfig, MarkovEngine};
 pub use metrics::{MetricsReport, PrefetchMetrics};
 pub use policy::{HugeBatchConfig, PolicyConfig, PolicyEngine};

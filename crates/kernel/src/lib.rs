@@ -36,4 +36,4 @@ pub use cgroup::Cgroup;
 pub use latency::FaultLatencyModel;
 pub use lru::{LruLinks, LruLists, LruTier};
 pub use prefetcher::{FaultInfo, NoPrefetch, PrefetchRequest, Prefetcher, SlotView};
-pub use swap::SwapDevice;
+pub use swap::{InflightRead, SwapDevice};

@@ -15,14 +15,19 @@
 //! round trip) or reclaim drops it. HoPP bypasses the swapcache for its
 //! own prefetches: early PTE injection turns would-be prefetch-hits into
 //! plain DRAM hits, one of its headline wins (§II-C).
+//!
+//! A read in flight is a slot state too. As in Linux, where a faulting
+//! access blocks on the IO of its swap entry's page, the slot records
+//! which read — the fault-path prefetcher's or HoPP's — is bringing its
+//! page in, until a swapcache fill or freeing the slot ends it.
 
 use hopp_types::{Error, Pid, Ppn, Result, SwapSlot, Vpn};
 
 use crate::lru::MAX_FRAMES;
 use crate::prefetcher::SlotView;
 
-/// One slot's record: 16 bytes, so the swapcache costs the directory no
-/// extra memory.
+/// One slot's record: 16 bytes, so the swapcache and the in-flight
+/// state cost the directory no extra memory.
 #[derive(Clone, Copy, Debug, Default)]
 struct Slot {
     vpn: Vpn,
@@ -30,7 +35,22 @@ struct Slot {
     /// (0 = not cached).
     cached: u32,
     pid: Pid,
-    used: bool,
+    /// [`USED`] and the [`InflightRead`] bits.
+    flags: u8,
+}
+
+/// [`Slot::flags`]: the slot holds a page.
+const USED: u8 = 1;
+
+/// A read that brings a swapped-out page in ahead of its fault; the
+/// discriminant is its bit in [`Slot::flags`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[repr(u8)]
+pub enum InflightRead {
+    /// The fault-path (baseline) prefetcher's read.
+    Baseline = 2,
+    /// HoPP's read, one page or a huge-page batch.
+    Hopp = 4,
 }
 
 /// Swap-slot allocator, directory and swapcache.
@@ -88,19 +108,20 @@ impl SwapDevice {
             vpn,
             cached: 0,
             pid,
-            used: true,
+            flags: USED,
         };
         self.used += 1;
         Ok(slot)
     }
 
     /// Releases a slot once its page has been read back in; a
-    /// swapcache frame the slot recorded leaves the swapcache with it.
+    /// swapcache frame the slot recorded leaves the swapcache with it,
+    /// and its in-flight flags are cleared.
     ///
     /// Unknown slots are ignored (the page may have been freed twice by
     /// racing paths in a real kernel; here it is simply idempotent).
     pub fn free(&mut self, slot: SwapSlot) {
-        if let Some(s) = self.slots.get_mut(slot.index()).filter(|s| s.used) {
+        if let Some(s) = self.used_mut(slot) {
             *s = Slot::default();
             self.free.push(slot);
             self.used -= 1;
@@ -108,15 +129,17 @@ impl SwapDevice {
     }
 
     /// Records that frame `ppn` holds a local copy of `slot`'s page (a
-    /// swapcache fill). Ignored for a slot holding no page.
+    /// swapcache fill), which ends any read in flight for it. Ignored for
+    /// a slot holding no page.
     ///
     /// # Panics
     ///
     /// Panics if `ppn` is not below [`MAX_FRAMES`].
     pub fn cache(&mut self, slot: SwapSlot, ppn: Ppn) {
         assert!(ppn.index() < MAX_FRAMES, "{ppn:?} beyond the frame range");
-        if let Some(s) = self.slots.get_mut(slot.index()).filter(|s| s.used) {
+        if let Some(s) = self.used_mut(slot) {
             s.cached = (ppn.index() + 1) as u32;
+            s.flags = USED;
         }
     }
 
@@ -142,6 +165,27 @@ impl SwapDevice {
         self.slots.iter().filter(|s| s.cached != 0).count()
     }
 
+    /// Records that `read` is bringing `slot`'s page in. Ignored for a
+    /// slot holding no page.
+    pub fn set_inflight(&mut self, slot: SwapSlot, read: InflightRead) {
+        if let Some(s) = self.used_mut(slot) {
+            s.flags |= read as u8;
+        }
+    }
+
+    /// Whether `read` is bringing `slot`'s page in.
+    pub fn is_inflight(&self, slot: SwapSlot, read: InflightRead) -> bool {
+        self.slots
+            .get(slot.index())
+            .is_some_and(|s| s.flags & read as u8 != 0)
+    }
+
+    /// `slot`'s record, if the slot holds a page.
+    fn used_mut(&mut self, slot: SwapSlot) -> Option<&mut Slot> {
+        let s = self.slots.get_mut(slot.index())?;
+        (s.flags & USED != 0).then_some(s)
+    }
+
     /// The number of pages currently swapped out.
     pub fn used_slots(&self) -> usize {
         self.used
@@ -156,7 +200,7 @@ impl SwapDevice {
 impl SlotView for SwapDevice {
     fn page_at(&self, slot: SwapSlot) -> Option<(Pid, Vpn)> {
         match self.slots.get(slot.index()) {
-            Some(s) if s.used => Some((s.pid, s.vpn)),
+            Some(s) if s.flags & USED != 0 => Some((s.pid, s.vpn)),
             _ => None,
         }
     }
@@ -214,24 +258,29 @@ mod tests {
         assert!(dev.alloc(Pid::new(1), Vpn::new(3)).is_ok());
     }
 
-    /// Seeded alloc/free/cache/take traffic against a `BTreeMap`
-    /// directory and swapcache and a LIFO free list: same slots, same
-    /// pages, same cached frames, same exhaustion.
+    /// Seeded alloc/free/cache/take/in-flight traffic against a
+    /// `BTreeMap` directory and swapcache, a `BTreeSet` of in-flight
+    /// flags and a LIFO free list: same slots, same pages, same cached
+    /// frames, same flags (which a free or a swapcache fill clears),
+    /// same exhaustion.
     #[test]
     fn directory_matches_a_btreemap_model() {
         use hopp_types::rng::SplitMix64;
-        use std::collections::BTreeMap;
+        use std::collections::{BTreeMap, BTreeSet};
         const CAP: usize = 48;
+        const READS: [InflightRead; 2] = [InflightRead::Baseline, InflightRead::Hopp];
         for seed in [1, 7, 42] {
             let mut rng = SplitMix64::seed_from_u64(seed);
             let mut dev = SwapDevice::with_capacity(CAP);
             let mut model: BTreeMap<SwapSlot, (Pid, Vpn)> = BTreeMap::new();
             let mut cache: BTreeMap<SwapSlot, Ppn> = BTreeMap::new();
+            let mut inflight: BTreeSet<(SwapSlot, usize)> = BTreeSet::new();
             let mut freed: Vec<SwapSlot> = Vec::new();
             let mut minted = 0;
             for op in 0..4_000usize {
                 let slot = SwapSlot::new(rng.gen_range(0..minted + 4));
-                match rng.gen_range(0..5) {
+                let read = rng.gen_range(0..2) as usize;
+                match rng.gen_range(0..6) {
                     0 => {
                         let pid = [Pid::new(1), Pid::new(2), Pid::new(3)][op % 3];
                         let page = (pid, Vpn::new(op as u64));
@@ -253,20 +302,31 @@ mod tests {
                             freed.push(slot);
                         }
                         cache.remove(&slot);
+                        inflight.retain(|&(s, _)| s != slot);
                     }
                     2 => {
                         let ppn = Ppn::new(rng.gen_range(0..1 << 20));
                         dev.cache(slot, ppn);
                         if model.contains_key(&slot) {
                             cache.insert(slot, ppn);
+                            inflight.retain(|&(s, _)| s != slot);
                         }
                     }
                     3 => {
                         assert_eq!(dev.take_cached(slot), cache.remove(&slot));
                     }
+                    4 => {
+                        dev.set_inflight(slot, READS[read]);
+                        if model.contains_key(&slot) {
+                            inflight.insert((slot, read));
+                        }
+                    }
                     _ => {
                         assert_eq!(dev.page_at(slot), model.get(&slot).copied());
                         assert_eq!(dev.cached(slot), cache.get(&slot).copied());
+                        for (r, &kind) in READS.iter().enumerate() {
+                            assert_eq!(dev.is_inflight(slot, kind), inflight.contains(&(slot, r)));
+                        }
                     }
                 }
                 assert_eq!(dev.used_slots(), model.len(), "seed {seed} op {op}");

@@ -25,8 +25,10 @@ pub struct Counters {
     pub first_touches: u64,
     /// Accesses served directly from DRAM (PTE present).
     pub dram_hits: u64,
-    /// Demand faults that found their page already in flight and only
-    /// had to wait for it.
+    /// Accesses that found their page's read in flight and waited for
+    /// it. A subset of the other kinds, not a kind of its own: after the
+    /// wait the access is counted as what it then finds, usually a DRAM
+    /// hit or a minor fault.
     pub inflight_waits: u64,
     /// Pages reclaimed (swapped out or dropped from the swapcache).
     pub reclaimed: u64,
@@ -36,13 +38,6 @@ pub struct Counters {
     pub baseline_prefetches: u64,
     /// Pages prefetched by HoPP's separate data path.
     pub hopp_prefetches: u64,
-}
-
-impl Counters {
-    /// Total page faults of any kind.
-    pub fn faults(&self) -> u64 {
-        self.major_faults + self.minor_faults + self.first_touches + self.inflight_waits
-    }
 }
 
 /// One timeline sample: the counters' state at a point in simulated
@@ -387,7 +382,6 @@ mod tests {
         assert_eq!(r.accuracy(), 1.0);
         assert_eq!(r.coverage(), 0.0);
         assert_eq!(r.remote_reads(), 0);
-        assert_eq!(r.counters.faults(), 0);
     }
 
     #[test]
