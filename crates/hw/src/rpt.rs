@@ -13,6 +13,20 @@
 //! [`hopp_mem::PteListener`] for exactly that purpose. The DRAM copy is
 //! only updated lazily when the cache writes back dirty entries, as in
 //! the paper.
+//!
+//! # Layout
+//!
+//! The cache is one flat `sets × ways` array, like the HPD table and the
+//! LLC model. Each set is kept in most-recently-used-first order with
+//! empty ways at the tail, so a way stores only `{ppn, entry, dirty}`:
+//! recency is its position and emptiness a reserved PPN. Every lookup
+//! and PTE hook touches one way. A hit moves it to the front. A miss
+//! shifts the set back by one into its first empty way or, in a full
+//! set, lets the LRU way fall off the tail (writing it back if dirty),
+//! and fills the front. Ways are never invalidated: a cleared PTE stays
+//! cached as a dirty "no mapping" until it is evicted.
+
+use std::ops::Range;
 
 use hopp_ds::PageMap;
 use hopp_mem::PteListener;
@@ -118,21 +132,22 @@ impl RptStats {
     }
 }
 
+/// One cache way. `entry: None` is a cached "no mapping": a cleared
+/// PTE not yet written back.
 #[derive(Clone, Copy, Debug)]
 struct CacheWay {
     ppn: Ppn,
-    entry: Option<RptEntry>, // None encodes a cached "no mapping"
-    valid: bool,
+    entry: Option<RptEntry>,
     dirty: bool,
-    lru: u64,
 }
 
-const INVALID_WAY: CacheWay = CacheWay {
-    ppn: Ppn::new(0),
+/// PPN of an empty way. A frame number this large is never mapped.
+const EMPTY_PPN: Ppn = Ppn::new(u64::MAX);
+
+const EMPTY: CacheWay = CacheWay {
+    ppn: EMPTY_PPN,
     entry: None,
-    valid: false,
     dirty: false,
-    lru: 0,
 };
 
 /// The reverse page table: DRAM copy + in-MC cache.
@@ -154,9 +169,11 @@ const INVALID_WAY: CacheWay = CacheWay {
 #[derive(Clone, Debug)]
 pub struct ReversePageTable {
     dram: PageMap<Ppn, RptEntry>,
-    sets: Vec<Vec<CacheWay>>,
+    /// `sets × ways` ways; each set most-recently-used first, empty ways
+    /// at the tail.
+    cache: Vec<CacheWay>,
+    ways: usize,
     set_mask: u64,
-    clock: u64,
     stats: RptStats,
 }
 
@@ -170,9 +187,9 @@ impl ReversePageTable {
         let sets = config.sets()?;
         Ok(ReversePageTable {
             dram: PageMap::new(),
-            sets: vec![vec![INVALID_WAY; config.ways]; sets],
+            cache: vec![EMPTY; sets * config.ways],
+            ways: config.ways,
             set_mask: sets as u64 - 1,
-            clock: 0,
             stats: RptStats::default(),
         })
     }
@@ -196,56 +213,44 @@ impl ReversePageTable {
         }
     }
 
-    fn set_of(&self, ppn: Ppn) -> usize {
-        (ppn.raw() & self.set_mask) as usize
+    /// The index range of the set `ppn` maps to.
+    fn set_range(&self, ppn: Ppn) -> Range<usize> {
+        let base = (ppn.raw() & self.set_mask) as usize * self.ways;
+        base..base + self.ways
     }
 
-    /// Finds the cache way holding `ppn`, updating LRU on hit.
-    fn cache_find(&mut self, ppn: Ppn) -> Option<(usize, usize)> {
-        let set_idx = self.set_of(ppn);
-        let clock = self.clock;
-        self.sets[set_idx]
-            .iter_mut()
-            .position(|w| w.valid && w.ppn == ppn)
-            .map(|way_idx| {
-                self.sets[set_idx][way_idx].lru = clock;
-                (set_idx, way_idx)
-            })
-    }
-
-    /// Installs `(ppn, entry)` in the cache, writing back the dirty
-    /// victim if needed.
-    fn cache_fill(&mut self, ppn: Ppn, entry: Option<RptEntry>, dirty: bool) {
-        let set_idx = self.set_of(ppn);
-        let clock = self.clock;
-        let set = &mut self.sets[set_idx];
-        let victim_idx = set
+    /// Brings `ppn`'s set to the state after an access to `ppn` and
+    /// returns the index of its front way and whether `ppn` hit. On a
+    /// hit the front way is `ppn`'s. On a miss the set has shifted back
+    /// by one into its first empty way, or else its LRU way fell off the
+    /// tail and was written back if dirty; the caller fills the front.
+    fn touch(&mut self, ppn: Ppn) -> (usize, bool) {
+        let range = self.set_range(ppn);
+        let front = range.start;
+        let set = &mut self.cache[range];
+        let at = set
             .iter()
-            .enumerate()
-            .min_by_key(|(_, w)| if w.valid { w.lru } else { 0 })
-            .map(|(i, _)| i)
-            // hopp-check: allow(panic-policy): RptCacheConfig::validate rejects zero ways at construction
-            .expect("ways >= 1 validated");
-        let victim = set[victim_idx];
-        if victim.valid && victim.dirty {
-            // Lazy DRAM update on writeback (§V).
-            match victim.entry {
+            .position(|w| w.ppn == ppn || w.ppn == EMPTY_PPN)
+            .unwrap_or(set.len() - 1);
+        let way = set[at];
+        set.copy_within(..at, 1);
+        if way.ppn == ppn {
+            set[0] = way;
+            return (front, true);
+        }
+        // Empty ways are never dirty. Lazy DRAM update on writeback (§V).
+        if way.dirty {
+            match way.entry {
                 Some(e) => {
-                    self.dram.insert(victim.ppn, e);
+                    self.dram.insert(way.ppn, e);
                 }
                 None => {
-                    self.dram.remove(victim.ppn);
+                    self.dram.remove(way.ppn);
                 }
             }
             self.stats.dram_writebacks += 1;
         }
-        self.sets[set_idx][victim_idx] = CacheWay {
-            ppn,
-            entry,
-            valid: true,
-            dirty,
-            lru: clock,
-        };
+        (front, false)
     }
 
     /// Resolves a hot PPN to its owner, via the cache.
@@ -253,40 +258,39 @@ impl ReversePageTable {
     /// Returns `None` when the frame has no current mapping (e.g. it was
     /// freed between detection and lookup) — such hot pages are dropped.
     pub fn lookup(&mut self, ppn: Ppn) -> Option<RptEntry> {
-        self.clock += 1;
         self.stats.lookups += 1;
-        if let Some((set_idx, way_idx)) = self.cache_find(ppn) {
+        let (front, hit) = self.touch(ppn);
+        let entry = if hit {
             self.stats.hits += 1;
-            let entry = self.sets[set_idx][way_idx].entry;
-            if entry.is_none() {
-                self.stats.unresolved += 1;
-            }
-            return entry;
-        }
-        // Miss: read the DRAM copy and fill.
-        let _prof = hopp_prof::span("hw/rpt_walk");
-        self.stats.dram_reads += 1;
-        let entry = self.dram.get(ppn).copied();
+            self.cache[front].entry
+        } else {
+            // Miss: read the DRAM copy and fill.
+            let _prof = hopp_prof::span("hw/rpt_walk");
+            self.stats.dram_reads += 1;
+            let entry = self.dram.get(ppn).copied();
+            self.cache[front] = CacheWay {
+                ppn,
+                entry,
+                dirty: false,
+            };
+            entry
+        };
         if entry.is_none() {
             self.stats.unresolved += 1;
         }
-        self.cache_fill(ppn, entry, false);
         entry
     }
 
-    /// Updates the shared/huge flags of a mapping (write-through the
-    /// cache like any other update).
-    pub fn set_flags(&mut self, ppn: Ppn, flags: PageFlags) {
-        self.clock += 1;
-        if let Some((set_idx, way_idx)) = self.cache_find(ppn) {
-            if let Some(e) = &mut self.sets[set_idx][way_idx].entry {
-                e.flags = flags;
-                self.sets[set_idx][way_idx].dirty = true;
-                return;
-            }
-        }
-        if let Some(e) = self.dram.get(ppn).copied() {
-            self.cache_fill(ppn, Some(RptEntry { flags, ..e }), true);
+    /// The mapping the RPT holds for `ppn`: its cached way if it has
+    /// one, else the DRAM copy. Unlike [`Self::lookup`] it counts
+    /// nothing and leaves recency alone (for consistency checks).
+    pub fn peek(&self, ppn: Ppn) -> Option<RptEntry> {
+        match self.cache[self.set_range(ppn)]
+            .iter()
+            .find(|w| w.ppn == ppn)
+        {
+            Some(way) => way.entry,
+            None => self.dram.get(ppn).copied(),
         }
     }
 
@@ -295,49 +299,35 @@ impl ReversePageTable {
         self.stats
     }
 
-    /// Clears the counters (contents are kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = RptStats::default();
-    }
-
-    /// Number of mappings currently in the DRAM copy (test/debug aid;
-    /// dirty cache entries may supersede some of them).
-    pub fn dram_entries(&self) -> usize {
-        self.dram.len()
+    /// Writes `entry` for `ppn` into the cache (write-back: cache now,
+    /// DRAM at eviction).
+    fn update(&mut self, ppn: Ppn, entry: Option<RptEntry>) {
+        self.stats.updates += 1;
+        let (front, _) = self.touch(ppn);
+        self.cache[front] = CacheWay {
+            ppn,
+            entry,
+            dirty: true,
+        };
     }
 }
 
 impl PteListener for ReversePageTable {
-    /// `set_pte_at` hook: record the new mapping (write-back: cache now,
-    /// DRAM at eviction).
+    /// `set_pte_at` hook: record the new mapping.
     fn pte_set(&mut self, pid: Pid, vpn: Vpn, ppn: Ppn) {
-        self.clock += 1;
-        self.stats.updates += 1;
-        let entry = Some(RptEntry {
-            pid,
-            vpn,
-            flags: PageFlags::default(),
-        });
-        if let Some((set_idx, way_idx)) = self.cache_find(ppn) {
-            let way = &mut self.sets[set_idx][way_idx];
-            way.entry = entry;
-            way.dirty = true;
-        } else {
-            self.cache_fill(ppn, entry, true);
-        }
+        self.update(
+            ppn,
+            Some(RptEntry {
+                pid,
+                vpn,
+                flags: PageFlags::default(),
+            }),
+        );
     }
 
     /// `pte_clear` hook: drop the mapping.
     fn pte_clear(&mut self, _pid: Pid, _vpn: Vpn, ppn: Ppn) {
-        self.clock += 1;
-        self.stats.updates += 1;
-        if let Some((set_idx, way_idx)) = self.cache_find(ppn) {
-            let way = &mut self.sets[set_idx][way_idx];
-            way.entry = None;
-            way.dirty = true;
-        } else {
-            self.cache_fill(ppn, None, true);
-        }
+        self.update(ppn, None);
     }
 }
 
@@ -414,14 +404,52 @@ mod tests {
         let mut r = small_rpt();
         r.pte_set(Pid::new(1), Vpn::new(10), Ppn::new(0));
         r.pte_set(Pid::new(1), Vpn::new(11), Ppn::new(1));
-        assert_eq!(r.dram_entries(), 0, "write-back: DRAM untouched so far");
+        assert_eq!(
+            r.stats().dram_writebacks,
+            0,
+            "write-back: DRAM untouched so far"
+        );
         // Third distinct PPN evicts the LRU dirty entry.
         r.pte_set(Pid::new(1), Vpn::new(12), Ppn::new(2));
         assert_eq!(r.stats().dram_writebacks, 1);
-        assert_eq!(r.dram_entries(), 1);
         // The written-back mapping is still resolvable (via DRAM read).
         let e = r.lookup(Ppn::new(0)).unwrap();
         assert_eq!(e.vpn, Vpn::new(10));
+        assert_eq!(r.stats().dram_reads, 1);
+    }
+
+    #[test]
+    fn a_hit_refreshes_recency() {
+        let mut r = small_rpt();
+        let (a, b, c) = (Ppn::new(0), Ppn::new(1), Ppn::new(2));
+        r.pte_set(Pid::new(1), Vpn::new(10), a);
+        r.pte_set(Pid::new(1), Vpn::new(11), b);
+        r.lookup(a).unwrap();
+        r.pte_set(Pid::new(1), Vpn::new(12), c);
+        assert_eq!(r.stats().dram_writebacks, 1);
+        // B was the LRU way and went to DRAM; A is still cached.
+        assert_eq!(r.lookup(a).unwrap().vpn, Vpn::new(10));
+        assert_eq!((r.stats().hits, r.stats().dram_reads), (2, 0));
+        assert_eq!(r.lookup(b).unwrap().vpn, Vpn::new(11));
+        assert_eq!(r.stats().dram_reads, 1);
+    }
+
+    #[test]
+    fn peek_sees_the_cache_first_without_side_effects() {
+        let mut r = small_rpt();
+        r.bootstrap([(Ppn::new(0), Pid::new(1), Vpn::new(10))]);
+        assert_eq!(r.peek(Ppn::new(0)).map(|e| e.vpn), Some(Vpn::new(10)));
+        r.pte_clear(Pid::new(1), Vpn::new(10), Ppn::new(0));
+        assert_eq!(r.peek(Ppn::new(0)), None, "the cached tombstone wins");
+        r.pte_set(Pid::new(2), Vpn::new(20), Ppn::new(1));
+        let before = r.stats();
+        assert_eq!(r.peek(Ppn::new(0)), None);
+        assert_eq!(r.peek(Ppn::new(7)), None);
+        assert_eq!(r.stats(), before);
+        // Peeking did not refresh ppn 0: it is still the LRU way.
+        r.pte_set(Pid::new(2), Vpn::new(21), Ppn::new(2));
+        assert_eq!(r.lookup(Ppn::new(1)).unwrap().vpn, Vpn::new(20));
+        assert_eq!(r.stats().hits, 1);
     }
 
     #[test]
@@ -443,20 +471,6 @@ mod tests {
         r.pte_set(Pid::new(2), Vpn::new(20), Ppn::new(3));
         let e = r.lookup(Ppn::new(3)).unwrap();
         assert_eq!((e.pid, e.vpn), (Pid::new(2), Vpn::new(20)));
-    }
-
-    #[test]
-    fn flags_update_via_cache() {
-        let mut r = rpt();
-        r.pte_set(Pid::new(1), Vpn::new(1), Ppn::new(9));
-        r.set_flags(
-            Ppn::new(9),
-            PageFlags {
-                shared: true,
-                huge: false,
-            },
-        );
-        assert!(r.lookup(Ppn::new(9)).unwrap().flags.shared);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The frame table: one record per local DRAM frame, as the kernel's
 //! `struct page` (the local-memory cap fixes the frame count, §III-C).
 //! A record holds the frame's owner, its LRU links and list (owner
-//! [`SWAPCACHE`] for swapcache pages, `i + 1` for the `i`-th pid in
-//! ascending order), its marks, its pending prefetch's arrival time and
-//! HoPP stream, and its last hot time under trace-assisted reclaim.
+//! [`SWAPCACHE`] for swapcache pages, [`list_of`]`(i) = i + 1` for the
+//! mapped pages of the simulator's `i`-th process record), its marks,
+//! its pending prefetch's arrival time and HoPP stream, and its last
+//! hot time under trace-assisted reclaim.
 //! Zero means empty in every column, and a frame's record is pushed as
 //! zeroes when the frame is first handed out, so building the table
 //! only reserves memory: it writes nothing per frame. The marks are
@@ -20,6 +21,12 @@ use hopp_types::{Nanos, Pid, Ppn, Result, Vpn};
 
 /// The list owner of the swapcache pages.
 pub(crate) const SWAPCACHE: usize = 0;
+
+/// The list owner of the mapped pages of the `i`-th process record.
+pub(crate) const fn list_of(i: usize) -> usize {
+    i + 1
+}
+
 /// Mark: the frame holds an uncharged swapcache page.
 pub(crate) const IN_SWAPCACHE: u8 = 1;
 /// Mark: a baseline prefetch of the frame's page is pending.
@@ -51,8 +58,6 @@ struct Prefetch {
 pub(crate) struct FrameTable {
     pool: FrameAllocator,
     pub(crate) lru: LruLinks,
-    /// The app pids, ascending: `pids[i]` owns lists `i + 1`.
-    pids: Vec<Pid>,
     marks: Vec<u8>,
     /// The pending prefetch of the frame's page, valid under
     /// [`BASE_PENDING`] (its arrival) or the injected marks (both).
@@ -64,13 +69,12 @@ pub(crate) struct FrameTable {
 }
 
 impl FrameTable {
-    /// A table of `frames` free frames for apps `pids` (ascending).
-    pub(crate) fn new(frames: usize, pids: Vec<Pid>, track_hot: bool) -> Self {
-        debug_assert!(pids.windows(2).all(|w| w[0] < w[1]));
+    /// A table of `frames` free frames for `processes` processes.
+    pub(crate) fn new(frames: usize, processes: usize, track_hot: bool) -> Self {
         FrameTable {
             pool: FrameAllocator::new(frames),
-            lru: LruLinks::new(frames, pids.len() + 1),
-            pids,
+            // The swapcache list, then one list per process.
+            lru: LruLinks::new(frames, processes + 1),
             marks: Vec::with_capacity(frames),
             prefetch: Vec::with_capacity(frames),
             last_hot: Vec::with_capacity(if track_hot { frames } else { 0 }),
@@ -100,16 +104,6 @@ impl FrameTable {
     #[cfg(any(test, debug_assertions))]
     pub(crate) fn in_use(&self) -> usize {
         self.pool.in_use()
-    }
-
-    /// The list owner of `pid`'s mapped pages.
-    pub(crate) fn owner_of(&self, pid: Pid) -> Option<usize> {
-        self.pids.binary_search(&pid).ok().map(|i| i + 1)
-    }
-
-    /// The list owners of mapped pages, in pid order.
-    pub(crate) fn owners(&self) -> std::ops::RangeInclusive<usize> {
-        1..=self.pids.len()
     }
 
     /// Frees `ppn` and clears its record.
@@ -217,6 +211,21 @@ impl FrameTable {
         })
     }
 
+    /// Every frame handed out so far, with the owner of the page it
+    /// maps: `None` for a swapcache page or a free frame (a scan, for
+    /// consistency checks).
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn mapped_owners(&self) -> impl Iterator<Item = (Ppn, Option<(Pid, Vpn)>)> + '_ {
+        (0..self.marks.len()).map(|i| {
+            let ppn = Ppn::from_index(i);
+            let owner = self
+                .pool
+                .owner(ppn)
+                .filter(|_| !self.has(ppn, IN_SWAPCACHE));
+            (ppn, owner)
+        })
+    }
+
     /// Records that the MC reported `ppn` hot at `at` (trace-assisted
     /// reclaim only; a no-op otherwise).
     pub(crate) fn set_hot(&mut self, ppn: Ppn, at: Nanos) {
@@ -242,10 +251,9 @@ mod tests {
 
     #[test]
     fn a_freed_frame_comes_back_with_an_empty_record() {
-        let mut ft = FrameTable::new(2, vec![Pid::new(3)], true);
-        let owner = ft.owner_of(Pid::new(3)).unwrap();
+        let mut ft = FrameTable::new(2, 1, true);
         let ppn = ft.alloc(Pid::new(3), Vpn::new(9)).unwrap();
-        ft.lru.insert(owner, ppn, LruTier::Active);
+        ft.lru.insert(list_of(0), ppn, LruTier::Active);
         ft.mark(ppn, IN_SWAPCACHE);
         ft.mark_pending(ppn, Nanos::from_nanos(3));
         ft.mark_injected(
@@ -268,7 +276,7 @@ mod tests {
 
     #[test]
     fn injected_marks_keep_stream_and_tier() {
-        let mut ft = FrameTable::new(1, vec![Pid::new(1)], false);
+        let mut ft = FrameTable::new(1, 1, false);
         let ppn = ft.alloc(Pid::new(1), Vpn::new(0)).unwrap();
         let stream = StreamId::from_key(u64::from(u32::MAX) << 16 | 63);
         for (at, tier) in Tier::ALL.into_iter().enumerate() {
@@ -285,13 +293,5 @@ mod tests {
         // Without trace-assisted reclaim nothing is remembered.
         ft.set_hot(ppn, Nanos::from_nanos(5));
         assert_eq!(ft.last_hot(ppn), None);
-    }
-
-    #[test]
-    fn owners_follow_pid_order() {
-        let ft = FrameTable::new(0, vec![Pid::new(2), Pid::new(5)], false);
-        assert_eq!(ft.owner_of(Pid::new(5)), Some(2));
-        assert_eq!(ft.owner_of(Pid::new(4)), None);
-        assert_eq!(ft.owners(), 1..=2);
     }
 }

@@ -18,7 +18,7 @@ use hopp_trace::LastLevelCache;
 use hopp_types::{Error, Nanos, PageAccess, Pid, Ppn, Result, SwapSlot, Vpn};
 
 use crate::config::{AppSpec, SimConfig, SystemConfig};
-use crate::frames::{tier_index, FrameTable, IN_SWAPCACHE, SWAPCACHE};
+use crate::frames::{list_of, tier_index, FrameTable, IN_SWAPCACHE, SWAPCACHE};
 use crate::report::{AppReport, Counters, ObsReport, SimReport, TimelineSample};
 
 /// A fault-path prefetch in flight.
@@ -37,12 +37,23 @@ struct HoppRuntime {
     tier_metrics: [PrefetchMetrics; 3],
 }
 
-struct AppRuntime {
+/// One process: its page table, its cgroup, its access stream and its
+/// per-app counters. The `i`-th record's mapped pages are on LRU list
+/// [`list_of`]`(i)`.
+struct Process {
+    space: AddressSpace,
+    cgroup: Cgroup,
     stream: Box<dyn AccessStream>,
     finished_at: Option<Nanos>,
     accesses: u64,
     major_faults: u64,
     minor_faults: u64,
+}
+
+impl Process {
+    fn pid(&self) -> Pid {
+        self.space.pid()
+    }
 }
 
 /// The simulator. Construct with [`Simulator::new`], consume with
@@ -54,8 +65,9 @@ pub struct Simulator {
     mc: McPipeline,
     /// One record per local frame: owner, LRU links, prefetch marks.
     frames: FrameTable,
-    spaces: BTreeMap<Pid, AddressSpace>,
-    cgroups: BTreeMap<Pid, Cgroup>,
+    /// One record per process, in input order, which is also the
+    /// round-robin order.
+    procs: Vec<Process>,
     /// Swap slots, each with its page, the read in flight for it (if
     /// any) and, for a swapcache page, the frame holding it.
     swapdev: SwapDevice,
@@ -70,7 +82,6 @@ pub struct Simulator {
     base_metrics: PrefetchMetrics,
     base_cq: CompletionQueue<BaseArrival>,
     hopp: Option<HoppRuntime>,
-    apps: Vec<(Pid, AppRuntime)>,
     counters: Counters,
     prefetch_buf: Vec<hopp_kernel::PrefetchRequest>,
     /// Reused HoPP order buffer (see [`Self::on_hot_page`]).
@@ -116,25 +127,20 @@ impl Simulator {
         }
         let llc = LastLevelCache::new(config.llc)?;
         let mc = McPipeline::with_channels(config.hpd, config.rpt, config.channels)?;
-        let mut spaces = BTreeMap::new();
-        let mut cgroups = BTreeMap::new();
-        let mut runtimes = Vec::new();
+        let mut procs: Vec<Process> = Vec::with_capacity(apps.len());
         for app in apps {
-            if app.pid == Pid::KERNEL || spaces.contains_key(&app.pid) {
+            if app.pid == Pid::KERNEL || procs.iter().any(|p| p.pid() == app.pid) {
                 return Err(Error::UnknownProcess { pid: app.pid });
             }
-            spaces.insert(app.pid, AddressSpace::new(app.pid));
-            cgroups.insert(app.pid, Cgroup::with_limit(app.limit_pages)?);
-            runtimes.push((
-                app.pid,
-                AppRuntime {
-                    stream: app.stream,
-                    finished_at: None,
-                    accesses: 0,
-                    major_faults: 0,
-                    minor_faults: 0,
-                },
-            ));
+            procs.push(Process {
+                space: AddressSpace::new(app.pid),
+                cgroup: Cgroup::with_limit(app.limit_pages)?,
+                stream: app.stream,
+                finished_at: None,
+                accesses: 0,
+                major_faults: 0,
+                minor_faults: 0,
+            });
         }
         let hopp = match config.system {
             SystemConfig::Baseline(_) => None,
@@ -156,13 +162,8 @@ impl Simulator {
             clock: Nanos::ZERO,
             llc,
             mc,
-            frames: FrameTable::new(
-                frames,
-                spaces.keys().copied().collect(),
-                config.trace_assisted_reclaim.is_some(),
-            ),
-            spaces,
-            cgroups,
+            frames: FrameTable::new(frames, procs.len(), config.trace_assisted_reclaim.is_some()),
+            procs,
             swapdev: match config.remote_capacity_pages {
                 Some(cap) => SwapDevice::with_capacity(cap),
                 None => SwapDevice::new(),
@@ -173,7 +174,6 @@ impl Simulator {
             base_metrics: PrefetchMetrics::new(),
             base_cq: CompletionQueue::with_capacity(64),
             hopp,
-            apps: runtimes,
             counters: Counters::default(),
             prefetch_buf: Vec::with_capacity(64),
             order_buf: Vec::with_capacity(16),
@@ -210,7 +210,9 @@ impl Simulator {
     ///
     /// Propagates fatal simulation errors: a page whose every replica
     /// was lost ([`Error::PageUnreachable`]), an exhausted pool or
-    /// remote node, or an internal bookkeeping violation. Fault
+    /// remote node, an access by a pid that is no app's
+    /// ([`Error::UnknownProcess`]), or an internal bookkeeping
+    /// violation. Fault
     /// injection runs surface here instead of panicking.
     pub fn run(mut self) -> Result<SimReport> {
         // Host-side profiling root; inert unless the harness called
@@ -226,14 +228,14 @@ impl Simulator {
     fn run_apps(&mut self) -> Result<()> {
         // Round-robin across apps at access granularity: the
         // single-node interleaving that makes streams intertwine.
-        let mut live: Vec<usize> = (0..self.apps.len()).collect();
+        let mut live: Vec<usize> = (0..self.procs.len()).collect();
         let mut cursor = 0usize;
         while !live.is_empty() {
             cursor %= live.len();
             let app_idx = live[cursor];
             let next = {
                 let _prof = hopp_prof::span("trace/stream");
-                self.apps[app_idx].1.stream.next_access()
+                self.procs[app_idx].stream.next_access()
             };
             match next {
                 Some(access) => {
@@ -241,12 +243,31 @@ impl Simulator {
                     cursor += 1;
                 }
                 None => {
-                    self.apps[app_idx].1.finished_at = Some(self.clock);
+                    self.procs[app_idx].finished_at = Some(self.clock);
                     live.remove(cursor);
                 }
             }
         }
         Ok(())
+    }
+
+    /// The index of `pid`'s process record. The one place a run finds
+    /// out that a pid is no process's.
+    fn proc_index(&self, pid: Pid) -> Result<usize> {
+        self.procs
+            .iter()
+            .position(|p| p.pid() == pid)
+            .ok_or(Error::UnknownProcess { pid })
+    }
+
+    /// The process index of `(pid, vpn)` and the page's slot, if `pid`
+    /// is a process's and the page is swapped out.
+    fn swapped(&self, pid: Pid, vpn: Vpn) -> Option<(usize, SwapSlot)> {
+        let idx = self.proc_index(pid).ok()?;
+        match self.procs[idx].space.lookup(vpn)? {
+            Mapping::Swapped(slot) => Some((idx, slot)),
+            Mapping::Present(_) => None,
+        }
     }
 
     /// Frame conservation, checked at the end of debug-build runs: every
@@ -258,8 +279,10 @@ impl Simulator {
     /// marked pending on one frame. In flight, no slot carries two
     /// reads or a swapcache frame, every flagged slot is covered by a
     /// queued read of its kind, and every queued baseline read whose
-    /// page is still swapped out flags that page's slot. The scans make
-    /// it O(frames + slots + pages + reads in flight²).
+    /// page is still swapped out flags that page's slot. The RPT names
+    /// the resident page of every frame handed out and nothing for a
+    /// swapcache or free frame. The scans make it O(frames + slots +
+    /// pages + reads in flight²).
     #[cfg(any(test, debug_assertions))]
     fn check_frame_conservation(&self) {
         use hopp_kernel::SlotView;
@@ -269,18 +292,19 @@ impl Simulator {
             c.dram_hits + c.minor_faults + c.major_faults + c.first_touches,
             "accesses = DRAM hits + minor + major faults + first touches"
         );
-        for (pid, space) in &self.spaces {
-            for (vpn, slot) in space.iter_swapped() {
+        for p in &self.procs {
+            let pid = p.pid();
+            for (vpn, slot) in p.space.iter_swapped() {
                 assert_eq!(
                     self.swapdev.page_at(slot),
-                    Some((*pid, vpn)),
+                    Some((pid, vpn)),
                     "{pid} {vpn}: its slot {slot:?} holds another page"
                 );
                 let reads = [InflightRead::Baseline, InflightRead::Hopp]
                     .map(|read| self.swapdev.is_inflight(slot, read));
                 if reads.contains(&true) {
                     let cached = self.swapdev.cached(slot).is_some();
-                    let queued = self.inflight_due(*pid, vpn, slot).is_some();
+                    let queued = self.inflight_due(pid, vpn, slot).is_some();
                     assert!(
                         reads != [true; 2] && !cached && queued,
                         "{pid} {vpn}: in flight {reads:?}, cached {cached}, read queued {queued}"
@@ -290,21 +314,16 @@ impl Simulator {
         }
         let mut queued = self.base_cq.clone();
         while let Some((_, a)) = queued.pop_any() {
-            if let Some(Mapping::Swapped(slot)) =
-                self.spaces.get(&a.pid).and_then(|s| s.lookup(a.vpn))
-            {
+            if let Some((_, slot)) = self.swapped(a.pid, a.vpn) {
                 let flagged = self.swapdev.is_inflight(slot, InflightRead::Baseline);
                 assert!(flagged, "{} {}: slot not flagged", a.pid, a.vpn);
             }
         }
         let mut swapcache = 0;
         for (ppn, pid, vpn) in self.frames.swapcache_frames() {
-            let slot = match self.spaces.get(&pid).and_then(|s| s.lookup(vpn)) {
-                Some(Mapping::Swapped(slot)) => Some(slot),
-                _ => None,
-            };
             assert_eq!(
-                slot.and_then(|slot| self.swapdev.cached(slot)),
+                self.swapped(pid, vpn)
+                    .and_then(|(_, slot)| self.swapdev.cached(slot)),
                 Some(ppn),
                 "{pid} {vpn}: swapcache frame {ppn:?} is not its slot's cached frame"
             );
@@ -315,7 +334,7 @@ impl Simulator {
             swapcache,
             "cached slots = swapcache frames"
         );
-        let resident: usize = self.spaces.values().map(AddressSpace::resident_pages).sum();
+        let resident: usize = self.procs.iter().map(|p| p.space.resident_pages()).sum();
         assert_eq!(
             self.frames.in_use(),
             resident + swapcache,
@@ -342,18 +361,24 @@ impl Simulator {
                 );
             }
         }
-        for (pid, cgroup) in &self.cgroups {
-            let listed = self
-                .frames
-                .owner_of(*pid)
-                .map_or(0, |o| self.frames.lru.len(o));
-            assert_eq!(listed, cgroup.charged_pages(), "{pid}: listed = charged");
+        for (idx, p) in self.procs.iter().enumerate() {
+            let listed = self.frames.lru.len(list_of(idx));
+            let pid = p.pid();
+            assert_eq!(listed, p.cgroup.charged_pages(), "{pid}: listed = charged");
         }
         assert_eq!(
             self.frames.lru.total_len(),
             self.frames.in_use(),
             "every frame in use is on one list"
         );
+        let rpt = self.mc.rpt();
+        for (ppn, mapped) in self.frames.mapped_owners() {
+            assert_eq!(
+                rpt.peek(ppn).map(|e| (e.pid, e.vpn)),
+                mapped,
+                "{ppn:?}: the RPT disagrees with the frame's owner"
+            );
+        }
     }
 
     /// Executes one page access.
@@ -362,7 +387,7 @@ impl Simulator {
         self.clock += Nanos::from_nanos(u64::from(access.think_ns));
         self.drain_completions()?;
         self.counters.accesses += 1;
-        self.apps[app_idx].1.accesses += 1;
+        self.procs[app_idx].accesses += 1;
         if self.config.timeline_every > 0
             && self
                 .counters
@@ -380,13 +405,12 @@ impl Simulator {
             });
         }
 
+        // Per-app counters go to the stream's app (`app_idx`); page
+        // state belongs to the access's pid (`idx`).
         let pid = access.pid;
         let vpn = access.vpn;
-        let mut mapping = self
-            .spaces
-            .get(&pid)
-            .ok_or(Error::UnknownProcess { pid })?
-            .lookup(vpn);
+        let idx = self.proc_index(pid)?;
+        let mut mapping = self.procs[idx].space.lookup(vpn);
 
         // A demand access to a page with a read in flight waits for the
         // data (the kernel blocks on the page's IO) and then proceeds.
@@ -405,20 +429,20 @@ impl Simulator {
                         .record(self.clock, Event::InflightWait { pid, vpn, wait });
                 }
                 self.drain_completions()?;
-                mapping = self.spaces.get(&pid).and_then(|s| s.lookup(vpn));
+                mapping = self.procs[idx].space.lookup(vpn);
             }
         }
         match mapping {
             Some(Mapping::Present(pte)) => {
                 self.counters.dram_hits += 1;
-                self.on_present_access(pid, vpn, pte.ppn, &access)?;
+                self.on_present_access(idx, vpn, pte.ppn, &access)?;
             }
             Some(Mapping::Swapped(slot)) => match self.swapdev.cached(slot) {
-                Some(ppn) => self.minor_fault(app_idx, pid, vpn, slot, ppn, &access)?,
-                None => self.major_fault(app_idx, pid, vpn, slot, &access)?,
+                Some(ppn) => self.minor_fault(app_idx, idx, vpn, slot, ppn, &access)?,
+                None => self.major_fault(app_idx, idx, vpn, slot, &access)?,
             },
             None => {
-                self.first_touch(pid, vpn, &access)?;
+                self.first_touch(idx, vpn, &access)?;
             }
         }
         Ok(())
@@ -438,10 +462,11 @@ impl Simulator {
         }
     }
 
-    /// An access whose PTE is present: pure memory-system cost.
+    /// An access by process `idx` whose PTE is present: pure
+    /// memory-system cost.
     fn on_present_access(
         &mut self,
-        pid: Pid,
+        idx: usize,
         vpn: Vpn,
         ppn: Ppn,
         access: &PageAccess,
@@ -449,17 +474,12 @@ impl Simulator {
         // A real kernel only learns about these accesses via accessed-bit
         // scans; precise_lru = false models a kernel that never scans.
         if self.config.precise_lru {
-            if let Some(owner) = self.frames.owner_of(pid) {
-                self.frames.lru.touch(owner, ppn);
-            }
+            self.frames.lru.touch(list_of(idx), ppn);
         }
         if !access.kind.is_read() {
-            self.spaces
-                .get_mut(&pid)
-                .ok_or(Error::UnknownProcess { pid })?
-                .mark_dirty(vpn);
+            self.procs[idx].space.mark_dirty(vpn);
         }
-        self.record_first_hit(pid, vpn, ppn);
+        self.record_first_hit(self.procs[idx].pid(), vpn, ppn);
         self.line_loop(ppn, access)
     }
 
@@ -504,12 +524,12 @@ impl Simulator {
         }
     }
 
-    /// Swapcache hit on the page at `slot`, held by frame `ppn`: a
-    /// minor fault (*prefetch-hit*, 2.3 µs).
+    /// Swapcache hit on process `idx`'s page at `slot`, held by frame
+    /// `ppn`: a minor fault (*prefetch-hit*, 2.3 µs).
     fn minor_fault(
         &mut self,
         app_idx: usize,
-        pid: Pid,
+        idx: usize,
         vpn: Vpn,
         slot: SwapSlot,
         ppn: Ppn,
@@ -518,7 +538,8 @@ impl Simulator {
         let _prof = hopp_prof::span("kernel/minor_fault");
         self.clock += self.config.latency.prefetch_hit();
         self.counters.minor_faults += 1;
-        self.apps[app_idx].1.minor_faults += 1;
+        self.procs[app_idx].minor_faults += 1;
+        let pid = self.procs[idx].pid();
 
         if let Some(arrived) = self.frames.take_pending(ppn) {
             let t = self.clock.saturating_since(arrived);
@@ -534,12 +555,9 @@ impl Simulator {
         self.swapdev.free(slot);
         self.pool.release(pid, vpn);
         self.frames.take(ppn, IN_SWAPCACHE);
-        self.map_page(pid, vpn, ppn)?;
+        self.map_page(idx, vpn, ppn)?;
         if !access.kind.is_read() {
-            self.spaces
-                .get_mut(&pid)
-                .ok_or(Error::UnknownProcess { pid })?
-                .mark_dirty(vpn);
+            self.procs[idx].space.mark_dirty(vpn);
         }
 
         self.notify_baseline(FaultInfo {
@@ -552,18 +570,20 @@ impl Simulator {
         self.line_loop(ppn, access)
     }
 
-    /// Major fault: synchronous remote read plus the kernel fault path.
+    /// Major fault on process `idx`'s page at `slot`: synchronous
+    /// remote read plus the kernel fault path.
     fn major_fault(
         &mut self,
         app_idx: usize,
-        pid: Pid,
+        idx: usize,
         vpn: Vpn,
         slot: SwapSlot,
         access: &PageAccess,
     ) -> Result<()> {
         let _prof = hopp_prof::span("kernel/major_fault");
         self.counters.major_faults += 1;
-        self.apps[app_idx].1.major_faults += 1;
+        self.procs[app_idx].major_faults += 1;
+        let pid = self.procs[idx].pid();
 
         let started = self.clock;
         let done = self
@@ -582,15 +602,12 @@ impl Simulator {
                 .record(self.clock, Event::MajorFault { pid, vpn, latency });
         }
 
-        let ppn = self.ensure_frame(pid, vpn)?;
+        let ppn = self.ensure_frame(idx, vpn)?;
         self.swapdev.free(slot);
         self.pool.release(pid, vpn);
-        self.map_page(pid, vpn, ppn)?;
+        self.map_page(idx, vpn, ppn)?;
         if !access.kind.is_read() {
-            self.spaces
-                .get_mut(&pid)
-                .ok_or(Error::UnknownProcess { pid })?
-                .mark_dirty(vpn);
+            self.procs[idx].space.mark_dirty(vpn);
         }
 
         self.notify_baseline(FaultInfo {
@@ -604,38 +621,29 @@ impl Simulator {
         self.line_loop(ppn, access)
     }
 
-    /// First touch: zero-fill, no remote traffic.
-    fn first_touch(&mut self, pid: Pid, vpn: Vpn, access: &PageAccess) -> Result<()> {
+    /// First touch by process `idx`: zero-fill, no remote traffic.
+    fn first_touch(&mut self, idx: usize, vpn: Vpn, access: &PageAccess) -> Result<()> {
         let _prof = hopp_prof::span("kernel/first_touch");
+        let pid = self.procs[idx].pid();
         self.clock += self.config.latency.context_switch + self.config.latency.pte_establish;
         self.counters.first_touches += 1;
         if self.recorder.is_enabled() {
             self.recorder
                 .record(self.clock, Event::FirstTouch { pid, vpn });
         }
-        let ppn = self.ensure_frame(pid, vpn)?;
-        self.map_page(pid, vpn, ppn)?;
+        let ppn = self.ensure_frame(idx, vpn)?;
+        self.map_page(idx, vpn, ppn)?;
         if !access.kind.is_read() {
-            self.spaces
-                .get_mut(&pid)
-                .ok_or(Error::UnknownProcess { pid })?
-                .mark_dirty(vpn);
+            self.procs[idx].space.mark_dirty(vpn);
         }
         self.line_loop(ppn, access)
     }
 
-    /// Installs a PTE, charges the cgroup and reclaims if over limit.
-    fn map_page(&mut self, pid: Pid, vpn: Vpn, ppn: Ppn) -> Result<()> {
-        let displaced = self
-            .spaces
-            .get_mut(&pid)
-            .ok_or(Error::UnknownProcess { pid })?
-            .map_present(vpn, ppn, &mut self.mc);
-        let owner = self
-            .frames
-            .owner_of(pid)
-            .ok_or(Error::UnknownProcess { pid })?;
-        self.frames.lru.insert(owner, ppn, LruTier::Active);
+    /// Installs a PTE in process `idx`'s page table, charges its cgroup
+    /// and reclaims if over limit.
+    fn map_page(&mut self, idx: usize, vpn: Vpn, ppn: Ppn) -> Result<()> {
+        let displaced = self.procs[idx].space.map_present(vpn, ppn, &mut self.mc);
+        self.frames.lru.insert(list_of(idx), ppn, LruTier::Active);
         if let Some(prev) = displaced {
             // The page was already present (a double map). None of the
             // current fault paths produce one, but if a future path
@@ -649,13 +657,8 @@ impl Simulator {
             self.mc.on_page_reclaimed(prev.ppn);
             return Ok(());
         }
-        let over = self
-            .cgroups
-            .get_mut(&pid)
-            .ok_or(Error::UnknownProcess { pid })?
-            .charge();
-        if over {
-            self.reclaim_over_limit(pid)?;
+        if self.procs[idx].cgroup.charge() {
+            self.reclaim_over_limit(idx)?;
         }
         Ok(())
     }
@@ -742,12 +745,9 @@ impl Simulator {
         if order.span > 1 {
             let swapped_in_span = (0..u64::from(order.span))
                 .filter_map(|k| order.vpn.offset(k as i64))
-                .filter(|vpn| {
-                    matches!(
-                        self.spaces.get(&order.pid).and_then(|sp| sp.lookup(*vpn)),
-                        Some(Mapping::Swapped(s))
-                            if !self.swapdev.is_inflight(s, InflightRead::Hopp)
-                    )
+                .filter(|&vpn| {
+                    self.swapped(order.pid, vpn)
+                        .is_some_and(|(_, s)| !self.swapdev.is_inflight(s, InflightRead::Hopp))
                 })
                 .count() as u32;
             if swapped_in_span * 4 < order.span * 3 {
@@ -827,10 +827,8 @@ impl Simulator {
     /// The slot of `(pid, vpn)` if the page is swapped out and not in
     /// the swapcache: its data lives only on the remote side.
     fn remote_slot(&self, pid: Pid, vpn: Vpn) -> Option<SwapSlot> {
-        match self.spaces.get(&pid).and_then(|s| s.lookup(vpn)) {
-            Some(Mapping::Swapped(slot)) if self.swapdev.cached(slot).is_none() => Some(slot),
-            _ => None,
-        }
+        let (_, slot) = self.swapped(pid, vpn)?;
+        self.swapdev.cached(slot).is_none().then_some(slot)
     }
 
     /// [`Self::remote_slot`], if no read in flight has claimed the page.
@@ -881,14 +879,10 @@ impl Simulator {
     }
 
     fn handle_base_arrival(&mut self, arrival: BaseArrival, done: Nanos) -> Result<()> {
-        let Some(Mapping::Swapped(slot)) = self
-            .spaces
-            .get(&arrival.pid)
-            .and_then(|s| s.lookup(arrival.vpn))
-        else {
+        let Some((idx, slot)) = self.swapped(arrival.pid, arrival.vpn) else {
             return Ok(()); // page no longer remote; drop the data
         };
-        let ppn = self.ensure_frame(arrival.pid, arrival.vpn)?;
+        let ppn = self.ensure_frame(idx, arrival.vpn)?;
         self.frames.mark_pending(ppn, done);
         self.base_metrics.on_arrival();
         if self.recorder.is_enabled() {
@@ -906,7 +900,7 @@ impl Simulator {
             // on the *active* list (§II-C).
             self.swapdev.free(slot);
             self.pool.release(arrival.pid, arrival.vpn);
-            self.map_page(arrival.pid, arrival.vpn, ppn)?;
+            self.map_page(idx, arrival.vpn, ppn)?;
         } else {
             // The fill ends the slot's read in flight.
             self.swapdev.cache(slot, ppn);
@@ -935,8 +929,7 @@ impl Simulator {
             let Some(vpn) = c.vpn.offset(k as i64) else {
                 break;
             };
-            let Some(Mapping::Swapped(slot)) = self.spaces.get(&c.pid).and_then(|s| s.lookup(vpn))
-            else {
+            let Some((idx, slot)) = self.swapped(c.pid, vpn) else {
                 continue;
             };
             // Only the first page of a huge-page batch is checked against
@@ -953,10 +946,10 @@ impl Simulator {
             }
             // Any HoPP read covering the page delivers it; freeing the
             // slot clears the claim of whichever read made one.
-            let ppn = self.ensure_frame(c.pid, vpn)?;
+            let ppn = self.ensure_frame(idx, vpn)?;
             self.swapdev.free(slot);
             self.pool.release(c.pid, vpn);
-            self.map_page(c.pid, vpn, ppn)?;
+            self.map_page(idx, vpn, ppn)?;
             // Reclaim inside `map_page` must not have taken the page it
             // is mapping: its prefetch marks would land on a free frame.
             if self.frames.owner(ppn) != Some((c.pid, vpn)) {
@@ -971,13 +964,14 @@ impl Simulator {
         Ok(())
     }
 
-    /// Allocates a frame, reclaiming if the pool is exhausted.
-    fn ensure_frame(&mut self, pid: Pid, vpn: Vpn) -> Result<Ppn> {
+    /// Allocates a frame for process `idx`'s page `vpn`, reclaiming if
+    /// the pool is exhausted.
+    fn ensure_frame(&mut self, idx: usize, vpn: Vpn) -> Result<Ppn> {
         loop {
-            match self.frames.alloc(pid, vpn) {
+            match self.frames.alloc(self.procs[idx].pid(), vpn) {
                 Ok(ppn) => return Ok(ppn),
                 Err(_) => {
-                    if !self.evict_one(pid)? {
+                    if !self.evict_one(idx)? {
                         return Err(Error::OutOfFrames);
                     }
                 }
@@ -987,25 +981,20 @@ impl Simulator {
 
     /// Evicts one page under global frame pressure: unconsumed
     /// swapcache pages first (they are uncharged and cheap to drop),
-    /// then the preferring pid's mapped pages, then the largest
-    /// process's.
-    fn evict_one(&mut self, prefer: Pid) -> Result<bool> {
+    /// then process `prefer`'s mapped pages, then the largest process's,
+    /// the highest pid's among equals.
+    fn evict_one(&mut self, prefer: usize) -> Result<bool> {
         if let Some((ppn, from)) = self.frames.lru.pop_evict(SWAPCACHE) {
             self.evict_frame(ppn, from)?;
             return Ok(true);
         }
-        let lru = &self.frames.lru;
-        let victim = self
-            .frames
-            .owner_of(prefer)
-            .filter(|&owner| lru.len(owner) > 0)
-            .or_else(|| {
-                self.frames
-                    .owners()
-                    .filter(|&owner| lru.len(owner) > 0)
-                    .max_by_key(|&owner| lru.len(owner))
-            });
-        let Some((ppn, from)) = victim.and_then(|owner| self.pop_mapped_victim(owner)) else {
+        let listed = |idx: usize| self.frames.lru.len(list_of(idx));
+        let victim = Some(prefer).filter(|&idx| listed(idx) > 0).or_else(|| {
+            (0..self.procs.len())
+                .filter(|&idx| listed(idx) > 0)
+                .max_by_key(|&idx| (listed(idx), self.procs[idx].pid()))
+        });
+        let Some((ppn, from)) = victim.and_then(|idx| self.pop_mapped_victim(list_of(idx))) else {
             return Ok(false);
         };
         self.evict_frame(ppn, from)?;
@@ -1024,6 +1013,7 @@ impl Simulator {
             self.clock += self.config.latency.reclaim_per_page;
         }
         let (pid, vpn) = self.frames.owner(ppn).ok_or(Error::FrameNotOwned { ppn })?;
+        let idx = self.proc_index(pid)?;
         self.counters.reclaimed += 1;
         let active = from == LruTier::Active;
         // A pending prefetch dies here, unused.
@@ -1036,8 +1026,7 @@ impl Simulator {
         if self.frames.has(ppn, IN_SWAPCACHE) {
             // An unconsumed prefetch: drop it; the swap copy remains
             // valid at its slot.
-            let Some(Mapping::Swapped(slot)) = self.spaces.get(&pid).and_then(|s| s.lookup(vpn))
-            else {
+            let Some(Mapping::Swapped(slot)) = self.procs[idx].space.lookup(vpn) else {
                 return Err(Error::UnmappedPage { pid, vpn });
             };
             let cached = self.swapdev.take_cached(slot);
@@ -1049,10 +1038,8 @@ impl Simulator {
                 self.recorder
                     .record(self.clock, Event::SwapOut { pid, vpn, slot });
             }
-            let pte = self
-                .spaces
-                .get_mut(&pid)
-                .ok_or(Error::UnknownProcess { pid })?
+            let pte = self.procs[idx]
+                .space
                 .swap_out(vpn, slot, &mut self.mc)
                 .ok_or(Error::UnmappedPage { pid, vpn })?;
             debug_assert_eq!(pte.ppn, ppn);
@@ -1079,10 +1066,7 @@ impl Simulator {
                 }
                 self.counters.writebacks += 1;
             }
-            self.cgroups
-                .get_mut(&pid)
-                .ok_or(Error::UnknownProcess { pid })?
-                .uncharge();
+            self.procs[idx].cgroup.uncharge();
             if let Some(h) = &mut self.hopp {
                 if let Some((_, tier, _)) = self.frames.take_injected(ppn) {
                     h.tier_metrics[tier_index(tier)].on_wasted();
@@ -1104,19 +1088,10 @@ impl Simulator {
         Ok(())
     }
 
-    /// Direct reclaim for a cgroup that exceeded its limit.
-    fn reclaim_over_limit(&mut self, pid: Pid) -> Result<()> {
-        let owner = self
-            .frames
-            .owner_of(pid)
-            .ok_or(Error::UnknownProcess { pid })?;
-        while self
-            .cgroups
-            .get(&pid)
-            .ok_or(Error::UnknownProcess { pid })?
-            .over_limit()
-        {
-            let Some((ppn, from)) = self.pop_mapped_victim(owner) else {
+    /// Direct reclaim for process `idx`, whose cgroup exceeded its limit.
+    fn reclaim_over_limit(&mut self, idx: usize) -> Result<()> {
+        while self.procs[idx].cgroup.over_limit() {
+            let Some((ppn, from)) = self.pop_mapped_victim(list_of(idx)) else {
                 break;
             };
             self.evict_frame(ppn, from)?;
@@ -1149,16 +1124,16 @@ impl Simulator {
     fn report(mut self) -> SimReport {
         let mut per_app = BTreeMap::new();
         let mut completion = Nanos::ZERO;
-        for (pid, rt) in &self.apps {
-            let finished = rt.finished_at.unwrap_or(self.clock);
+        for p in &self.procs {
+            let finished = p.finished_at.unwrap_or(self.clock);
             completion = completion.max(finished);
             per_app.insert(
-                *pid,
+                p.pid(),
                 AppReport {
                     finished_at: finished,
-                    accesses: rt.accesses,
-                    major_faults: rt.major_faults,
-                    minor_faults: rt.minor_faults,
+                    accesses: p.accesses,
+                    major_faults: p.major_faults,
+                    minor_faults: p.minor_faults,
                 },
             );
         }
@@ -1392,6 +1367,55 @@ mod tests {
         // Both apps fault comparably under equal limits.
         let ratio = a.major_faults as f64 / b.major_faults.max(1) as f64;
         assert!((0.5..2.0).contains(&ratio), "ratio {ratio}");
+    }
+
+    #[test]
+    fn apps_in_descending_pid_order_keep_their_own_state() {
+        let apps = vec![scan_app(2, 800, 2, 400), scan_app(1, 500, 3, 250)];
+        let mut sim =
+            Simulator::new(SimConfig::with_system(SystemConfig::hopp_default()), apps).unwrap();
+        sim.run_apps().unwrap();
+        sim.check_frame_conservation();
+        let r = sim.report();
+        assert_eq!(r.per_app[&Pid::new(2)].accesses, 1_600);
+        assert_eq!(r.per_app[&Pid::new(1)].accesses, 1_500);
+        assert!(r.per_app.values().all(|a| a.major_faults > 0));
+    }
+
+    #[test]
+    fn an_access_by_no_apps_pid_ends_the_run() {
+        let app = AppSpec {
+            pid: Pid::new(1),
+            stream: Box::new(SimpleStream::new(Pid::new(9), Vpn::new(0), 1, 10)),
+            limit_pages: 10,
+        };
+        let err = Simulator::new(SimConfig::default(), vec![app])
+            .unwrap()
+            .run()
+            .err();
+        assert_eq!(err, Some(Error::UnknownProcess { pid: Pid::new(9) }));
+    }
+
+    #[test]
+    fn global_eviction_falls_back_to_the_highest_pid_among_equals() {
+        // Input order 9, 5, 3. Pids 9 and 5 map two pages each and
+        // pid 3, the preferring one, none.
+        let apps = vec![
+            scan_app(9, 1, 1, 10),
+            scan_app(5, 1, 1, 10),
+            scan_app(3, 1, 1, 10),
+        ];
+        let mut sim = Simulator::new(SimConfig::default(), apps).unwrap();
+        for idx in 0..2 {
+            for vpn in [Vpn::new(0), Vpn::new(1)] {
+                let ppn = sim.ensure_frame(idx, vpn).unwrap();
+                sim.map_page(idx, vpn, ppn).unwrap();
+            }
+        }
+        assert!(sim.evict_one(2).unwrap());
+        let lists = [0, 1, 2].map(|idx| sim.frames.lru.len(list_of(idx)));
+        assert_eq!(lists, [1, 2, 0]);
+        assert_eq!(sim.procs[0].space.iter_swapped().count(), 1);
     }
 
     #[test]
