@@ -64,6 +64,29 @@ fn bench_llc() {
     bench("llc/access_lines", 200_000, |i| {
         black_box(llc.access_lines(Ppn::new(i % hot), LINES_PER_PAGE as u8));
     });
+    // Quicksort's shape: 40-line touches with about a third of the lines
+    // resident, so the tag is in the walked block and every line takes
+    // the per-set search. Pages `g + groups · k` share block `g`. In
+    // each block, pages k = 0..16 walk 40 lines round-robin, and after
+    // each round page 16 touches lines 0..27 one by one (the same code
+    // on both sides of any change to `access_lines`). Sets 0..27 then
+    // cycle 17 tags through 16 ways and always miss; sets 27..40 keep
+    // the 16 walked pages and always hit: 27 misses and 13 hits a walk.
+    let groups = config.sets().unwrap() as u64 / LINES_PER_PAGE as u64;
+    let mut llc = LastLevelCache::new(config).unwrap();
+    bench("llc/access_lines_partial", 300_000, |i| {
+        let (group, k) = (i % groups, i / groups % 16);
+        black_box(llc.access_lines(Ppn::new(group + groups * k), 40));
+        if k == 15 {
+            let evictor = Ppn::new(group + groups * 16);
+            for line in 0..27 {
+                black_box(llc.access(evictor.line(line), AccessKind::Read));
+            }
+        }
+    });
+    let stats = llc.stats();
+    // 16 × 13 hits in 16 × 40 + 27 lines a round.
+    assert_eq!(100 * stats.hits / stats.total(), 31, "{stats:?}");
 }
 
 fn bench_hpd() {

@@ -307,11 +307,6 @@ impl HotPageDetector {
     pub fn stats(&self) -> HpdStats {
         self.stats
     }
-
-    /// Clears the counters (table contents are kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = HpdStats::default();
-    }
 }
 
 #[cfg(test)]
@@ -496,12 +491,11 @@ mod tests {
     #[test]
     fn hot_ratio_matches_counts() {
         let mut h = hpd(4);
+        assert_eq!(h.stats().hot_ratio(), 0.0);
         let page = Ppn::new(8);
         for i in 0..4 {
             h.on_miss(page.line(i), AccessKind::Read);
         }
         assert!((h.stats().hot_ratio() - 0.25).abs() < 1e-12);
-        h.reset_stats();
-        assert_eq!(h.stats().hot_ratio(), 0.0);
     }
 }

@@ -23,12 +23,25 @@
 //! takes the first empty way or, in a full set, the LRU way at the
 //! tail, shifts the ways before it back by one and writes the new tag
 //! at the front. An invalidation removes the tag and appends an empty
-//! way. A lookup stops at the first empty way. With at least 64 sets
-//! the lines of a page fall in consecutive sets under one tag, so
-//! [`LastLevelCache::access_lines`] walks one contiguous block of
-//! `64 × ways` tags, and [`LastLevelCache::invalidate_page`] first
-//! scans that block once for the tag and returns if it is absent; with
-//! fewer sets the same loops wrap around them.
+//! way. A lookup stops at the first empty way.
+//!
+//! With at least 64 sets the lines of a page fall in consecutive sets
+//! under one tag, so lines `0..n` of a page own one contiguous block of
+//! `n × ways` tags. Both page-granular calls first scan that block once
+//! for the tag, branch-free. Most pages the LLC sees are absent from
+//! it, since it is a miss filter in front of the memory controller.
+//! - [`LastLevelCache::invalidate_page`] returns at once when the tag
+//!   is absent.
+//! - [`LastLevelCache::access_lines`] treats an absent tag as `n`
+//!   misses: each set in the block shifts all its ways back by one and
+//!   takes the tag at the front, with no per-way search. This is exact
+//!   because empty ways sit at the tail: shifting the whole set moves
+//!   the same tags as shifting up to the first empty way would, and in
+//!   a full set the LRU way falls off as on any miss.
+//!
+//! A page whose tag is present in the block takes the per-line loop.
+//! With fewer than 64 sets a page's lines wrap around the sets, so both
+//! calls always take the per-line loop.
 //!
 //! A tag is the line address shifted right by the set bits, so `u32`
 //! tags cover pages `0..`[`LlcConfig::max_pages`]: 2^37 pages for a
@@ -219,6 +232,16 @@ impl LastLevelCache {
     pub fn access_lines(&mut self, ppn: Ppn, lines: u8) -> u64 {
         debug_assert!(usize::from(lines) <= LINES_PER_PAGE);
         let first = ppn.line(0).raw();
+        if let Some((block, tag)) = self.absent_block(first, lines.into()) {
+            // Every walked line misses, each in a set of its own; the
+            // module doc says why shifting the whole set is exact.
+            for set in self.tags[block].chunks_exact_mut(self.ways) {
+                set.copy_within(..set.len() - 1, 1);
+                set[0] = tag;
+            }
+            self.stats.misses += u64::from(lines);
+            return u64::MAX.checked_shr(64 - u32::from(lines)).unwrap_or(0);
+        }
         let mut misses = 0;
         for j in 0..u64::from(lines) {
             if !self.touch(first + j) {
@@ -238,6 +261,25 @@ impl LastLevelCache {
             "line {raw:#x} lies past LlcConfig::max_pages"
         );
         (base..base + self.ways, tag as u32)
+    }
+
+    /// With at least 64 sets, lines `0..lines` of the page whose line 0
+    /// is `first` sit in `lines` consecutive sets under one tag: one
+    /// contiguous block of `lines × ways` tags. Scans that block once,
+    /// branch-free (`pcmpeqd`/`por` on x86-64), and returns its index
+    /// range and the tag if the tag occurs nowhere in it. Returns `None`
+    /// if the tag is present, or if the cache has fewer than 64 sets and
+    /// a page's lines wrap around them.
+    fn absent_block(&self, first: u64, lines: usize) -> Option<(Range<usize>, u32)> {
+        if self.set_bits < LINES_PER_PAGE.trailing_zeros() {
+            return None;
+        }
+        let (set, tag) = self.locate(first);
+        let block = set.start..set.start + lines * self.ways;
+        let present = self.tags[block.clone()]
+            .iter()
+            .fold(false, |any, &t| any | (t == tag));
+        (!present).then_some((block, tag))
     }
 
     /// One access to line address `raw`; returns `true` on a hit. The
@@ -270,15 +312,10 @@ impl LastLevelCache {
     /// must not keep serving hits for data that is no longer local.
     pub fn invalidate_page(&mut self, ppn: Ppn) {
         let first = ppn.line(0).raw();
-        if self.set_bits >= LINES_PER_PAGE.trailing_zeros() {
-            // The page's lines fill one block of 64 sets under one tag.
-            // A reclaimed page is cold, so one branch-free scan of the
-            // block almost always finds nothing and ends the call.
-            let (set, tag) = self.locate(first);
-            let block = &self.tags[set.start..set.start + LINES_PER_PAGE * self.ways];
-            if !block.iter().fold(false, |any, &t| any | (t == tag)) {
-                return;
-            }
+        // A reclaimed page is cold, so one scan of its block almost
+        // always finds nothing and ends the call.
+        if self.absent_block(first, LINES_PER_PAGE).is_some() {
+            return;
         }
         for j in 0..LINES_PER_PAGE as u64 {
             let (range, tag) = self.locate(first + j);
@@ -299,11 +336,6 @@ impl LastLevelCache {
     /// Hit/miss counters accumulated so far.
     pub fn stats(&self) -> LlcStats {
         self.stats
-    }
-
-    /// Clears the counters (the cache contents are kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = LlcStats::default();
     }
 }
 
@@ -442,8 +474,33 @@ mod tests {
         let s = llc.stats();
         assert_eq!(s.total(), 3);
         assert!((s.hit_rate() - 2.0 / 3.0).abs() < 1e-9);
-        llc.reset_stats();
-        assert_eq!(llc.stats().total(), 0);
+    }
+
+    #[test]
+    fn empty_walk_is_a_no_op() {
+        let mut llc = LastLevelCache::new(LlcConfig::simulator_default()).unwrap();
+        assert_eq!(llc.access_lines(Ppn::new(3), 0), 0);
+        assert_eq!(llc.stats(), LlcStats::default());
+        assert!(llc.tags.iter().all(|&t| t == EMPTY));
+    }
+
+    #[test]
+    fn a_resident_line_past_the_walk_leaves_the_page_absent() {
+        let mut llc = LastLevelCache::new(LlcConfig::simulator_default()).unwrap();
+        let ppn = Ppn::new(5);
+        assert!(!llc.access(ppn.line(50), AccessKind::Read));
+        // Line 50's set lies outside the block of lines 0..10, so the
+        // walk takes the absent path: ten misses, no per-set search.
+        let (set, tag) = llc.locate(ppn.line(0).raw());
+        assert_eq!(
+            llc.absent_block(ppn.line(0).raw(), 10),
+            Some((set.start..set.start + 10 * 16, tag))
+        );
+        assert_eq!(llc.access_lines(ppn, 10), 0x3ff);
+        assert_eq!(llc.stats().misses, 11);
+        assert!(llc.access(ppn.line(50), AccessKind::Read));
+        assert_eq!(llc.access_lines(ppn, 10), 0);
+        assert_eq!(llc.stats().hits, 11);
     }
 
     #[test]

@@ -15,6 +15,15 @@
 //! lines and invalidations of cold pages. The invalidate-heavy mix
 //! mostly invalidates pages touched a few operations earlier, the case
 //! where lines *are* resident at reclaim.
+//!
+//! `access_lines` makes the same block scan over the sets of the lines
+//! it walks, and when the tag is absent inserts every line without a
+//! per-set search. So every run on at least 64 sets must also see both
+//! walk outcomes, counted on the reference before each walk: the page
+//! resident in none of the walked sets, or in some. The walk-heavy mix
+//! alternates fresh pages, longer re-walks of a recent page and short
+//! prefixes, so partly resident pages and the absent path meet on the
+//! same sets.
 
 use hopp_trace::llc::{LastLevelCache, LlcConfig, LlcStats};
 use hopp_types::rng::SplitMix64;
@@ -73,6 +82,14 @@ impl RefLlc {
         false
     }
 
+    /// Whether `line` is cached: the way its walk would hit.
+    fn resident(&self, line: LineAddr) -> bool {
+        let tag = line.raw() >> self.set_mask.trailing_ones();
+        self.sets[(line.raw() & self.set_mask) as usize]
+            .iter()
+            .any(|w| w.valid && w.tag == tag)
+    }
+
     fn invalidate_page(&mut self, ppn: Ppn) {
         for line in 0..LINES_PER_PAGE as u8 {
             let addr = ppn.line(line);
@@ -96,6 +113,12 @@ enum Mix {
     /// 40% page walks, 20% single lines, 40% invalidations, three in
     /// four of them of one of the last four pages touched.
     InvalidateHeavy,
+    /// 80% page walks, 10% single lines, 10% invalidations of a random
+    /// page. The walks take turns: a fresh page from a sweep over all
+    /// pages, a recent page again with a longer prefix (partly resident
+    /// when some of its lines were evicted meanwhile), and a random page
+    /// with a prefix shorter than 64 lines.
+    Walks,
 }
 
 /// Drives both models with `ops` seeded operations over pages
@@ -107,18 +130,44 @@ fn run(name: &str, config: LlcConfig, pages: u64, ops: u32, seed: u64, mix: Mix)
     let (walks, lines_end) = match mix {
         Mix::Uniform => (6, 9),
         Mix::InvalidateHeavy => (4, 6),
+        Mix::Walks => (8, 9),
     };
-    let mut recent = [Ppn::new(0); 4];
+    // The last pages touched, each with the prefix it was walked to.
+    let mut recent = [(Ppn::new(0), 0u8); 4];
     // Invalidations that found resident lines, and ones that found none.
     let (mut found, mut cold) = (0u32, 0u32);
+    // Walks over some resident line, and walks over none.
+    let (mut warm_walks, mut absent_walks) = (0u32, 0u32);
+    let (mut walk, mut fresh) = (0u32, 0u64);
     for step in 0..ops {
         let ppn = Ppn::new(rng.gen_range(0..pages));
         let op = rng.gen_range(0..10);
-        if op < lines_end {
-            recent[step as usize % recent.len()] = ppn;
-        }
+        let slot = step as usize % recent.len();
         if op < walks {
-            let lines = 1 + rng.gen_range(0..LINES_PER_PAGE as u64) as u8;
+            let (ppn, lines) = match (mix, walk % 3) {
+                (Mix::Walks, 0) => {
+                    fresh = (fresh + 1) % pages;
+                    let lines = 1 + rng.gen_range(0..LINES_PER_PAGE as u64) as u8;
+                    (Ppn::new(fresh), lines)
+                }
+                (Mix::Walks, 1) => {
+                    let (page, walked) = recent[rng.gen_range(0..recent.len() as u64) as usize];
+                    let longer = walked + 1 + rng.gen_range(0..16) as u8;
+                    (page, longer.min(LINES_PER_PAGE as u8))
+                }
+                (Mix::Walks, _) => {
+                    let lines = 1 + rng.gen_range(0..LINES_PER_PAGE as u64 - 1) as u8;
+                    (ppn, lines)
+                }
+                _ => (ppn, 1 + rng.gen_range(0..LINES_PER_PAGE as u64) as u8),
+            };
+            walk += 1;
+            recent[slot] = (ppn, lines);
+            if (0..lines).any(|line| reference.resident(ppn.line(line))) {
+                warm_walks += 1;
+            } else {
+                absent_walks += 1;
+            }
             let misses = real.access_lines(ppn, lines);
             for line in 0..lines {
                 let hit = reference.access(ppn.line(line));
@@ -134,6 +183,7 @@ fn run(name: &str, config: LlcConfig, pages: u64, ops: u32, seed: u64, mix: Mix)
                 "{name}: bits set past line {lines}"
             );
         } else if op < lines_end {
+            recent[slot] = (ppn, 0);
             let line = ppn.line(rng.gen_range(0..LINES_PER_PAGE as u64) as u8);
             let kind = if rng.gen_bool(0.5) {
                 AccessKind::Read
@@ -147,7 +197,7 @@ fn run(name: &str, config: LlcConfig, pages: u64, ops: u32, seed: u64, mix: Mix)
             );
         } else {
             let ppn = if mix == Mix::InvalidateHeavy && rng.gen_bool(0.75) {
-                recent[rng.gen_range(0..recent.len() as u64) as usize]
+                recent[rng.gen_range(0..recent.len() as u64) as usize].0
             } else {
                 ppn
             };
@@ -176,6 +226,13 @@ fn run(name: &str, config: LlcConfig, pages: u64, ops: u32, seed: u64, mix: Mix)
         "{name}: invalidations too one-sided to check the block scan: \
          {found} found lines, {cold} found none"
     );
+    if config.sets().unwrap() >= LINES_PER_PAGE {
+        assert!(
+            warm_walks > 0 && absent_walks > 0,
+            "{name}: walks too one-sided to check the block scan: \
+             {warm_walks} over resident lines, {absent_walks} over none"
+        );
+    }
 }
 
 #[test]
@@ -188,6 +245,14 @@ fn default_server_matches_the_stamp_model() {
         30_000,
         1,
         Mix::Uniform,
+    );
+    run(
+        "default_server/walks",
+        LlcConfig::default_server(),
+        6_144,
+        30_000,
+        10,
+        Mix::Walks,
     );
 }
 
@@ -205,6 +270,14 @@ fn simulator_default_matches_the_stamp_model() {
         30_000,
         5,
         Mix::InvalidateHeavy,
+    );
+    run(
+        "simulator_default/walks",
+        config,
+        768,
+        30_000,
+        11,
+        Mix::Walks,
     );
 }
 
@@ -226,6 +299,7 @@ fn sixty_four_set_cache_matches_the_stamp_model() {
         7,
         Mix::InvalidateHeavy,
     );
+    run("sixty_four_set/walks", config, 12, 30_000, 12, Mix::Walks);
 }
 
 #[test]
@@ -240,6 +314,7 @@ fn tiny_matches_the_stamp_model() {
         8,
         Mix::InvalidateHeavy,
     );
+    run("tiny/walks", LlcConfig::tiny(), 160, 30_000, 13, Mix::Walks);
 }
 
 #[test]
@@ -260,4 +335,5 @@ fn four_set_cache_matches_the_stamp_model() {
         9,
         Mix::InvalidateHeavy,
     );
+    run("four_set/walks", config, 8, 30_000, 14, Mix::Walks);
 }
