@@ -2,16 +2,17 @@
 //! `struct page` (the local-memory cap fixes the frame count, §III-C).
 //! A record holds the frame's owner, its LRU links and list (owner
 //! [`SWAPCACHE`] for swapcache pages, [`list_of`]`(i) = i + 1` for the
-//! mapped pages of the simulator's `i`-th process record), its marks,
-//! its pending prefetch's arrival time and HoPP stream, and its last
-//! hot time under trace-assisted reclaim.
+//! mapped pages of the simulator's `i`-th process record), its marks
+//! (swapcache page or not, and the [`Source`] of its pending prefetch),
+//! that prefetch's arrival time and HoPP stream, and its last hot time
+//! under trace-assisted reclaim.
 //! Zero means empty in every column, and a frame's record is pushed as
 //! zeroes when the frame is first handed out, so building the table
 //! only reserves memory: it writes nothing per frame. The marks are
 //! exact: a frame is marked as a swapcache page exactly while its
-//! owner's swap slot records it as cached, and as holding a pending
-//! prefetch from the page's arrival until its first hit or its
-//! reclaim. No other structure tracks either.
+//! owner's swap slot records it as cached, and names one prefetch
+//! source from the page's arrival until its first hit or its reclaim
+//! (no page is prefetched twice at once). Nothing else tracks either.
 
 use hopp_core::three_tier::Tier;
 use hopp_core::StreamId;
@@ -28,25 +29,41 @@ pub(crate) const fn list_of(i: usize) -> usize {
 }
 
 /// Mark: the frame holds an uncharged swapcache page.
-pub(crate) const IN_SWAPCACHE: u8 = 1;
-/// Mark: a baseline prefetch of the frame's page is pending.
-const BASE_PENDING: u8 = 1 << 1;
-/// Marks: HoPP injected the frame's page and it is pending; the two
-/// bits hold the injecting tier's index plus one.
-const INJECTED_SHIFT: u8 = 2;
-const INJECTED: u8 = 3 << INJECTED_SHIFT;
+const IN_SWAPCACHE: u8 = 1;
+/// Marks: the pending prefetch's [`Source::index`] plus one, or zero.
+const SOURCE_SHIFT: u8 = 1;
+const SOURCE: u8 = 7 << SOURCE_SHIFT;
 
-/// A tier's index into per-tier tables.
-pub(crate) fn tier_index(tier: Tier) -> usize {
-    match tier {
-        Tier::Simple => 0,
-        Tier::Ladder => 1,
-        Tier::Ripple => 2,
+/// Who issued a prefetch: the fault-path baseline (Depth-N's injections
+/// included) or one of HoPP's tiers. Every step of a prefetch's life is
+/// counted in its source's row of per-source tables.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Source {
+    Baseline,
+    Hopp(Tier),
+}
+
+impl Source {
+    /// Every source, in [`Source::index`] order.
+    pub(crate) const ALL: [Source; 4] = [
+        Source::Baseline,
+        Source::Hopp(Tier::Simple),
+        Source::Hopp(Tier::Ladder),
+        Source::Hopp(Tier::Ripple),
+    ];
+
+    /// The source's row in per-source tables: the baseline's first,
+    /// then HoPP's tiers in [`Tier::ALL`] order.
+    pub(crate) fn index(self) -> usize {
+        match self {
+            Source::Baseline => 0,
+            Source::Hopp(tier) => 1 + tier as usize,
+        }
     }
 }
 
 /// A frame's pending prefetch: when its page arrived and, for a HoPP
-/// injection, the injecting stream's [`StreamId::key`].
+/// prefetch, the asking stream's [`StreamId::key`].
 #[derive(Clone, Copy, Debug, Default)]
 struct Prefetch {
     arrival: Nanos,
@@ -59,8 +76,8 @@ pub(crate) struct FrameTable {
     pool: FrameAllocator,
     pub(crate) lru: LruLinks,
     marks: Vec<u8>,
-    /// The pending prefetch of the frame's page, valid under
-    /// [`BASE_PENDING`] (its arrival) or the injected marks (both).
+    /// The pending prefetch of the frame's page, valid while its marks
+    /// name a source.
     prefetch: Vec<Prefetch>,
     /// Last hot report as `ns + 1` (0 = never); empty unless
     /// trace-assisted reclaim is on.
@@ -118,86 +135,69 @@ impl FrameTable {
         Ok(())
     }
 
-    /// Sets `mark` on `ppn`.
-    pub(crate) fn mark(&mut self, ppn: Ppn, mark: u8) {
-        self.marks[ppn.index()] |= mark;
+    /// Marks `ppn` as holding a swapcache page, or clears the mark.
+    pub(crate) fn set_swapcache(&mut self, ppn: Ppn, cached: bool) {
+        let marks = &mut self.marks[ppn.index()];
+        *marks = *marks & !IN_SWAPCACHE | if cached { IN_SWAPCACHE } else { 0 };
     }
 
-    /// Whether `mark` is set on `ppn`.
-    pub(crate) fn has(&self, ppn: Ppn, mark: u8) -> bool {
-        self.marks[ppn.index()] & mark != 0
+    /// Whether `ppn` holds a swapcache page.
+    pub(crate) fn in_swapcache(&self, ppn: Ppn) -> bool {
+        self.marks[ppn.index()] & IN_SWAPCACHE != 0
     }
 
-    /// Clears `mark` on `ppn`; returns whether it was set.
-    pub(crate) fn take(&mut self, ppn: Ppn, mark: u8) -> bool {
-        let was = self.has(ppn, mark);
-        self.marks[ppn.index()] &= !mark;
-        was
-    }
-
-    /// Records that a baseline prefetch brought `ppn`'s page in at
-    /// `at` and is pending.
-    pub(crate) fn mark_pending(&mut self, ppn: Ppn, at: Nanos) {
-        self.marks[ppn.index()] |= BASE_PENDING;
-        self.prefetch[ppn.index()].arrival = at;
-    }
-
-    /// Clears `ppn`'s baseline-pending mark; returns the page's arrival
-    /// time, if it was set.
-    pub(crate) fn take_pending(&mut self, ppn: Ppn) -> Option<Nanos> {
-        self.take(ppn, BASE_PENDING)
-            .then(|| self.prefetch[ppn.index()].arrival)
-    }
-
-    /// Records that HoPP's `stream` and `tier` injected `ppn`'s page,
-    /// which arrived at `at`.
-    pub(crate) fn mark_injected(&mut self, ppn: Ppn, stream: StreamId, tier: Tier, at: Nanos) {
+    /// Records that `source` prefetched `ppn`'s page, which arrived at
+    /// `at`; `stream` is the HoPP stream that asked for it (`None` for
+    /// the baseline).
+    pub(crate) fn mark_prefetch(
+        &mut self,
+        ppn: Ppn,
+        source: Source,
+        stream: Option<StreamId>,
+        at: Nanos,
+    ) {
         let i = ppn.index();
+        debug_assert!(self.source(i).is_none(), "{ppn:?}: a prefetch is pending");
+        self.marks[i] |= (source.index() as u8 + 1) << SOURCE_SHIFT;
         self.prefetch[i] = Prefetch {
             arrival: at,
-            stream: stream.key(),
+            stream: stream.map_or(0, StreamId::key),
         };
-        self.marks[i] &= !INJECTED;
-        self.marks[i] |= (tier_index(tier) as u8 + 1) << INJECTED_SHIFT;
     }
 
-    /// Clears `ppn`'s injected mark; returns the stream and tier that
-    /// injected it and the page's arrival time, if it was set.
-    pub(crate) fn take_injected(&mut self, ppn: Ppn) -> Option<(StreamId, Tier, Nanos)> {
+    /// Clears `ppn`'s pending prefetch; returns its source, its HoPP
+    /// stream and its page's arrival time, if one was pending.
+    pub(crate) fn take_prefetch(&mut self, ppn: Ppn) -> Option<(Source, Option<StreamId>, Nanos)> {
         let i = ppn.index();
-        let tier = self.injected_tier(i);
-        self.marks[i] &= !INJECTED;
+        let source = self.source(i)?;
+        self.marks[i] &= !SOURCE;
         let Prefetch { arrival, stream } = self.prefetch[i];
-        Some((StreamId::from_key(stream), tier?, arrival))
+        let stream = (source != Source::Baseline).then(|| StreamId::from_key(stream));
+        Some((source, stream, arrival))
     }
 
-    /// The tier that injected frame `i`'s page, if it is pending.
-    fn injected_tier(&self, i: usize) -> Option<Tier> {
-        let tier = usize::from((self.marks[i] & INJECTED) >> INJECTED_SHIFT);
-        Tier::ALL.get(tier.checked_sub(1)?).copied()
+    /// The source of frame `i`'s pending prefetch, if any.
+    fn source(&self, i: usize) -> Option<Source> {
+        let source = usize::from((self.marks[i] & SOURCE) >> SOURCE_SHIFT);
+        Source::ALL.get(source.checked_sub(1)?).copied()
     }
 
-    /// Moves `from`'s prefetch marks to `to`, which now holds its page.
-    pub(crate) fn inherit_marks(&mut self, from: Ppn, to: Ppn) {
-        let (f, t) = (from.index(), to.index());
-        self.marks[t] |= self.marks[f] & (BASE_PENDING | INJECTED);
-        self.prefetch[t] = self.prefetch[f];
-    }
-
-    /// Frames with a pending baseline prefetch, and with a pending HoPP
-    /// injection per tier (a scan, for consistency checks; freed frames
-    /// carry no marks).
-    #[cfg(any(test, debug_assertions))]
-    pub(crate) fn pending_counts(&self) -> (usize, [usize; 3]) {
-        let mut base = 0;
-        let mut tiers = [0; 3];
-        for (i, &marks) in self.marks.iter().enumerate() {
-            base += usize::from(marks & BASE_PENDING != 0);
-            if let Some(tier) = self.injected_tier(i) {
-                tiers[tier_index(tier)] += 1;
-            }
+    /// Moves `from`'s pending prefetch to `to`, which now holds its page.
+    pub(crate) fn inherit_prefetch(&mut self, from: Ppn, to: Ppn) {
+        if let Some((source, stream, at)) = self.take_prefetch(from) {
+            self.mark_prefetch(to, source, stream, at);
         }
-        (base, tiers)
+    }
+
+    /// Frames with a pending prefetch, per [`Source::index`] (a scan,
+    /// for consistency checks; freed frames carry none).
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn pending_counts(&self) -> [usize; 4] {
+        let mut counts = [0; 4];
+        for source in (0..self.marks.len()).filter_map(|i| self.source(i)) {
+            counts[source.index()] += 1;
+        }
+        counts
     }
 
     /// Allocated frames marked as swapcache pages, with their owners
@@ -207,7 +207,7 @@ impl FrameTable {
         (0..self.marks.len()).filter_map(|i| {
             let ppn = Ppn::from_index(i);
             let (pid, vpn) = self.pool.owner(ppn)?;
-            self.has(ppn, IN_SWAPCACHE).then_some((ppn, pid, vpn))
+            self.in_swapcache(ppn).then_some((ppn, pid, vpn))
         })
     }
 
@@ -218,10 +218,7 @@ impl FrameTable {
     pub(crate) fn mapped_owners(&self) -> impl Iterator<Item = (Ppn, Option<(Pid, Vpn)>)> + '_ {
         (0..self.marks.len()).map(|i| {
             let ppn = Ppn::from_index(i);
-            let owner = self
-                .pool
-                .owner(ppn)
-                .filter(|_| !self.has(ppn, IN_SWAPCACHE));
+            let owner = self.pool.owner(ppn).filter(|_| !self.in_swapcache(ppn));
             (ppn, owner)
         })
     }
@@ -252,44 +249,46 @@ mod tests {
     #[test]
     fn a_freed_frame_comes_back_with_an_empty_record() {
         let mut ft = FrameTable::new(2, 1, true);
-        let ppn = ft.alloc(Pid::new(3), Vpn::new(9)).unwrap();
-        ft.lru.insert(list_of(0), ppn, LruTier::Active);
-        ft.mark(ppn, IN_SWAPCACHE);
-        ft.mark_pending(ppn, Nanos::from_nanos(3));
-        ft.mark_injected(
-            ppn,
-            StreamId::from_key(7 << 16 | 5),
-            Tier::Ripple,
-            Nanos::ZERO,
-        );
-        ft.set_hot(ppn, Nanos::ZERO);
-        assert_eq!(ft.last_hot(ppn), Some(Nanos::ZERO));
-        ft.free(ppn).unwrap();
-        assert_eq!(ft.lru.total_len(), 0);
-        let again = ft.alloc(Pid::new(3), Vpn::new(10)).unwrap();
-        assert_eq!(again, ppn, "LIFO reuse");
-        assert!(!ft.has(again, IN_SWAPCACHE));
-        assert_eq!(ft.take_pending(again), None);
-        assert_eq!(ft.take_injected(again), None);
-        assert_eq!(ft.last_hot(again), None);
+        for source in Source::ALL {
+            let ppn = ft.alloc(Pid::new(3), Vpn::new(9)).unwrap();
+            ft.lru.insert(list_of(0), ppn, LruTier::Active);
+            ft.set_swapcache(ppn, true);
+            ft.mark_prefetch(ppn, source, None, Nanos::from_nanos(3));
+            ft.set_hot(ppn, Nanos::ZERO);
+            assert_eq!(ft.last_hot(ppn), Some(Nanos::ZERO));
+            ft.free(ppn).unwrap();
+            assert_eq!(ft.lru.total_len(), 0);
+            let again = ft.alloc(Pid::new(3), Vpn::new(10)).unwrap();
+            assert_eq!(again, ppn, "LIFO reuse");
+            assert!(!ft.in_swapcache(again));
+            assert_eq!(ft.pending_counts(), [0; 4]);
+            assert_eq!(ft.take_prefetch(again), None);
+            assert_eq!(ft.last_hot(again), None);
+            ft.free(again).unwrap();
+        }
     }
 
     #[test]
-    fn injected_marks_keep_stream_and_tier() {
-        let mut ft = FrameTable::new(1, 1, false);
+    fn prefetch_marks_keep_source_stream_and_arrival() {
+        let mut ft = FrameTable::new(2, 1, false);
         let ppn = ft.alloc(Pid::new(1), Vpn::new(0)).unwrap();
+        let to = ft.alloc(Pid::new(1), Vpn::new(1)).unwrap();
         let stream = StreamId::from_key(u64::from(u32::MAX) << 16 | 63);
-        for (at, tier) in Tier::ALL.into_iter().enumerate() {
+        for (at, source) in Source::ALL.into_iter().enumerate() {
             let at = Nanos::from_nanos(at as u64);
-            ft.mark_injected(ppn, stream, tier, at);
-            assert_eq!(ft.pending_counts().1[tier_index(tier)], 1);
-            assert_eq!(ft.take_injected(ppn), Some((stream, tier, at)));
-            assert_eq!(ft.take_injected(ppn), None);
+            let stream = (source != Source::Baseline).then_some(stream);
+            ft.mark_prefetch(ppn, source, stream, at);
+            ft.set_swapcache(ppn, true);
+            let mut pending = [0; 4];
+            pending[source.index()] = 1;
+            assert_eq!(ft.pending_counts(), pending);
+            ft.inherit_prefetch(ppn, to);
+            assert_eq!(ft.take_prefetch(ppn), None);
+            assert!(ft.in_swapcache(ppn), "only the prefetch moves");
+            ft.set_swapcache(ppn, false);
+            assert_eq!(ft.take_prefetch(to), Some((source, stream, at)));
+            assert_eq!(ft.take_prefetch(to), None);
         }
-        ft.mark_pending(ppn, Nanos::from_nanos(9));
-        assert_eq!(ft.pending_counts(), (1, [0; 3]));
-        assert_eq!(ft.take_pending(ppn), Some(Nanos::from_nanos(9)));
-        assert_eq!(ft.take_pending(ppn), None);
         // Without trace-assisted reclaim nothing is remembered.
         ft.set_hot(ppn, Nanos::from_nanos(5));
         assert_eq!(ft.last_hot(ppn), None);

@@ -7,7 +7,7 @@
 //! * application page accesses come from `hopp-workloads` streams;
 //! * address translation, frames and PTEs from `hopp-mem`; the
 //!   simulator keeps every per-frame fact (owner, LRU links, swapcache
-//!   and prefetch marks) in one PPN-indexed frame table;
+//!   mark, pending prefetch) in one PPN-indexed frame table;
 //! * the LLC model filters accesses into the off-chip miss stream
 //!   (`hopp-trace`), which feeds the MC pipeline (`hopp-hw`);
 //! * the kernel side (swapcache, LRU reclaim, cgroup limits, fault

@@ -18,7 +18,7 @@ use hopp_trace::LastLevelCache;
 use hopp_types::{Error, Nanos, PageAccess, Pid, Ppn, Result, SwapSlot, Vpn};
 
 use crate::config::{AppSpec, SimConfig, SystemConfig};
-use crate::frames::{list_of, tier_index, FrameTable, IN_SWAPCACHE, SWAPCACHE};
+use crate::frames::{list_of, FrameTable, Source, SWAPCACHE};
 use crate::report::{AppReport, Counters, ObsReport, SimReport, TimelineSample};
 
 /// A fault-path prefetch in flight.
@@ -33,8 +33,6 @@ struct BaseArrival {
 struct HoppRuntime {
     engine: HoppEngine,
     exec: ExecutionEngine,
-    /// Per-tier prefetch metrics; HoPP's totals are their sum.
-    tier_metrics: [PrefetchMetrics; 3],
 }
 
 /// One process: its page table, its cgroup, its access stream and its
@@ -63,7 +61,8 @@ pub struct Simulator {
     clock: Nanos,
     llc: LastLevelCache,
     mc: McPipeline,
-    /// One record per local frame: owner, LRU links, prefetch marks.
+    /// One record per local frame: owner, LRU links, swapcache mark,
+    /// pending prefetch.
     frames: FrameTable,
     /// One record per process, in input order, which is also the
     /// round-robin order.
@@ -79,7 +78,9 @@ pub struct Simulator {
     /// policy asks for hints.
     stream_hints: DetMap<(Pid, u64), u64>,
     baseline: Box<dyn Prefetcher>,
-    base_metrics: PrefetchMetrics,
+    /// Prefetch metrics per [`Source`], in [`Source::index`] order: the
+    /// baseline's, then HoPP's tiers', whose sum is HoPP's totals.
+    prefetch_metrics: [PrefetchMetrics; 4],
     base_cq: CompletionQueue<BaseArrival>,
     hopp: Option<HoppRuntime>,
     counters: Counters,
@@ -147,11 +148,6 @@ impl Simulator {
             SystemConfig::Hopp { config, .. } => Some(HoppRuntime {
                 engine: HoppEngine::try_new(config)?,
                 exec: ExecutionEngine::new(),
-                tier_metrics: [
-                    PrefetchMetrics::new(),
-                    PrefetchMetrics::new(),
-                    PrefetchMetrics::new(),
-                ],
             }),
         };
         let baseline = match config.system {
@@ -171,7 +167,7 @@ impl Simulator {
             pool: MemoryPool::new(config.rdma, config.fabric)?,
             stream_hints: DetMap::new(),
             baseline,
-            base_metrics: PrefetchMetrics::new(),
+            prefetch_metrics: Default::default(),
             base_cq: CompletionQueue::with_capacity(64),
             hopp,
             counters: Counters::default(),
@@ -275,8 +271,9 @@ impl Simulator {
     /// resident page or a swapcache page and is on exactly one list,
     /// each list is as long as what it stands for, every swapped-out
     /// page's slot holds that page, every swapcache frame is its page's
-    /// slot's cached frame, and every prefetch is hit, wasted or still
-    /// marked pending on one frame. In flight, no slot carries two
+    /// slot's cached frame, every cgroup's charge is within its limit,
+    /// and every source's prefetch is hit, wasted or still marked
+    /// pending on one frame. In flight, no slot carries two
     /// reads or a swapcache frame, every flagged slot is covered by a
     /// queued read of its kind, and every queued baseline read whose
     /// page is still swapped out flags that page's slot. The RPT names
@@ -345,26 +342,26 @@ impl Simulator {
             swapcache,
             "swapcache list = swapcache pages"
         );
-        let (base_pending, tier_pending) = self.frames.pending_counts();
-        let settled = |m: &PrefetchMetrics| m.prefetch_hits() + m.wasted();
-        assert_eq!(
-            self.base_metrics.prefetched(),
-            settled(&self.base_metrics) + base_pending as u64,
-            "baseline: prefetched = hits + wasted + pending frames"
-        );
-        if let Some(h) = &self.hopp {
-            for (tier, (m, pending)) in h.tier_metrics.iter().zip(tier_pending).enumerate() {
-                assert_eq!(
-                    m.prefetched(),
-                    settled(m) + pending as u64,
-                    "HoPP tier {tier}: prefetched = hits + wasted + pending frames"
-                );
-            }
+        let pending = self.frames.pending_counts();
+        for (source, (m, pending)) in Source::ALL
+            .iter()
+            .zip(self.prefetch_metrics.iter().zip(pending))
+        {
+            assert_eq!(
+                m.prefetched(),
+                m.prefetch_hits() + m.wasted() + pending as u64,
+                "{source:?}: prefetched = hits + wasted + pending frames"
+            );
         }
         for (idx, p) in self.procs.iter().enumerate() {
             let listed = self.frames.lru.len(list_of(idx));
-            let pid = p.pid();
-            assert_eq!(listed, p.cgroup.charged_pages(), "{pid}: listed = charged");
+            let (pid, charged) = (p.pid(), p.cgroup.charged_pages());
+            assert_eq!(listed, charged, "{pid}: listed = charged");
+            let limit = p.cgroup.limit_pages();
+            assert!(
+                charged <= limit,
+                "{pid}: charge {charged} over limit {limit}"
+            );
         }
         assert_eq!(
             self.frames.lru.total_len(),
@@ -394,14 +391,13 @@ impl Simulator {
                 .accesses
                 .is_multiple_of(self.config.timeline_every)
         {
+            let [_, tiers @ ..] = &self.prefetch_metrics;
             self.timeline.push(TimelineSample {
                 at: self.clock,
                 accesses: self.counters.accesses,
                 major_faults: self.counters.major_faults,
                 minor_faults: self.counters.minor_faults,
-                hopp_injected: self.hopp.as_ref().map_or(0, |h| {
-                    h.tier_metrics.iter().map(PrefetchMetrics::prefetched).sum()
-                }),
+                hopp_injected: tiers.iter().map(PrefetchMetrics::prefetched).sum(),
             });
         }
 
@@ -479,36 +475,24 @@ impl Simulator {
         if !access.kind.is_read() {
             self.procs[idx].space.mark_dirty(vpn);
         }
-        self.record_first_hit(self.procs[idx].pid(), vpn, ppn);
+        self.settle_first_hit(self.procs[idx].pid(), vpn, ppn);
         self.line_loop(ppn, access)
     }
 
-    /// First application access to a prefetched page (frame `ppn`):
-    /// metrics + timeliness feedback, from the frame's pending marks.
-    fn record_first_hit(&mut self, pid: Pid, vpn: Vpn, ppn: Ppn) {
-        let mut timeliness = None;
-        if let Some(h) = &mut self.hopp {
-            if let Some((stream, tier, arrived)) = self.frames.take_injected(ppn) {
-                let t = self.clock.saturating_since(arrived);
-                timeliness = Some(t);
-                h.engine.on_timeliness(stream, t);
-                h.tier_metrics[tier_index(tier)].on_hit(t);
-            }
+    /// First application access to `(pid, vpn)`'s page in frame `ppn`,
+    /// mapped or in the swapcache: settles the frame's pending
+    /// prefetch, if any, as a hit of its source. The timeliness goes to
+    /// HoPP's policy for a HoPP prefetch, to the timeliness histogram
+    /// and (at `full`) to a [`Event::PrefetchHit`].
+    fn settle_first_hit(&mut self, pid: Pid, vpn: Vpn, ppn: Ppn) {
+        let Some((source, stream, arrived)) = self.frames.take_prefetch(ppn) else {
+            return;
+        };
+        let timeliness = self.clock.saturating_since(arrived);
+        if let (Some(stream), Some(h)) = (stream, &mut self.hopp) {
+            h.engine.on_timeliness(stream, timeliness);
         }
-        // Depth-N's injected pages live in the baseline metrics.
-        if let Some(arrived) = self.frames.take_pending(ppn) {
-            let t = self.clock.saturating_since(arrived);
-            timeliness = Some(t);
-            self.base_metrics.on_hit(t);
-        }
-        if let Some(t) = timeliness {
-            self.on_prefetch_hit(pid, vpn, t);
-        }
-    }
-
-    /// Observability for a prefetched page's first touch: the
-    /// timeliness histogram and (at `full`) a [`Event::PrefetchHit`].
-    fn on_prefetch_hit(&mut self, pid: Pid, vpn: Vpn, timeliness: Nanos) {
+        self.prefetch_metrics[source.index()].on_hit(timeliness);
         if self.obs_hists {
             self.hists.timeliness.record_nanos(timeliness);
         }
@@ -540,12 +524,7 @@ impl Simulator {
         self.counters.minor_faults += 1;
         self.procs[app_idx].minor_faults += 1;
         let pid = self.procs[idx].pid();
-
-        if let Some(arrived) = self.frames.take_pending(ppn) {
-            let t = self.clock.saturating_since(arrived);
-            self.base_metrics.on_hit(t);
-            self.on_prefetch_hit(pid, vpn, t);
-        }
+        self.settle_first_hit(pid, vpn, ppn);
         if self.recorder.is_enabled() {
             self.recorder
                 .record(self.clock, Event::MinorFault { pid, vpn });
@@ -554,7 +533,7 @@ impl Simulator {
         // `map_page` moves the frame off the swapcache list.
         self.swapdev.free(slot);
         self.pool.release(pid, vpn);
-        self.frames.take(ppn, IN_SWAPCACHE);
+        self.frames.set_swapcache(ppn, false);
         self.map_page(idx, vpn, ppn)?;
         if !access.kind.is_read() {
             self.procs[idx].space.mark_dirty(vpn);
@@ -650,8 +629,8 @@ impl Simulator {
             // does, the displaced frame must be released — it used to
             // leak silently in release builds — and the cgroup charge
             // already covers this page, so don't charge again. Its
-            // prefetch marks describe the page, so they move along.
-            self.frames.inherit_marks(prev.ppn, ppn);
+            // pending prefetch describes the page, so it moves along.
+            self.frames.inherit_prefetch(prev.ppn, ppn);
             self.frames.free(prev.ppn)?;
             self.llc.invalidate_page(prev.ppn);
             self.mc.on_page_reclaimed(prev.ppn);
@@ -883,8 +862,8 @@ impl Simulator {
             return Ok(()); // page no longer remote; drop the data
         };
         let ppn = self.ensure_frame(idx, arrival.vpn)?;
-        self.frames.mark_pending(ppn, done);
-        self.base_metrics.on_arrival();
+        self.frames.mark_prefetch(ppn, Source::Baseline, None, done);
+        self.prefetch_metrics[Source::Baseline.index()].on_arrival();
         if self.recorder.is_enabled() {
             self.recorder.record(
                 done,
@@ -906,7 +885,7 @@ impl Simulator {
             self.swapdev.cache(slot, ppn);
             // Unproven page: inactive list, *not* charged to the cgroup
             // (the Fastswap/Leap accounting gap).
-            self.frames.mark(ppn, IN_SWAPCACHE);
+            self.frames.set_swapcache(ppn, true);
             self.frames.lru.insert(SWAPCACHE, ppn, LruTier::Inactive);
         }
         Ok(())
@@ -951,15 +930,14 @@ impl Simulator {
             self.pool.release(c.pid, vpn);
             self.map_page(idx, vpn, ppn)?;
             // Reclaim inside `map_page` must not have taken the page it
-            // is mapping: its prefetch marks would land on a free frame.
+            // is mapping: its pending prefetch would land on a free frame.
             if self.frames.owner(ppn) != Some((c.pid, vpn)) {
                 return Err(Error::FrameNotOwned { ppn });
             }
-            let Some(h) = self.hopp.as_mut() else {
-                continue; // unreachable: completions only exist with hopp
-            };
-            h.tier_metrics[tier_index(c.tier)].on_arrival();
-            self.frames.mark_injected(ppn, c.stream, c.tier, c.done_at);
+            let source = Source::Hopp(c.tier);
+            self.prefetch_metrics[source.index()].on_arrival();
+            self.frames
+                .mark_prefetch(ppn, source, Some(c.stream), c.done_at);
         }
         Ok(())
     }
@@ -1017,13 +995,12 @@ impl Simulator {
         self.counters.reclaimed += 1;
         let active = from == LruTier::Active;
         // A pending prefetch dies here, unused.
-        let mut wasted = false;
-        if self.frames.take_pending(ppn).is_some() {
-            self.base_metrics.on_wasted();
-            wasted = true;
+        let wasted = self.frames.take_prefetch(ppn);
+        if let Some((source, ..)) = wasted {
+            self.prefetch_metrics[source.index()].on_wasted();
         }
         let dirty;
-        if self.frames.has(ppn, IN_SWAPCACHE) {
+        if self.frames.in_swapcache(ppn) {
             // An unconsumed prefetch: drop it; the swap copy remains
             // valid at its slot.
             let Some(Mapping::Swapped(slot)) = self.procs[idx].space.lookup(vpn) else {
@@ -1067,17 +1044,11 @@ impl Simulator {
                 self.counters.writebacks += 1;
             }
             self.procs[idx].cgroup.uncharge();
-            if let Some(h) = &mut self.hopp {
-                if let Some((_, tier, _)) = self.frames.take_injected(ppn) {
-                    h.tier_metrics[tier_index(tier)].on_wasted();
-                    wasted = true;
-                }
-            }
         }
         if self.recorder.is_enabled() {
             self.recorder
                 .record(self.clock, Event::Reclaim { ppn, active, dirty });
-            if wasted {
+            if wasted.is_some() {
                 self.recorder
                     .record(self.clock, Event::PrefetchWasted { pid, vpn });
             }
@@ -1140,15 +1111,11 @@ impl Simulator {
         // Every remote demand request is a major fault. The tiers' own
         // reports count none, so their coverage reads 1.0 or 0.0.
         let demand_remote = self.counters.major_faults;
+        let [baseline, tiers @ ..] = &self.prefetch_metrics;
         let (hopp_report, tier_reports, tier_stats) = match &self.hopp {
             Some(h) => (
-                Some(
-                    h.tier_metrics
-                        .iter()
-                        .sum::<PrefetchMetrics>()
-                        .report(demand_remote),
-                ),
-                Some(h.tier_metrics.each_ref().map(|m| m.report(0))),
+                Some(tiers.iter().sum::<PrefetchMetrics>().report(demand_remote)),
+                Some(tiers.each_ref().map(|m| m.report(0))),
                 Some(h.engine.tier_stats()),
             ),
             None => (None, None, None),
@@ -1158,7 +1125,7 @@ impl Simulator {
             completion,
             per_app,
             counters: self.counters,
-            baseline: self.base_metrics.report(demand_remote),
+            baseline: baseline.report(demand_remote),
             hopp: hopp_report,
             hopp_tiers: tier_reports,
             tier_stats,
