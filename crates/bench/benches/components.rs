@@ -40,8 +40,14 @@ fn bench(name: &str, iters: u64, mut op: impl FnMut(u64)) {
     );
 }
 
+/// A cache built the way `Simulator::new` builds it: every page the
+/// row touches is tracked for the presence bound.
+fn tracked(config: LlcConfig, pages: u64) -> LastLevelCache {
+    LastLevelCache::with_tracked_pages(config, pages as usize).unwrap()
+}
+
 fn bench_llc() {
-    let mut llc = LastLevelCache::new(LlcConfig::default_server()).unwrap();
+    let mut llc = tracked(LlcConfig::default_server(), 100_000);
     bench("llc/access_stream", 2_000_000, |i| {
         black_box(llc.access(Ppn::new(i % 100_000).line((i % 64) as u8), AccessKind::Read));
     });
@@ -50,13 +56,14 @@ fn bench_llc() {
     // full and make every line miss.
     let config = LlcConfig::simulator_default();
     let hot = 2 * config.capacity_bytes as u64 / PAGE_SIZE as u64;
-    let mut llc = LastLevelCache::new(config).unwrap();
+    let cold = 200_000;
+    let mut llc = tracked(config, hot + cold);
     for page in 0..hot {
         llc.access_lines(Ppn::new(page), LINES_PER_PAGE as u8);
     }
     // What reclaim does: drop a page none of whose lines are cached. The
     // pages come from outside the hot set, so the sets stay full.
-    bench("llc/invalidate_page_cold", 200_000, |i| {
+    bench("llc/invalidate_page_cold", cold, |i| {
         llc.invalidate_page(black_box(Ppn::new(hot + i)));
     });
     assert_eq!(llc.stats().invalidations, 0, "cold pages have no lines");
@@ -65,7 +72,7 @@ fn bench_llc() {
         black_box(llc.access_lines(Ppn::new(i % hot), LINES_PER_PAGE as u8));
     });
     // Quicksort's shape: 40-line touches with about a third of the lines
-    // resident, so the tag is in the walked block and every line takes
+    // resident, so the page is not proven absent and every line takes
     // the per-set search. Pages `g + groups · k` share block `g`. In
     // each block, pages k = 0..16 walk 40 lines round-robin, and after
     // each round page 16 touches lines 0..27 one by one (the same code
@@ -73,7 +80,7 @@ fn bench_llc() {
     // cycle 17 tags through 16 ways and always miss; sets 27..40 keep
     // the 16 walked pages and always hit: 27 misses and 13 hits a walk.
     let groups = config.sets().unwrap() as u64 / LINES_PER_PAGE as u64;
-    let mut llc = LastLevelCache::new(config).unwrap();
+    let mut llc = tracked(config, groups * 17);
     bench("llc/access_lines_partial", 300_000, |i| {
         let (group, k) = (i % groups, i / groups % 16);
         black_box(llc.access_lines(Ppn::new(group + groups * k), 40));
@@ -87,6 +94,23 @@ fn bench_llc() {
     let stats = llc.stats();
     // 16 × 13 hits in 16 × 40 + 27 lines a round.
     assert_eq!(100 * stats.hits / stats.total(), 31, "{stats:?}");
+    // Quicksort's other walks that take the per-line loop: 40-line
+    // re-walks whose lines all hit. In each block, `depth + 1` pages
+    // walk round-robin, so every line hits `depth` ways deep.
+    for depth in [1, 3, 7, 15] {
+        let mut llc = tracked(config, groups * (depth + 1));
+        for page in 0..groups * (depth + 1) {
+            llc.access_lines(Ppn::new(page), 40);
+        }
+        bench(&format!("llc/rewalk_hit/{depth}"), 200_000, |i| {
+            black_box(llc.access_lines(Ppn::new(i % (groups * (depth + 1))), 40));
+        });
+        assert_eq!(
+            llc.stats().misses,
+            groups * (depth + 1) * 40,
+            "depth {depth}"
+        );
+    }
 }
 
 fn bench_hpd() {

@@ -126,7 +126,9 @@ impl Simulator {
                              and 2^32 - 2 (frame links are u32)",
             });
         }
-        let llc = LastLevelCache::new(config.llc)?;
+        // Every frame is tracked for the LLC's presence bound, sized here
+        // so the run allocates nothing for it.
+        let llc = LastLevelCache::with_tracked_pages(config.llc, frames)?;
         let mc = McPipeline::with_channels(config.hpd, config.rpt, config.channels)?;
         let mut procs: Vec<Process> = Vec::with_capacity(apps.len());
         for app in apps {

@@ -25,28 +25,54 @@
 //! at the front. An invalidation removes the tag and appends an empty
 //! way. A lookup stops at the first empty way.
 //!
+//! # Presence bound
+//!
 //! With at least 64 sets the lines of a page fall in consecutive sets
 //! under one tag, so lines `0..n` of a page own one contiguous block of
-//! `n × ways` tags. Both page-granular calls first scan that block once
-//! for the tag, branch-free. Most pages the LLC sees are absent from
-//! it, since it is a miss filter in front of the memory controller.
-//! - [`LastLevelCache::invalidate_page`] returns at once when the tag
-//!   is absent.
-//! - [`LastLevelCache::access_lines`] treats an absent tag as `n`
-//!   misses: each set in the block shifts all its ways back by one and
-//!   takes the tag at the front, with no per-way search. This is exact
+//! `n × ways` tags. Most pages the LLC sees are absent from it, since it
+//! is a miss filter in front of the memory controller. The cache proves
+//! that absence in O(1) instead of scanning the block, from two
+//! counters:
+//! - each set has a `u32` *pressure*: the absent-path walks through it,
+//!   less the removals in its group of 64 sets;
+//! - each tracked page has a `u8` *walked* prefix, the most lines
+//!   walked (or one past the highest line accessed) since its lines
+//!   were last dropped or proven absent, so lines past it are absent;
+//!   and a `u32` *stamp*, the pressure of set `walked − 1` taken after
+//!   its last touch.
+//!
+//! An absent-path walk of `n` lines shifts every tag in its `n` sets
+//! one way deeper, so each such walk with `n ≥ walked` since the page's
+//! last touch pushed every line the page may have one way deeper. Hits
+//! and misses of the per-line loop never move another tag up; only a
+//! removal does, by at most one way per set per invalidated page, and
+//! a removal lowers all 64 pressures of its group by one. So a page is
+//! proven absent when `walked == 0` or when `pressure − stamp ≥ ways`
+//! (wrapping, compared signed): each of its lines has sunk past the
+//! last way. The bound only tells the cache when it may skip work, so
+//! every result is the same as without it. (The signed compare is sound
+//! while a group sees fewer than 2^31 more removals than walks between
+//! two touches of a page.)
+//! - [`LastLevelCache::invalidate_page`] of a proven page clears its
+//!   mark and returns.
+//! - [`LastLevelCache::access_lines`] of a proven page treats the walk
+//!   as `n` misses with no per-way search: one `memmove` shifts its
+//!   block of `n × ways` tags back by one, which shifts every set back
+//!   by one way, and each set takes the tag at its front. This is exact
 //!   because empty ways sit at the tail: shifting the whole set moves
 //!   the same tags as shifting up to the first empty way would, and in
 //!   a full set the LRU way falls off as on any miss.
 //!
-//! A page whose tag is present in the block takes the per-line loop.
-//! With fewer than 64 sets a page's lines wrap around the sets, so both
-//! calls always take the per-line loop.
+//! Any other page takes the per-line loop. Only pages below the count
+//! given to [`LastLevelCache::with_tracked_pages`] are tracked, at 5
+//! bytes each: reserved at construction, filled in as pages are first
+//! touched, never reallocated. With fewer than 64 sets a page's
+//! lines wrap around the sets, so no page is tracked and both calls
+//! always take the per-line loop.
 //!
 //! A tag is the line address shifted right by the set bits, so `u32`
 //! tags cover pages `0..`[`LlcConfig::max_pages`]: 2^37 pages for a
-//! 2 MB, 16-way cache. Half-width tags halve the array, and SSE2
-//! compares 32-bit lanes natively.
+//! 2 MB, 16-way cache. Half-width tags halve the array.
 
 use std::ops::Range;
 
@@ -190,23 +216,57 @@ pub struct LastLevelCache {
     ways: usize,
     set_mask: u64,
     set_bits: u32,
+    /// Per set: absent-path walks through it, less removals in its
+    /// group of 64 sets (module doc, "Presence bound"). Empty when no
+    /// page is tracked.
+    pressure: Vec<u32>,
+    /// Pages `0..tracked` are tracked.
+    tracked: usize,
+    /// Per tracked page: lines walked since its lines were last dropped
+    /// or proven absent. Reserved for every tracked page at
+    /// construction, it grows within that capacity as pages are first
+    /// touched, so neither construction nor the run zeroes or allocates
+    /// it; a page past its length has never been touched.
+    walked: Vec<u8>,
+    /// Per tracked page: the pressure of set `walked − 1` after its last
+    /// touch. Grows with `walked`.
+    stamp: Vec<u32>,
     stats: LlcStats,
 }
 
 impl LastLevelCache {
-    /// Builds an empty cache with the given geometry.
+    /// Builds an empty cache with the given geometry that tracks no
+    /// page, so every call takes the per-line loop.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] if the geometry is invalid (see
     /// [`LlcConfig::sets`]).
     pub fn new(config: LlcConfig) -> Result<Self> {
+        Self::with_tracked_pages(config, 0)
+    }
+
+    /// Builds an empty cache that tracks pages `0..pages` for the
+    /// presence bound (module doc), at 5 bytes a page reserved here; the
+    /// cache never allocates after this. A cache with fewer than 64 sets
+    /// tracks nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfig`] if the geometry is invalid (see
+    /// [`LlcConfig::sets`]).
+    pub fn with_tracked_pages(config: LlcConfig, pages: usize) -> Result<Self> {
         let sets = config.sets()?;
+        let pages = if sets >= LINES_PER_PAGE { pages } else { 0 };
         Ok(LastLevelCache {
             tags: vec![EMPTY; sets * config.ways],
             ways: config.ways,
             set_mask: sets as u64 - 1,
             set_bits: sets.trailing_zeros(),
+            pressure: vec![0; if pages > 0 { sets } else { 0 }],
+            tracked: pages,
+            walked: Vec::with_capacity(pages),
+            stamp: Vec::with_capacity(pages),
             stats: LlcStats::default(),
         })
     }
@@ -218,7 +278,12 @@ impl LastLevelCache {
     /// the "write miss first appears as a read on the bus" behaviour the
     /// paper leans on.
     pub fn access(&mut self, line: LineAddr, _kind: AccessKind) -> bool {
-        self.touch(line.raw())
+        let hit = self.touch(line.raw());
+        let ppn = line.ppn();
+        if ppn.index() < self.tracked {
+            self.mark(ppn, self.walked(ppn).max(line.line_in_page() + 1));
+        }
+        hit
     }
 
     /// Accesses lines `0..lines` of page `ppn` in order and returns the
@@ -232,14 +297,29 @@ impl LastLevelCache {
     pub fn access_lines(&mut self, ppn: Ppn, lines: u8) -> u64 {
         debug_assert!(usize::from(lines) <= LINES_PER_PAGE);
         let first = ppn.line(0).raw();
-        if let Some((block, tag)) = self.absent_block(first, lines.into()) {
-            // Every walked line misses, each in a set of its own; the
-            // module doc says why shifting the whole set is exact.
-            for set in self.tags[block].chunks_exact_mut(self.ways) {
-                set.copy_within(..set.len() - 1, 1);
-                set[0] = tag;
+        if self.proven_absent(ppn) {
+            self.check_absent(ppn);
+            // Every walked line misses, each in a set of its own. One
+            // move of the block shifts every set back by one way (module
+            // doc); the tag that crosses into the next set is overwritten
+            // by that set's new front.
+            let (set, tag) = self.locate(first);
+            let n = usize::from(lines);
+            let block = &mut self.tags[set.start..set.start + n * self.ways];
+            if let Some(last) = block.len().checked_sub(1) {
+                block.copy_within(..last, 1);
+            }
+            for front in block.iter_mut().step_by(self.ways) {
+                *front = tag;
+            }
+            let set = set.start / self.ways;
+            for pressure in &mut self.pressure[set..set + n] {
+                *pressure = pressure.wrapping_add(1);
             }
             self.stats.misses += u64::from(lines);
+            // Stamped after this walk's own bump: its lines are at the
+            // front now.
+            self.mark(ppn, lines);
             return u64::MAX.checked_shr(64 - u32::from(lines)).unwrap_or(0);
         }
         let mut misses = 0;
@@ -248,7 +328,59 @@ impl LastLevelCache {
                 misses |= 1 << j;
             }
         }
+        if ppn.index() < self.tracked {
+            self.mark(ppn, self.walked(ppn).max(lines));
+        }
         misses
+    }
+
+    /// Whether the presence bound (module doc) proves that no line of
+    /// `ppn` is cached. Always `false` for a page that is not tracked.
+    pub fn proven_absent(&self, ppn: Ppn) -> bool {
+        match self.walked.get(ppn.index()) {
+            Some(0) => true,
+            Some(&walked) => {
+                let set = (ppn.line(walked - 1).raw() & self.set_mask) as usize;
+                let sunk = self.pressure[set].wrapping_sub(self.stamp[ppn.index()]) as i32;
+                sunk >= self.ways as i32
+            }
+            // Never touched, if tracked at all.
+            None => ppn.index() < self.tracked,
+        }
+    }
+
+    /// The walked prefix of tracked page `ppn`.
+    fn walked(&self, ppn: Ppn) -> u8 {
+        self.walked.get(ppn.index()).copied().unwrap_or(0)
+    }
+
+    /// Records that tracked page `ppn` was just touched and that lines
+    /// `walked..` of it are absent.
+    fn mark(&mut self, ppn: Ppn, walked: u8) {
+        if ppn.index() >= self.walked.len() {
+            // First touch: grow within the capacity reserved for it.
+            self.walked.resize(ppn.index() + 1, 0);
+            self.stamp.resize(ppn.index() + 1, 0);
+        }
+        self.walked[ppn.index()] = walked;
+        if walked > 0 {
+            let set = (ppn.line(walked - 1).raw() & self.set_mask) as usize;
+            self.stamp[ppn.index()] = self.pressure[set];
+        }
+    }
+
+    /// Debug builds check a proven-absent decision against a scan of the
+    /// page's whole block of `64 × ways` tags, which also checks that no
+    /// line past its walked prefix is cached.
+    fn check_absent(&self, ppn: Ppn) {
+        if cfg!(debug_assertions) {
+            let (set, tag) = self.locate(ppn.line(0).raw());
+            let block = &self.tags[set.start..set.start + LINES_PER_PAGE * self.ways];
+            assert!(
+                !block.contains(&tag),
+                "{ppn:?} proven absent with a line cached"
+            );
+        }
     }
 
     /// The index range of the set holding line address `raw`, and the
@@ -261,25 +393,6 @@ impl LastLevelCache {
             "line {raw:#x} lies past LlcConfig::max_pages"
         );
         (base..base + self.ways, tag as u32)
-    }
-
-    /// With at least 64 sets, lines `0..lines` of the page whose line 0
-    /// is `first` sit in `lines` consecutive sets under one tag: one
-    /// contiguous block of `lines × ways` tags. Scans that block once,
-    /// branch-free (`pcmpeqd`/`por` on x86-64), and returns its index
-    /// range and the tag if the tag occurs nowhere in it. Returns `None`
-    /// if the tag is present, or if the cache has fewer than 64 sets and
-    /// a page's lines wrap around them.
-    fn absent_block(&self, first: u64, lines: usize) -> Option<(Range<usize>, u32)> {
-        if self.set_bits < LINES_PER_PAGE.trailing_zeros() {
-            return None;
-        }
-        let (set, tag) = self.locate(first);
-        let block = set.start..set.start + lines * self.ways;
-        let present = self.tags[block.clone()]
-            .iter()
-            .fold(false, |any, &t| any | (t == tag));
-        (!present).then_some((block, tag))
     }
 
     /// One access to line address `raw`; returns `true` on a hit. The
@@ -311,12 +424,18 @@ impl LastLevelCache {
     /// Called when a page is reclaimed to remote memory: its cached lines
     /// must not keep serving hits for data that is no longer local.
     pub fn invalidate_page(&mut self, ppn: Ppn) {
-        let first = ppn.line(0).raw();
-        // A reclaimed page is cold, so one scan of its block almost
-        // always finds nothing and ends the call.
-        if self.absent_block(first, LINES_PER_PAGE).is_some() {
+        // A reclaimed page is cold, so the bound almost always proves it
+        // absent and ends the call.
+        let proven = self.proven_absent(ppn);
+        if let Some(walked) = self.walked.get_mut(ppn.index()) {
+            *walked = 0;
+        }
+        if proven {
+            self.check_absent(ppn);
             return;
         }
+        let first = ppn.line(0).raw();
+        let before = self.stats.invalidations;
         for j in 0..LINES_PER_PAGE as u64 {
             let (range, tag) = self.locate(first + j);
             let set = &mut self.tags[range];
@@ -330,6 +449,14 @@ impl LastLevelCache {
             set.copy_within(way + 1.., way);
             set[set.len() - 1] = EMPTY;
             self.stats.invalidations += 1;
+        }
+        // A removal moves the tags behind it up by one way, at most once
+        // per set: take one absent walk back from every set of the group.
+        if self.stats.invalidations != before && !self.pressure.is_empty() {
+            let set = (first & self.set_mask) as usize;
+            for pressure in &mut self.pressure[set..set + LINES_PER_PAGE] {
+                *pressure = pressure.wrapping_sub(1);
+            }
         }
     }
 
@@ -484,23 +611,87 @@ mod tests {
         assert!(llc.tags.iter().all(|&t| t == EMPTY));
     }
 
+    /// Page `5 + 32k` of the simulator's 2,048 sets: every `k` shares
+    /// page 5's group of 64 sets.
+    fn group_mate(k: u64) -> Ppn {
+        Ppn::new(5 + 32 * k)
+    }
+
     #[test]
-    fn a_resident_line_past_the_walk_leaves_the_page_absent() {
-        let mut llc = LastLevelCache::new(LlcConfig::simulator_default()).unwrap();
-        let ppn = Ppn::new(5);
+    fn a_resident_line_past_the_walk_keeps_the_page_unproven_until_it_sinks() {
+        let mut llc =
+            LastLevelCache::with_tracked_pages(LlcConfig::simulator_default(), 1_100).unwrap();
+        let ppn = group_mate(0);
+        assert!(llc.proven_absent(ppn), "never touched");
         assert!(!llc.access(ppn.line(50), AccessKind::Read));
-        // Line 50's set lies outside the block of lines 0..10, so the
-        // walk takes the absent path: ten misses, no per-set search.
-        let (set, tag) = llc.locate(ppn.line(0).raw());
-        assert_eq!(
-            llc.absent_block(ppn.line(0).raw(), 10),
-            Some((set.start..set.start + 10 * 16, tag))
-        );
+        // Line 50 lies past the ten walked lines but in the walked-to
+        // prefix, so the walk takes the per-line loop: ten misses.
+        assert!(!llc.proven_absent(ppn));
         assert_eq!(llc.access_lines(ppn, 10), 0x3ff);
-        assert_eq!(llc.stats().misses, 11);
-        assert!(llc.access(ppn.line(50), AccessKind::Read));
-        assert_eq!(llc.access_lines(ppn, 10), 0);
-        assert_eq!(llc.stats().hits, 11);
+        // Absent walks of 50 lines push lines 0..10 out but never reach
+        // line 50's set, so they prove nothing.
+        for k in 1..=16 {
+            assert!(llc.proven_absent(group_mate(k)));
+            assert_eq!(llc.access_lines(group_mate(k), 50), (1 << 50) - 1);
+        }
+        assert!(!llc.proven_absent(ppn));
+        // Each 64-line absent walk pushes line 50 one way deeper; after
+        // fifteen it sits in the last way.
+        for k in 17..32 {
+            assert_eq!(llc.access_lines(group_mate(k), 64), u64::MAX);
+        }
+        assert!(!llc.proven_absent(ppn));
+        assert!(llc.clone().access(ppn.line(50), AccessKind::Read));
+        llc.access_lines(group_mate(32), 64);
+        assert!(llc.proven_absent(ppn));
+        assert_eq!(llc.access_lines(ppn, 64), u64::MAX);
+        assert_eq!(llc.stats().hits, 0);
+    }
+
+    #[test]
+    fn a_removal_takes_one_walk_back_from_its_group() {
+        let mut llc =
+            LastLevelCache::with_tracked_pages(LlcConfig::simulator_default(), 1_100).unwrap();
+        let (page, dropped) = (group_mate(0), group_mate(1));
+        llc.access_lines(page, 64);
+        llc.access_lines(dropped, 64);
+        // Dropping the page walked after `page` moves `page`'s lines back
+        // to the front of every set.
+        llc.invalidate_page(dropped);
+        assert_eq!(llc.stats().invalidations, 64);
+        assert!(llc.proven_absent(dropped));
+        for k in 2..17 {
+            llc.access_lines(group_mate(k), 64);
+        }
+        assert!(!llc.proven_absent(page), "one walk in, one removal out");
+        assert!(llc.clone().access(page.line(63), AccessKind::Read));
+        llc.access_lines(group_mate(17), 64);
+        assert!(llc.proven_absent(page));
+        llc.invalidate_page(page);
+        assert_eq!(llc.stats().invalidations, 64, "nothing left to drop");
+    }
+
+    #[test]
+    fn untracked_pages_and_small_caches_take_the_line_loop() {
+        let mut llc =
+            LastLevelCache::with_tracked_pages(LlcConfig::simulator_default(), 8).unwrap();
+        assert!(llc.proven_absent(Ppn::new(7)));
+        assert!(!llc.proven_absent(Ppn::new(8)));
+        assert_eq!(llc.access_lines(Ppn::new(8), 64), u64::MAX);
+        assert!(!llc.access(Ppn::new(1 << 20).line(3), AccessKind::Read));
+        llc.invalidate_page(Ppn::new(8));
+        // The marks are reserved once: untracked pages never grow them.
+        assert_eq!((llc.walked.len(), llc.walked.capacity()), (0, 8));
+        assert_eq!(llc.stamp.capacity(), 8);
+        llc.access_lines(Ppn::new(7), 64);
+        assert_eq!((llc.walked.len(), llc.walked.capacity()), (8, 8));
+        let four_sets = LlcConfig {
+            capacity_bytes: 4 * 4 * LINE_SIZE,
+            ways: 4,
+        };
+        let llc = LastLevelCache::with_tracked_pages(four_sets, 8).unwrap();
+        assert!(!llc.proven_absent(Ppn::new(0)));
+        assert!(llc.pressure.is_empty() && llc.walked.is_empty());
     }
 
     #[test]

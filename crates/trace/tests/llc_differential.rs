@@ -9,21 +9,28 @@
 //! accesses and page invalidations, and must agree on every line's
 //! hit/miss outcome and on every counter.
 //!
-//! With at least 64 sets, `invalidate_page` first scans the page's block
-//! of `64 × ways` tags and returns early when the page has no resident
-//! line. Every run must exercise both outcomes: invalidations that find
-//! lines and invalidations of cold pages. The invalidate-heavy mix
-//! mostly invalidates pages touched a few operations earlier, the case
-//! where lines *are* resident at reclaim.
+//! Every run must exercise both invalidation outcomes: invalidations
+//! that find lines and invalidations of cold pages. The invalidate-heavy
+//! mix mostly invalidates pages touched a few operations earlier, the
+//! case where lines *are* resident at reclaim.
 //!
-//! `access_lines` makes the same block scan over the sets of the lines
-//! it walks, and when the tag is absent inserts every line without a
-//! per-set search. So every run on at least 64 sets must also see both
-//! walk outcomes, counted on the reference before each walk: the page
-//! resident in none of the walked sets, or in some. The walk-heavy mix
-//! alternates fresh pages, longer re-walks of a recent page and short
-//! prefixes, so partly resident pages and the absent path meet on the
-//! same sets.
+//! With at least 64 sets the cache is built the way the simulator
+//! builds it, tracking the pages it is driven with, so both calls first
+//! ask the presence bound (`proven_absent`). A proven page must have no
+//! line in the reference. Every such run must see all four of: proven
+//! walks (one block shift, no search), proven invalidations, unproven
+//! walks of pages that are in fact absent (the per-line fallback), and
+//! removals, which lower the pressure of their group. The uniform mix
+//! leaves the last quarter of its pages untracked, so their removals
+//! must lower the pressure of tracked pages' sets too. The walk-heavy
+//! mix alternates fresh pages, longer re-walks of a recent page and
+//! short prefixes, so partly resident pages and the absent path meet on
+//! the same sets.
+//!
+//! At 2,048 sets a page range shares its sets with few others, so the
+//! pressure rarely reaches the ways and a broken bound can go unseen.
+//! The one-group runs use only pages whose lines fall in the same 64
+//! sets, as on a 64-set cache.
 
 use hopp_trace::llc::{LastLevelCache, LlcConfig, LlcStats};
 use hopp_types::rng::SplitMix64;
@@ -90,6 +97,13 @@ impl RefLlc {
             .any(|w| w.valid && w.tag == tag)
     }
 
+    /// How many lines of `ppn` are cached.
+    fn cached_lines(&self, ppn: Ppn) -> usize {
+        (0..LINES_PER_PAGE as u8)
+            .filter(|&line| self.resident(ppn.line(line)))
+            .count()
+    }
+
     fn invalidate_page(&mut self, ppn: Ppn) {
         for line in 0..LINES_PER_PAGE as u8 {
             let addr = ppn.line(line);
@@ -119,18 +133,41 @@ enum Mix {
     /// when some of its lines were evicted meanwhile), and a random page
     /// with a prefix shorter than 64 lines.
     Walks,
+    /// 90% walks of all 64 lines of the next page round-robin, 10%
+    /// invalidations of the page walked last. With a few more pages than
+    /// ways, a page often comes back just as its lines reach the last
+    /// way, and an invalidation moves the lines walked before it back up
+    /// one way.
+    Rounds,
 }
 
 /// Drives both models with `ops` seeded operations over pages
 /// `0..pages` and checks they never diverge.
 fn run(name: &str, config: LlcConfig, pages: u64, ops: u32, seed: u64, mix: Mix) {
-    let mut real = LastLevelCache::new(config).unwrap();
+    drive(name, config, pages, 1, ops, seed, mix);
+}
+
+/// [`run`] over pages `0, stride, 2 · stride, …`: with `stride` the
+/// number of set groups, every page shares one group of 64 sets.
+fn run_in_one_group(name: &str, config: LlcConfig, pages: u64, ops: u32, seed: u64, mix: Mix) {
+    let groups = config.sets().unwrap() as u64 / LINES_PER_PAGE as u64;
+    drive(name, config, pages, groups, ops, seed, mix);
+}
+
+fn drive(name: &str, config: LlcConfig, pages: u64, stride: u64, ops: u32, seed: u64, mix: Mix) {
+    let tracked = match mix {
+        Mix::Uniform => pages * 3 / 4,
+        Mix::InvalidateHeavy | Mix::Walks | Mix::Rounds => pages,
+    };
+    let mut real = LastLevelCache::with_tracked_pages(config, (tracked * stride) as usize).unwrap();
     let mut reference = RefLlc::new(config);
     let mut rng = SplitMix64::seed_from_u64(seed);
+    let page = |k: u64| Ppn::new(k * stride);
     let (walks, lines_end) = match mix {
         Mix::Uniform => (6, 9),
         Mix::InvalidateHeavy => (4, 6),
         Mix::Walks => (8, 9),
+        Mix::Rounds => (9, 9),
     };
     // The last pages touched, each with the prefix it was walked to.
     let mut recent = [(Ppn::new(0), 0u8); 4];
@@ -138,9 +175,12 @@ fn run(name: &str, config: LlcConfig, pages: u64, ops: u32, seed: u64, mix: Mix)
     let (mut found, mut cold) = (0u32, 0u32);
     // Walks over some resident line, and walks over none.
     let (mut warm_walks, mut absent_walks) = (0u32, 0u32);
-    let (mut walk, mut fresh) = (0u32, 0u64);
+    // Presence-bound outcomes: proven walks, unproven walks of pages
+    // with no line cached, and proven invalidations.
+    let (mut proven_walks, mut fallback_walks, mut proven_drops) = (0u32, 0u32, 0u32);
+    let (mut walk, mut fresh, mut last_walked) = (0u32, 0u64, page(0));
     for step in 0..ops {
-        let ppn = Ppn::new(rng.gen_range(0..pages));
+        let ppn = page(rng.gen_range(0..pages));
         let op = rng.gen_range(0..10);
         let slot = step as usize % recent.len();
         if op < walks {
@@ -148,7 +188,7 @@ fn run(name: &str, config: LlcConfig, pages: u64, ops: u32, seed: u64, mix: Mix)
                 (Mix::Walks, 0) => {
                     fresh = (fresh + 1) % pages;
                     let lines = 1 + rng.gen_range(0..LINES_PER_PAGE as u64) as u8;
-                    (Ppn::new(fresh), lines)
+                    (page(fresh), lines)
                 }
                 (Mix::Walks, 1) => {
                     let (page, walked) = recent[rng.gen_range(0..recent.len() as u64) as usize];
@@ -159,14 +199,26 @@ fn run(name: &str, config: LlcConfig, pages: u64, ops: u32, seed: u64, mix: Mix)
                     let lines = 1 + rng.gen_range(0..LINES_PER_PAGE as u64 - 1) as u8;
                     (ppn, lines)
                 }
+                (Mix::Rounds, _) => {
+                    fresh = (fresh + 1) % pages;
+                    (page(fresh), LINES_PER_PAGE as u8)
+                }
                 _ => (ppn, 1 + rng.gen_range(0..LINES_PER_PAGE as u64) as u8),
             };
             walk += 1;
             recent[slot] = (ppn, lines);
+            last_walked = ppn;
             if (0..lines).any(|line| reference.resident(ppn.line(line))) {
                 warm_walks += 1;
             } else {
                 absent_walks += 1;
+            }
+            let cached = reference.cached_lines(ppn);
+            if real.proven_absent(ppn) {
+                assert_eq!(cached, 0, "{name}: {ppn:?} proven absent at step {step}");
+                proven_walks += 1;
+            } else if cached == 0 {
+                fallback_walks += 1;
             }
             let misses = real.access_lines(ppn, lines);
             for line in 0..lines {
@@ -196,11 +248,18 @@ fn run(name: &str, config: LlcConfig, pages: u64, ops: u32, seed: u64, mix: Mix)
                 "{name}: {line:?} diverged at step {step}"
             );
         } else {
-            let ppn = if mix == Mix::InvalidateHeavy && rng.gen_bool(0.75) {
-                recent[rng.gen_range(0..recent.len() as u64) as usize].0
-            } else {
-                ppn
+            let ppn = match mix {
+                Mix::InvalidateHeavy if rng.gen_bool(0.75) => {
+                    recent[rng.gen_range(0..recent.len() as u64) as usize].0
+                }
+                Mix::Rounds => last_walked,
+                _ => ppn,
             };
+            if real.proven_absent(ppn) {
+                let cached = reference.cached_lines(ppn);
+                assert_eq!(cached, 0, "{name}: {ppn:?} proven absent at step {step}");
+                proven_drops += 1;
+            }
             let before = real.stats().invalidations;
             real.invalidate_page(ppn);
             reference.invalidate_page(ppn);
@@ -223,14 +282,20 @@ fn run(name: &str, config: LlcConfig, pages: u64, ops: u32, seed: u64, mix: Mix)
     );
     assert!(
         found > 0 && cold > 0,
-        "{name}: invalidations too one-sided to check the block scan: \
-         {found} found lines, {cold} found none"
+        "{name}: invalidations too one-sided: {found} found lines (each \
+         a removal, which lowers the pressure of its group), {cold} found none"
     );
     if config.sets().unwrap() >= LINES_PER_PAGE {
         assert!(
             warm_walks > 0 && absent_walks > 0,
-            "{name}: walks too one-sided to check the block scan: \
+            "{name}: walks too one-sided to check the absent path: \
              {warm_walks} over resident lines, {absent_walks} over none"
+        );
+        assert!(
+            proven_walks > 0 && proven_drops > 0 && fallback_walks > 0,
+            "{name}: too one-sided to check the presence bound: \
+             {proven_walks} proven walks, {proven_drops} proven invalidations, \
+             {fallback_walks} unproven walks of absent pages"
         );
     }
 }
@@ -259,14 +324,17 @@ fn default_server_matches_the_stamp_model() {
 #[test]
 fn simulator_default_matches_the_stamp_model() {
     // The geometry every simulation runs by default: 2,048 sets of 16
-    // ways. 512 pages fit; 768 overcommit every set by half.
+    // ways. 512 pages fit; 768 overcommit every set by half. The
+    // invalidate-heavy mix takes 1,536: at 768 its removals keep the
+    // sets from filling, the bound proves every absent page, and the
+    // per-line fallback never runs on one.
     let config = LlcConfig::simulator_default();
     assert_eq!(config.sets().unwrap(), 2_048);
     run("simulator_default", config, 768, 30_000, 4, Mix::Uniform);
     run(
         "simulator_default/invalidate_heavy",
         config,
-        768,
+        1_536,
         30_000,
         5,
         Mix::InvalidateHeavy,
@@ -279,6 +347,25 @@ fn simulator_default_matches_the_stamp_model() {
         11,
         Mix::Walks,
     );
+}
+
+#[test]
+fn simulator_default_one_group_matches_the_stamp_model() {
+    // Pages 0, 32, 64, …: all in the same 64 sets. 16 pages fit; 48
+    // overcommit the group threefold, so pressure reaches the ways.
+    let config = LlcConfig::simulator_default();
+    run_in_one_group(
+        "one_group/invalidate_heavy",
+        config,
+        48,
+        30_000,
+        16,
+        Mix::InvalidateHeavy,
+    );
+    // 24 pages in one group, walked in turn: each comes back after 23
+    // others, some absent and some not, so its lines are often at
+    // exactly the last way.
+    run_in_one_group("one_group/rounds", config, 24, 30_000, 18, Mix::Rounds);
 }
 
 #[test]
