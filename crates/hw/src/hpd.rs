@@ -18,13 +18,19 @@
 //! The entries live in one flat `sets × ways` array, like the LLC
 //! model's tags. Each set is kept in most-recently-used-first order with
 //! empty entries at the tail, so an entry stores only `{ppn, count,
-//! sent}`: recency is its position and emptiness a reserved PPN. A hit
-//! moves the entry to the front. A miss takes the first empty entry or,
-//! in a full set, the LRU entry at the tail (counted as a cold or sent
-//! eviction), shifts the entries before it back by one and writes the
-//! new entry at the front. An invalidation removes the entry and
-//! appends an empty one. The set is picked with a mask, since
-//! [`HpdConfig::validate`] requires a power-of-two set count.
+//! sent}`: recency is its position and emptiness a reserved value. The
+//! three fields pack into one `u64`: the PPN above bit 8, the send bit
+//! at bit 7 and the count below it (a count never exceeds the threshold,
+//! at most 64). A hit moves the entry to the front. A miss takes the
+//! first empty entry or, in a full set, the LRU entry at the tail
+//! (counted as a cold or sent eviction), shifts the entries before it
+//! back by one and writes the new entry at the front. An invalidation
+//! removes the entry and appends an empty one. The set is picked with a
+//! mask, since [`HpdConfig::validate`] requires a power-of-two set count.
+//!
+//! One routine applies misses to a set. A 16-way set, the paper's
+//! geometry, is passed to it as a `[u64; 16]`, so the compiler unrolls
+//! its search; other geometries run the same loop over the slice.
 //!
 //! # Page runs
 //!
@@ -134,22 +140,19 @@ impl HpdStats {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct HpdEntry {
-    ppn: Ppn,
-    count: u32,
-    sent: bool,
-}
+/// Bits below an entry's PPN: the send bit and the count.
+const PPN_SHIFT: u32 = 8;
 
-/// PPN of an empty entry. A frame number this large has no line
-/// address, so it never reaches the table.
-const EMPTY_PPN: Ppn = Ppn::new(u64::MAX);
+/// An entry's send bit.
+const SENT: u64 = 1 << 7;
 
-const EMPTY: HpdEntry = HpdEntry {
-    ppn: EMPTY_PPN,
-    count: 0,
-    sent: false,
-};
+/// An entry's count bits.
+const COUNT: u64 = SENT - 1;
+
+/// An empty entry. Its PPN field is one past
+/// [`HotPageDetector::MAX_PPN`], and its count of 127 is above any
+/// threshold, so it never equals a real entry.
+const EMPTY: u64 = u64::MAX;
 
 /// The hot page detection table.
 ///
@@ -171,13 +174,19 @@ const EMPTY: HpdEntry = HpdEntry {
 pub struct HotPageDetector {
     config: HpdConfig,
     /// `sets × ways` entries; each set most-recently-used first, empty
-    /// entries at the tail.
-    entries: Vec<HpdEntry>,
+    /// entries at the tail. Each entry is packed (module doc, "Layout").
+    entries: Vec<u64>,
     set_mask: u64,
     stats: HpdStats,
 }
 
 impl HotPageDetector {
+    /// The highest PPN an entry can hold: the 56 bits above the send bit
+    /// and count, less the value reserved for an empty entry. Debug
+    /// builds check every PPN that reaches the table against it;
+    /// `Simulator::new` keeps frame numbers below 2^32.
+    pub const MAX_PPN: Ppn = Ppn::new((u64::MAX >> PPN_SHIFT) - 1);
+
     /// Builds an empty table.
     ///
     /// # Errors
@@ -227,58 +236,12 @@ impl HotPageDetector {
         }
         self.stats.reads += u64::from(n);
         let range = self.set_range(ppn);
+        let (threshold, stats) = (self.config.threshold, &mut self.stats);
         let set = &mut self.entries[range];
-        // A page's misses come in bursts, so its entry is usually already
-        // at the front. Otherwise shift the set one entry towards the
-        // tail, front to back, until the page's entry or an empty one is
-        // displaced; if neither turns up, the LRU entry falls off the
-        // tail. `entry` ends up holding whichever was displaced, and the
-        // front is rewritten below.
-        let mut entry = set[0];
-        if entry.ppn != ppn {
-            entry = EMPTY;
-            for slot in set.iter_mut() {
-                entry = std::mem::replace(slot, entry);
-                if entry.ppn == ppn || entry.ppn == EMPTY_PPN {
-                    break;
-                }
-            }
+        match <&mut [u64; 16]>::try_from(&mut *set) {
+            Ok(fixed) => run_misses(fixed, ppn.raw(), n, threshold, stats),
+            Err(_) => run_misses(set, ppn.raw(), n, threshold, stats),
         }
-        if entry.ppn == ppn {
-            if entry.sent {
-                set[0] = entry;
-                self.stats.send_bit_drops += u64::from(n);
-                return None;
-            }
-        } else {
-            if entry.ppn != EMPTY_PPN {
-                if entry.sent {
-                    self.stats.sent_evictions += 1;
-                } else {
-                    self.stats.cold_evictions += 1;
-                }
-            }
-            entry = HpdEntry {
-                ppn,
-                count: 0,
-                sent: false,
-            };
-        }
-        // An unsent entry is below the threshold, so `to_hot >= 1`.
-        let to_hot = self.config.threshold - entry.count;
-        entry.sent = n >= to_hot;
-        entry.count = if entry.sent {
-            self.config.threshold
-        } else {
-            entry.count + n
-        };
-        set[0] = entry;
-        if entry.sent {
-            self.stats.hot_pages += 1;
-            self.stats.send_bit_drops += u64::from(n - to_hot);
-            return Some(to_hot - 1);
-        }
-        None
     }
 
     /// Invalidate the entry of a page leaving DRAM, so its counter does
@@ -288,8 +251,8 @@ impl HotPageDetector {
         let set = &mut self.entries[range];
         let Some(way) = set
             .iter()
-            .take_while(|e| e.ppn != EMPTY_PPN)
-            .position(|e| e.ppn == ppn)
+            .take_while(|&&e| e != EMPTY)
+            .position(|&e| e >> PPN_SHIFT == ppn.raw())
         else {
             return;
         };
@@ -299,6 +262,10 @@ impl HotPageDetector {
 
     /// The index range of the set `ppn` maps to.
     fn set_range(&self, ppn: Ppn) -> Range<usize> {
+        debug_assert!(
+            ppn <= Self::MAX_PPN,
+            "{ppn:?} does not pack into an HPD entry"
+        );
         let base = (ppn.raw() & self.set_mask) as usize * self.config.ways;
         base..base + self.config.ways
     }
@@ -307,6 +274,65 @@ impl HotPageDetector {
     pub fn stats(&self) -> HpdStats {
         self.stats
     }
+}
+
+/// Applies a run of `n ≥ 1` read misses of page `ppn` to its set and
+/// returns the index of the miss that made the page hot, if one did
+/// ([`HotPageDetector::on_misses`]). Generic so that a `[u64; 16]` set
+/// runs it at a fixed length.
+#[inline(always)]
+fn run_misses<S: AsMut<[u64]> + ?Sized>(
+    set: &mut S,
+    ppn: u64,
+    n: u32,
+    threshold: u32,
+    stats: &mut HpdStats,
+) -> Option<u32> {
+    let set = set.as_mut();
+    // A page's misses come in bursts, so its entry is usually already at
+    // the front. Otherwise shift the set one entry towards the tail,
+    // front to back, until the page's entry or an empty one is
+    // displaced; if neither turns up, the LRU entry falls off the tail.
+    // `entry` ends up holding whichever was displaced, and the front is
+    // rewritten below.
+    let mut entry = set[0];
+    if entry >> PPN_SHIFT != ppn {
+        entry = EMPTY;
+        for slot in set.iter_mut() {
+            entry = std::mem::replace(slot, entry);
+            if entry >> PPN_SHIFT == ppn || entry == EMPTY {
+                break;
+            }
+        }
+    }
+    let count = if entry >> PPN_SHIFT == ppn {
+        if entry & SENT != 0 {
+            set[0] = entry;
+            stats.send_bit_drops += u64::from(n);
+            return None;
+        }
+        (entry & COUNT) as u32
+    } else {
+        if entry != EMPTY {
+            if entry & SENT != 0 {
+                stats.sent_evictions += 1;
+            } else {
+                stats.cold_evictions += 1;
+            }
+        }
+        0
+    };
+    // An unsent entry is below the threshold, so `to_hot >= 1`.
+    let to_hot = threshold - count;
+    let key = ppn << PPN_SHIFT;
+    if n >= to_hot {
+        set[0] = key | SENT | u64::from(threshold);
+        stats.hot_pages += 1;
+        stats.send_bit_drops += u64::from(n - to_hot);
+        return Some(to_hot - 1);
+    }
+    set[0] = key | u64::from(count + n);
+    None
 }
 
 #[cfg(test)]
@@ -486,6 +512,37 @@ mod tests {
             );
             assert_eq!(h.on_misses(victim, 7, AccessKind::Read), None);
         }
+    }
+
+    #[test]
+    fn highest_packable_ppn_hits_goes_hot_and_invalidates_exactly() {
+        let mut h = hpd(2);
+        let top = HotPageDetector::MAX_PPN;
+        // Two set-mates: one whose PPN differs from top's in one bit
+        // above the set bits, and a small one.
+        let (near, low) = (Ppn::new(top.raw() ^ 4), Ppn::new(top.raw() % 4));
+        assert_eq!(h.on_misses(low, 1, AccessKind::Read), None);
+        assert_eq!(h.on_misses(near, 1, AccessKind::Read), None);
+        assert_eq!(h.on_miss(top.line(0), AccessKind::Read), None);
+        assert_eq!(h.on_miss(top.line(63), AccessKind::Read), Some(top));
+        assert_eq!(h.on_misses(top, 5, AccessKind::Read), None);
+        assert_eq!(h.stats().send_bit_drops, 5);
+        h.invalidate(top);
+        // The set-mates keep their counts; top restarts from zero.
+        assert_eq!(h.on_misses(near, 1, AccessKind::Read), Some(0));
+        assert_eq!(h.on_misses(low, 1, AccessKind::Read), Some(0));
+        assert_eq!(h.on_misses(top, 1, AccessKind::Read), None);
+        assert_eq!(h.on_misses(top, 1, AccessKind::Read), Some(0));
+        let s = h.stats();
+        assert_eq!((s.hot_pages, s.cold_evictions, s.sent_evictions), (4, 0, 0));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "does not pack")]
+    fn first_unpackable_ppn_trips_the_debug_check() {
+        let past = Ppn::new(HotPageDetector::MAX_PPN.raw() + 1);
+        hpd(8).on_misses(past, 1, AccessKind::Read);
     }
 
     #[test]

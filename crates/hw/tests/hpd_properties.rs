@@ -12,7 +12,11 @@
 //! * replacement is exact LRU over 16 ways × 4 sets, preferring
 //!   invalid ways;
 //! * every `HpdStats` counter matches the reference, also under heavy
-//!   invalidation and on other geometries.
+//!   invalidation and on other geometries;
+//! * a run of `n` misses (`on_misses`) equals `n` single misses, on the
+//!   16-way geometry (whose sets are searched as fixed-width arrays) and
+//!   on others, for small PPNs and for PPNs just below the highest one an
+//!   entry can hold.
 
 use hopp_hw::hpd::{HotPageDetector, HpdConfig, HpdStats};
 use hopp_types::rng::SplitMix64;
@@ -174,6 +178,86 @@ fn every_counter_matches_the_reference_under_heavy_invalidation() {
             "seed {seed}: stream too tame to be a useful check: {stats:?}"
         );
     }
+}
+
+#[test]
+fn page_runs_match_the_reference_fed_single_misses() {
+    // Runs of 0..=64 misses, one in four of them writes, with one
+    // operation in eight an invalidation. Half the pages sit just below
+    // the highest packable PPN, half at the bottom of the range. The
+    // first three geometries are 16-way; the others take the slice
+    // search.
+    let top = HotPageDetector::MAX_PPN.raw();
+    let mut evictions = (0, 0);
+    for (seed, sets, ways, pages, threshold) in [
+        (61u64, 4usize, 16usize, 48u64, 8u32),
+        (62, 4, 16, 96, 1),
+        (63, 4, 16, 160, 64),
+        (64, 8, 4, 24, 3),
+        (65, 2, 12, 32, 16),
+    ] {
+        let config = HpdConfig {
+            threshold,
+            ways,
+            sets,
+        };
+        let mut real = HotPageDetector::new(config).unwrap();
+        let mut reference = RefModel::new(config);
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        for step in 0..20_000u32 {
+            let k = rng.gen_range(0..pages);
+            let ppn = Ppn::new(if rng.gen_bool(0.5) { top - k } else { k });
+            if rng.gen_range(0..8) == 0 {
+                real.invalidate(ppn);
+                reference.invalidate(ppn);
+                continue;
+            }
+            let n = rng.gen_range(0..65) as u32;
+            let kind = if rng.gen_range(0..4) == 0 {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            let got = real.on_misses(ppn, n, kind);
+            let mut want = None;
+            for i in 0..n {
+                if !kind.is_read() {
+                    reference.on_write();
+                } else if reference.on_read(ppn).is_some() {
+                    assert_eq!(
+                        want.replace(i),
+                        None,
+                        "seed {seed}: two emissions in one run"
+                    );
+                }
+            }
+            assert_eq!(
+                got, want,
+                "seed {seed}: run of {n} {kind:?} misses to {ppn:?} diverged at step {step}"
+            );
+            assert_eq!(
+                real.stats(),
+                reference.stats,
+                "seed {seed}: counters diverged at step {step}"
+            );
+        }
+        let s = real.stats();
+        assert!(
+            s.hot_pages > 0
+                && s.send_bit_drops > 0
+                && s.cold_evictions + s.sent_evictions > 0
+                && s.writes_ignored > 0,
+            "seed {seed}: stream too tame to be a useful check: {s:?}"
+        );
+        // At threshold 1 every entry is sent, so only the others can
+        // evict an unsent one.
+        evictions.0 += s.cold_evictions;
+        evictions.1 += s.sent_evictions;
+    }
+    assert!(
+        evictions.0 > 0 && evictions.1 > 0,
+        "cold and sent evictions: {evictions:?}"
+    );
 }
 
 #[test]

@@ -12,6 +12,7 @@
 //! hoppsim --list
 //! ```
 
+use std::io::{self, Write};
 use std::path::Path;
 
 use hopp_core::policy::HugeBatchConfig;
@@ -274,16 +275,40 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Request, String>
     Ok(Request::Run(Box::new(cli)))
 }
 
-fn list_workloads() {
-    println!("{:<13} {:>6} {:>5}  model", "workload", "GB", "cores");
+fn list_workloads(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(out, "{:<13} {:>6} {:>5}  model", "workload", "GB", "cores")?;
     for k in WorkloadKind::ALL {
-        println!(
+        writeln!(
+            out,
             "{:<13} {:>6} {:>5}  {}",
             k.name(),
             k.paper_footprint_gb(),
             k.paper_cores(),
             k.description()
-        );
+        )?;
+    }
+    Ok(())
+}
+
+/// `println!` through [`say`]: a closed stdout drops the line quietly.
+macro_rules! sayln {
+    ($($arg:tt)*) => {
+        say(|out| writeln!(out, $($arg)*))
+    };
+}
+
+/// Writes to stdout through one lock. When the reader has closed the
+/// pipe (`hoppsim … | head -1`), the text is dropped quietly and the run
+/// goes on, side outputs included; any other write error ends the CLI
+/// with exit code 1.
+fn say(print: impl FnOnce(&mut dyn Write) -> io::Result<()>) {
+    let mut out = io::stdout().lock();
+    match print(&mut out).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => {
+            eprintln!("writing to stdout: {e}");
+            std::process::exit(1);
+        }
+        _ => {}
     }
 }
 
@@ -296,45 +321,57 @@ fn fail_run<T>(e: hopp_types::Error) -> T {
     std::process::exit(1);
 }
 
-fn print_report(ratio: f64, label: &str, local_ns: f64, r: &SimReport) {
+fn print_report(
+    out: &mut dyn Write,
+    ratio: f64,
+    label: &str,
+    local_ns: f64,
+    r: &SimReport,
+) -> io::Result<()> {
     let normalized = local_ns / r.completion.as_nanos() as f64;
-    println!("workload          {label}");
-    println!(
+    writeln!(out, "workload          {label}")?;
+    writeln!(
+        out,
         "system            {} ({:.0}% local)",
         r.system,
         ratio * 100.0
-    );
-    println!("completion        {}", r.completion);
-    println!("normalized perf   {normalized:.3}");
+    )?;
+    writeln!(out, "completion        {}", r.completion)?;
+    writeln!(out, "normalized perf   {normalized:.3}")?;
     let c = &r.counters;
-    println!(
+    writeln!(
+        out,
         "faults            {} major, {} prefetch-hit, {} first-touch, {} in-flight waits",
         c.major_faults, c.minor_faults, c.first_touches, c.inflight_waits
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "prefetching       accuracy {:.1}%  coverage {:.1}%  (fault-path {:.1}% + hopp-injected {:.1}%)",
         r.accuracy() * 100.0,
         r.coverage() * 100.0,
         r.coverage_swapcache() * 100.0,
         r.coverage_injected() * 100.0
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "network           {} reads, {} writebacks, {} MB moved",
         r.rdma.reads,
         r.rdma.writes,
         r.rdma.bytes / (1024 * 1024)
-    );
+    )?;
     if let Some(f) = &r.fabric {
-        println!(
+        writeln!(
+            out,
             "memory pool       {} nodes, {} placement, replication {}, {} failovers, {} failed writes",
             f.nodes.len(),
             f.placement,
             f.replication,
             f.failovers,
             f.failed_writes
-        );
+        )?;
         for n in &f.nodes {
-            println!(
+            writeln!(
+                out,
                 "  {}           {} reads, {} writes, {} placed, {} retries, {} timeouts{}",
                 n.node,
                 n.link.reads,
@@ -343,27 +380,30 @@ fn print_report(ratio: f64, label: &str, local_ns: f64, r: &SimReport) {
                 n.retries,
                 n.timeouts,
                 if n.lost { ", LOST" } else { "" }
-            );
+            )?;
         }
     }
-    println!(
+    writeln!(
+        out,
         "hardware          {} hot pages ({:.2}% of misses), RPT hit rate {:.1}%, HPD bw {:.3}%",
         r.hpd.hot_pages,
         r.hpd.hot_ratio() * 100.0,
         r.rpt.hit_rate() * 100.0,
         r.ledger.hpd_overhead_percent()
-    );
+    )?;
     if let Some(h) = &r.hopp {
-        println!(
+        writeln!(
+            out,
             "hopp data path    {} injected, {} DRAM-hits, mean timeliness {}",
             h.prefetched, h.prefetch_hits, h.mean_timeliness
-        );
+        )?;
     }
     if let Some(t) = &r.tier_stats {
-        println!(
+        writeln!(
+            out,
             "tier mix          SSP {}  LSP {}  RSP {}  unclassified {}",
             t.simple, t.ladder, t.ripple, t.unclassified
-        );
+        )?;
     }
     if r.obs.level.histograms() {
         let l = &r.obs.latency;
@@ -376,28 +416,30 @@ fn print_report(ratio: f64, label: &str, local_ns: f64, r: &SimReport) {
                 s.count
             )
         };
-        println!("major-fault lat   {}", fmt(&l.major_fault));
-        println!("timeliness        {}", fmt(&l.timeliness));
-        println!("inflight wait     {}", fmt(&l.inflight_wait));
-        println!("rdma read         {}", fmt(&l.rdma_read));
+        writeln!(out, "major-fault lat   {}", fmt(&l.major_fault))?;
+        writeln!(out, "timeliness        {}", fmt(&l.timeliness))?;
+        writeln!(out, "inflight wait     {}", fmt(&l.inflight_wait))?;
+        writeln!(out, "rdma read         {}", fmt(&l.rdma_read))?;
         if l.rdma_write.count > 0 {
-            println!("rdma write        {}", fmt(&l.rdma_write));
+            writeln!(out, "rdma write        {}", fmt(&l.rdma_write))?;
         }
     }
     if !r.timeline.is_empty() {
-        println!("\ntimeline (per-window major faults / prefetch-hits):");
+        writeln!(out, "\ntimeline (per-window major faults / prefetch-hits):")?;
         let mut prev = (0u64, 0u64);
         for (i, s) in r.timeline.iter().enumerate() {
-            println!(
+            writeln!(
+                out,
                 "  w{:<3} @{:<12} major {:<6} p-hit {:<6}",
                 i + 1,
                 format!("{}", s.at),
                 s.major_faults - prev.0,
                 s.minor_faults - prev.1,
-            );
+            )?;
             prev = (s.major_faults, s.minor_faults);
         }
     }
+    Ok(())
 }
 
 /// Arms the profiler for the measured run (a no-op when no `--prof-*`
@@ -426,7 +468,7 @@ fn write_outputs(cli: &Cli, r: &SimReport, prof: Option<&hopp_prof::ProfReport>)
         let trace =
             events_to_chrome_trace_with_extra(&r.obs.events, extra.as_deref().unwrap_or(""));
         write(path, trace, "trace");
-        println!(
+        sayln!(
             "\ntrace             {} events -> {path} ({} dropped; open in Perfetto)",
             r.obs.events.len(),
             r.obs.dropped_events
@@ -434,16 +476,16 @@ fn write_outputs(cli: &Cli, r: &SimReport, prof: Option<&hopp_prof::ProfReport>)
     }
     if let Some(path) = &cli.metrics_json {
         write(path, r.metrics_json(), "metrics");
-        println!("metrics           -> {path}");
+        sayln!("metrics           -> {path}");
     }
     if let Some(path) = &cli.timeline_out {
         write(path, r.timeline_csv(), "timeline");
-        println!("timeline          {} samples -> {path}", r.timeline.len());
+        sayln!("timeline          {} samples -> {path}", r.timeline.len());
     }
     if let Some(p) = prof {
         if let Some(path) = &cli.prof_json {
             write(path, p.to_json(), "profile");
-            println!(
+            sayln!(
                 "profile           {} spans, {} of host time -> {path}",
                 p.nodes.len(),
                 hopp_types::Nanos::from_nanos(p.attributed_ns())
@@ -451,7 +493,7 @@ fn write_outputs(cli: &Cli, r: &SimReport, prof: Option<&hopp_prof::ProfReport>)
         }
         if let Some(path) = &cli.prof_folded {
             write(path, p.to_folded(), "folded profile");
-            println!("folded profile    -> {path} (feed to flamegraph.pl / inferno)");
+            sayln!("folded profile    -> {path} (feed to flamegraph.pl / inferno)");
         }
     }
 }
@@ -476,7 +518,7 @@ impl Accesses {
                 std::process::exit(1);
             });
             let h = trace.header.clone();
-            println!(
+            sayln!(
                 "replaying {} accesses ({} recorded from {} at {} pages, seed {})\n",
                 trace.accesses.len(),
                 path,
@@ -545,7 +587,7 @@ fn run(
 fn main() {
     let cli = match parse_args(std::env::args().skip(1)) {
         Ok(Request::Run(cli)) => *cli,
-        Ok(Request::List) => return list_workloads(),
+        Ok(Request::List) => return say(list_workloads),
         Ok(Request::Help) => usage(),
         Err(msg) => {
             eprintln!("{msg}");
@@ -563,7 +605,7 @@ fn main() {
             eprintln!("record-trace failed: {e}");
             std::process::exit(1);
         });
-        println!("recorded {n} accesses to {path} (.hst)\n");
+        sayln!("recorded {n} accesses to {path} (.hst)\n");
     }
 
     // The all-local normalization run, then the measured run; only the
@@ -579,12 +621,15 @@ fn main() {
         cli.fault_script.as_ref(),
     );
     let prof = hopp_prof::disable();
-    print_report(
-        cli.ratio,
-        &label,
-        local.completion.as_nanos() as f64,
-        &report,
-    );
+    say(|out| {
+        print_report(
+            out,
+            cli.ratio,
+            &label,
+            local.completion.as_nanos() as f64,
+            &report,
+        )
+    });
     write_outputs(&cli, &report, prof.as_ref());
 }
 

@@ -25,6 +25,15 @@
 //! at the front. An invalidation removes the tag and appends an empty
 //! way. A lookup stops at the first empty way.
 //!
+//! One routine looks a tag up in a set and moves it to the front. A
+//! 16-way set (every preset but `tiny`) is passed to it as a
+//! `[u32; 16]`, so the compiler unrolls its search; other geometries
+//! run the same loop over the slice. With at least 64 sets, lines `0..n` of a
+//! page lie in `n` consecutive sets under one tag, so a page walk that
+//! is not proven absent (below) touches that block set by set, in
+//! fixed-width chunks when the sets have 16 ways, and updates the
+//! counters once.
+//!
 //! # Presence bound
 //!
 //! With at least 64 sets the lines of a page fall in consecutive sets
@@ -278,7 +287,9 @@ impl LastLevelCache {
     /// the "write miss first appears as a read on the bus" behaviour the
     /// paper leans on.
     pub fn access(&mut self, line: LineAddr, _kind: AccessKind) -> bool {
-        let hit = self.touch(line.raw());
+        let (range, tag) = self.locate(line.raw());
+        let hit = touch(&mut self.tags[range], tag);
+        self.count(1, u64::from(!hit));
         let ppn = line.ppn();
         if ppn.index() < self.tracked {
             self.mark(ppn, self.walked(ppn).max(line.line_in_page() + 1));
@@ -322,16 +333,32 @@ impl LastLevelCache {
             self.mark(ppn, lines);
             return u64::MAX.checked_shr(64 - u32::from(lines)).unwrap_or(0);
         }
-        let mut misses = 0;
-        for j in 0..u64::from(lines) {
-            if !self.touch(first + j) {
-                misses |= 1 << j;
+        let misses = if self.set_bits >= LINES_PER_PAGE.trailing_zeros() {
+            // Lines `0..n` share one tag in `n` consecutive sets.
+            let (set, tag) = self.locate(first);
+            let block = &mut self.tags[set.start..set.start + usize::from(lines) * self.ways];
+            walk_block(block, self.ways, tag)
+        } else {
+            let mut misses = 0;
+            for j in 0..u64::from(lines) {
+                let (range, tag) = self.locate(first + j);
+                misses |= u64::from(!touch(&mut self.tags[range], tag)) << j;
             }
-        }
+            misses
+        };
+        self.count(lines, misses);
         if ppn.index() < self.tracked {
             self.mark(ppn, self.walked(ppn).max(lines));
         }
         misses
+    }
+
+    /// Counts a walk of `lines` lines whose misses are the bits of
+    /// `misses`.
+    fn count(&mut self, lines: u8, misses: u64) {
+        let missed = u64::from(misses.count_ones());
+        self.stats.misses += missed;
+        self.stats.hits += u64::from(lines) - missed;
     }
 
     /// Whether the presence bound (module doc) proves that no line of
@@ -395,30 +422,6 @@ impl LastLevelCache {
         (base..base + self.ways, tag as u32)
     }
 
-    /// One access to line address `raw`; returns `true` on a hit. The
-    /// line ends up most recently used either way.
-    fn touch(&mut self, raw: u64) -> bool {
-        let (range, tag) = self.locate(raw);
-        // Shift the set one way towards the tail, front to back, until
-        // the tag itself (a hit) or an empty way is displaced; if neither
-        // turns up, the LRU tag falls off the tail. The tag ends up at
-        // the front either way.
-        let mut carry = tag;
-        for slot in &mut self.tags[range] {
-            carry = std::mem::replace(slot, carry);
-            if carry == tag || carry == EMPTY {
-                break;
-            }
-        }
-        let hit = carry == tag;
-        if hit {
-            self.stats.hits += 1;
-        } else {
-            self.stats.misses += 1;
-        }
-        hit
-    }
-
     /// Drops every line belonging to `ppn`.
     ///
     /// Called when a page is reclaimed to remote memory: its cached lines
@@ -464,6 +467,56 @@ impl LastLevelCache {
     pub fn stats(&self) -> LlcStats {
         self.stats
     }
+}
+
+/// Touches `tag` in one set; returns `true` on a hit. The tag ends up
+/// most recently used either way. A 16-way set is touched as an array.
+#[inline(always)]
+fn touch(set: &mut [u32], tag: u32) -> bool {
+    match <&mut [u32; 16]>::try_from(&mut *set) {
+        Ok(fixed) => touch_set(fixed, tag),
+        Err(_) => touch_set(set, tag),
+    }
+}
+
+/// Touches `tag` in every set of `block`, a run of consecutive sets of
+/// `ways` ways each, front to back, and returns the miss mask: bit `j`
+/// set when set `j` missed. 16-way sets are touched as arrays.
+#[inline(always)]
+fn walk_block(block: &mut [u32], ways: usize, tag: u32) -> u64 {
+    let mut misses = 0;
+    if ways == 16 {
+        let (sets, _) = block.as_chunks_mut::<16>();
+        for (j, set) in sets.iter_mut().enumerate() {
+            misses |= u64::from(!touch_set(set, tag)) << j;
+        }
+    } else {
+        for (j, set) in block.chunks_exact_mut(ways).enumerate() {
+            misses |= u64::from(!touch_set(set, tag)) << j;
+        }
+    }
+    misses
+}
+
+/// The one routine that looks a tag up in a set: shifts it one way
+/// towards the tail, front to back, until `tag` itself (a hit) or an
+/// empty way is displaced; if neither turns up, the LRU tag falls off
+/// the tail. The tag ends up at the front either way. Generic so that a
+/// `[u32; 16]` set runs it at a fixed length.
+#[inline(always)]
+fn touch_set<S: AsMut<[u32]> + ?Sized>(set: &mut S, tag: u32) -> bool {
+    let mut carry = tag;
+    // One exit test per way: with a second `break` the compiler leaves
+    // the loop rolled inside a block walk.
+    let mut hit = false;
+    for slot in set.as_mut() {
+        carry = std::mem::replace(slot, carry);
+        hit = carry == tag;
+        if hit || carry == EMPTY {
+            break;
+        }
+    }
+    hit
 }
 
 #[cfg(test)]

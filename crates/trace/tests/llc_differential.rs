@@ -390,6 +390,38 @@ fn sixty_four_set_cache_matches_the_stamp_model() {
 }
 
 #[test]
+fn twelve_way_cache_matches_the_stamp_model() {
+    // 128 sets of 12 ways: at least 64 sets, so a page walk touches its
+    // block set by set, but not 16 ways, so each set is searched as a
+    // slice rather than a fixed-width array. 24 pages fit; 72 overcommit
+    // every set threefold.
+    let config = LlcConfig {
+        capacity_bytes: 128 * 12 * LINE_SIZE,
+        ways: 12,
+    };
+    assert_eq!(config.sets().unwrap(), 128);
+    run("twelve_way", config, 72, 30_000, 19, Mix::Uniform);
+    run(
+        "twelve_way/invalidate_heavy",
+        config,
+        72,
+        30_000,
+        20,
+        Mix::InvalidateHeavy,
+    );
+    run("twelve_way/walks", config, 72, 30_000, 21, Mix::Walks);
+    // 20 pages of one group, walked in turn.
+    run_in_one_group(
+        "twelve_way/one_group_rounds",
+        config,
+        20,
+        30_000,
+        22,
+        Mix::Rounds,
+    );
+}
+
+#[test]
 fn tiny_matches_the_stamp_model() {
     // 64 pages fit; 160 keep every set thrashing.
     run("tiny", LlcConfig::tiny(), 160, 30_000, 2, Mix::Uniform);
