@@ -17,7 +17,7 @@ use hopp_core::stt::{StreamTrainingTable, SttConfig};
 use hopp_core::three_tier::{ThreeTier, TierConfig};
 use hopp_hw::{HotPageDetector, HpdConfig, McPipeline, ReversePageTable, RptCacheConfig};
 use hopp_kernel::{LruLinks, LruTier};
-use hopp_mem::FrameAllocator;
+use hopp_mem::{FrameAllocator, PteListener};
 use hopp_obs::NopRecorder;
 use hopp_trace::llc::{LastLevelCache, LlcConfig};
 use hopp_types::{AccessKind, HotPage, Nanos, PageFlags, Pid, Ppn, Vpn, LINES_PER_PAGE, PAGE_SIZE};
@@ -137,6 +137,17 @@ fn bench_rpt() {
     bench("rpt/lookup", 2_000_000, |i| {
         black_box(rpt.lookup(Ppn::new(i % 16_384)));
     });
+    // The kernel's PTE hooks over the same frames: each frame is mapped
+    // and later cleared, so most updates miss and write a dirty way back.
+    bench("rpt/pte_update", 2_000_000, |i| {
+        let ppn = Ppn::new(i / 2 * 7_919 % 16_384);
+        if i % 2 == 0 {
+            rpt.pte_set(Pid::new(2), Vpn::new(i), ppn);
+        } else {
+            rpt.pte_clear(Pid::new(2), Vpn::new(i - 1), ppn);
+        }
+    });
+    black_box(rpt.stats());
 }
 
 fn bench_stt() {
@@ -155,6 +166,28 @@ fn bench_stt() {
             black_box(tiers.predict(&window));
         }
     });
+    // Every entry live: 64 strided streams over two pids, far apart, so
+    // each hot page is matched against all 64 entries (32 of its pid).
+    // The pages run on through the warm-up pass instead of restarting.
+    let mut stt = StreamTrainingTable::new(SttConfig::default()).unwrap();
+    let mut i = 0u64;
+    bench("stt/observe_full_table", 1_000_000, |_| {
+        i += 1;
+        let stream = i % 64;
+        let hot = HotPage {
+            pid: if stream.is_multiple_of(2) {
+                Pid::new(1)
+            } else {
+                Pid::new(2)
+            },
+            vpn: Vpn::new(stream * 1_000_000 + (i / 64) * (stream % 4 + 1)),
+            flags: PageFlags::default(),
+            at: Nanos::from_nanos(i),
+        };
+        black_box(stt.observe(&hot, &mut NopRecorder).map(|w| w.vpn_a()));
+    });
+    assert_eq!(stt.active_streams(), 64);
+    assert_eq!(stt.stats().evictions, 0);
 }
 
 fn bench_frames() {

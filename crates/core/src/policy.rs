@@ -137,6 +137,9 @@ struct SlotState {
     generation: u32,
     /// Prefetch offset `i`.
     offset: f64,
+    /// `i` as the whole number of pages an order skips ahead, kept in
+    /// step with `offset`.
+    pages_ahead: i64,
     /// Classified unit-stride windows seen (huge-batch qualification).
     confirmations: u32,
     /// First page not yet covered by an issued batch.
@@ -148,6 +151,7 @@ impl SlotState {
         SlotState {
             generation,
             offset: 1.0,
+            pages_ahead: 1,
             confirmations: 0,
             batched_until: None,
         }
@@ -160,7 +164,14 @@ pub struct PolicyEngine {
     config: PolicyConfig,
     /// One element per STT slot.
     slots: Vec<SlotState>,
+    /// [`pages_ahead`] of a pinned offset.
+    fixed_pages_ahead: Option<i64>,
     stats: PolicyStats,
+}
+
+/// The whole pages ahead an offset `i` fetches: `i` rounded, at least 1.
+fn pages_ahead(offset: f64) -> i64 {
+    offset.round().max(1.0) as i64
 }
 
 impl PolicyEngine {
@@ -170,6 +181,7 @@ impl PolicyEngine {
         PolicyEngine {
             config,
             slots: vec![SlotState::fresh(0); stt_entries],
+            fixed_pages_ahead: config.fixed_offset.map(pages_ahead),
             stats: PolicyStats::default(),
         }
     }
@@ -216,9 +228,9 @@ impl PolicyEngine {
     ) {
         let before = out.len();
         // A window from a newer generation claims (and resets) its slot.
-        let offset = self.state_mut(window.stream).map_or(1.0, |s| s.offset);
+        let ahead = self.state_mut(window.stream).map_or(1, |s| s.pages_ahead);
         if !self.try_huge_batch(window, prediction, out) {
-            let base = self.config.fixed_offset.unwrap_or(offset).round().max(1.0) as i64;
+            let base = self.fixed_pages_ahead.unwrap_or(ahead);
             let vpn_a = window.vpn_a();
             for j in 0..i64::from(self.config.intensity) {
                 if let Some(vpn) = prediction.target(vpn_a, base + j) {
@@ -306,6 +318,7 @@ impl PolicyEngine {
             } else {
                 (state.offset * (1.0 - alpha)).max(1.0)
             };
+            state.pages_ahead = pages_ahead(state.offset);
         }
     }
 

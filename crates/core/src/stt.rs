@@ -12,9 +12,27 @@
 //!
 //! Like the hardware table it models, the STT has a fixed size: every
 //! per-entry field is one array allocated at construction, and the
-//! histories are two flat `entries × L` and `entries × (L-1)` buffers.
-//! A window borrows its entry's slices, so training a hot page copies
-//! and allocates nothing.
+//! histories are two flat buffers of `2L` values per entry. A window
+//! borrows its entry's slices, so training a hot page copies and
+//! allocates nothing.
+//!
+//! # Matching over live entries
+//!
+//! Entries become live when [`StreamTrainingTable::observe`] recycles a
+//! slot for a new stream and are never invalidated, so a table serving
+//! a few streams holds a few live entries among its 64. A bitmask (one
+//! `u64` per 64 entries) records them, and the match visits only its
+//! set bits, in ascending slot order with the same strict-less rule a
+//! scan of every slot applies: the same entry wins. Debug builds check
+//! every match against that full-table scan.
+//!
+//! # Mirrored history rings
+//!
+//! Each entry's VPN and stride histories are rings of `L` positions
+//! stored twice over: a value written at ring position `p` also lands
+//! at `p + L`. The newest `L` values are then always the contiguous run
+//! that ends at the mirror of the newest one, so sliding a full window
+//! writes two values instead of shifting the history.
 
 use hopp_obs::{Event, Recorder};
 use hopp_types::{Error, HotPage, Nanos, Pid, Result, Vpn};
@@ -80,18 +98,22 @@ impl Default for SttConfig {
 }
 
 impl SttConfig {
+    /// The most entries a table may have: one per 16-bit slot number.
+    pub const MAX_ENTRIES: usize = 1 << 16;
+
     /// Validates the configuration.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] if `entries == 0`, `history < 4`
-    /// (the algorithms need at least a few strides) or
-    /// `delta_stream == 0`.
+    /// Returns [`Error::InvalidConfig`] if `entries` is 0 or above
+    /// [`SttConfig::MAX_ENTRIES`] (a [`StreamId`] names its slot in 16
+    /// bits), `history < 4` (the algorithms need at least a few strides)
+    /// or `delta_stream == 0`.
     pub fn validate(&self) -> Result<()> {
-        if self.entries == 0 {
+        if self.entries == 0 || self.entries > Self::MAX_ENTRIES {
             return Err(Error::InvalidConfig {
                 what: "stt entries",
-                constraint: "at least 1",
+                constraint: "1..=65536",
             });
         }
         if self.history < 4 {
@@ -170,10 +192,10 @@ pub struct SttStats {
 /// The stream training table.
 ///
 /// All state is allocated at construction and laid out per field, one
-/// array element per entry: the match scan reads `pids` and `last`
-/// contiguously, and the histories live in two flat `entries × L` (and
-/// `entries × (L-1)`) buffers. Sliding a full window is a
-/// `copy_within`, and [`StreamWindow`]s borrow from the buffers, so
+/// array element per entry: the match reads `pids` and `last` of the
+/// live entries, and the histories live in two flat buffers of `2L`
+/// values per entry, each a mirrored ring (module docs).
+/// [`StreamWindow`]s borrow from the buffers, so
 /// [`StreamTrainingTable::observe`] never allocates.
 ///
 /// # Example
@@ -196,19 +218,26 @@ pub struct SttStats {
 #[derive(Clone, Debug)]
 pub struct StreamTrainingTable {
     config: SttConfig,
+    /// Live entries: bit `i % 64` of word `i / 64` is set once slot `i`
+    /// holds a stream, and never cleared.
+    live: Vec<u64>,
     /// Owning process of each entry.
     pids: Vec<Pid>,
     /// Newest VPN of each entry (the clustering key).
     last: Vec<Vpn>,
-    /// VPNs held by each entry, `1..=L`; 0 marks an invalid entry.
+    /// VPNs held by each entry, `1..=L`; 0 marks an entry never filled.
     lens: Vec<usize>,
+    /// Ring position `0..L` of each entry's newest VPN and stride.
+    heads: Vec<usize>,
     /// LRU stamp of each entry.
     lru: Vec<u64>,
     /// Times each slot has been recycled.
     generations: Vec<u32>,
-    /// `entries × L` VPN histories, oldest first within an entry.
+    /// `entries × 2L` mirrored VPN rings.
     vpns: Vec<Vpn>,
-    /// `entries × (L-1)` stride histories, oldest first within an entry.
+    /// `entries × 2L` mirrored stride rings. The stride that ends at the
+    /// VPN in ring position `p` sits in position `p`; position 0 of a
+    /// fresh entry holds no stride until the ring wraps.
     strides: Vec<i64>,
     clock: u64,
     stats: SttStats,
@@ -224,13 +253,15 @@ impl StreamTrainingTable {
         config.validate()?;
         let n = config.entries;
         Ok(StreamTrainingTable {
+            live: vec![0; n.div_ceil(64)],
             pids: vec![Pid::KERNEL; n],
             last: vec![Vpn::new(0); n],
             lens: vec![0; n],
+            heads: vec![0; n],
             lru: vec![0; n],
             generations: vec![0; n],
-            vpns: vec![Vpn::new(0); n * config.history],
-            strides: vec![0; n * (config.history - 1)],
+            vpns: vec![Vpn::new(0); n * 2 * config.history],
+            strides: vec![0; n * 2 * config.history],
             config,
             clock: 0,
             stats: SttStats::default(),
@@ -251,20 +282,13 @@ impl StreamTrainingTable {
         self.clock += 1;
         self.stats.observed += 1;
 
-        // Find the best matching entry: same PID, newest VPN within
-        // Δ_stream. Among several matches take the closest, so two
-        // nearby streams don't steal each other's pages.
-        let mut best: Option<(usize, u64)> = None;
-        for idx in 0..self.lens.len() {
-            if self.lens[idx] == 0 || self.pids[idx] != hot.pid {
-                continue;
-            }
-            let dist = self.last[idx].raw().abs_diff(hot.vpn.raw());
-            if dist <= self.config.delta_stream && best.is_none_or(|(_, d)| dist < d) {
-                best = Some((idx, dist));
-            }
-        }
-
+        let best = self.best_match(hot);
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            best,
+            self.full_scan_match(hot),
+            "live-entry match disagrees with a full-table scan"
+        );
         let Some((idx, dist)) = best else {
             self.recycle(hot, rec);
             return None;
@@ -277,20 +301,18 @@ impl StreamTrainingTable {
             return None;
         }
         let l = self.config.history;
-        let vpns = &mut self.vpns[idx * l..(idx + 1) * l];
-        let strides = &mut self.strides[idx * (l - 1)..(idx + 1) * (l - 1)];
-        let stride = hot.vpn.stride_from(self.last[idx]);
-        let len = self.lens[idx];
-        if len < l {
-            vpns[len] = hot.vpn;
-            strides[len - 1] = stride;
-            self.lens[idx] = len + 1;
+        let head = if self.heads[idx] + 1 == l {
+            0
         } else {
-            vpns.copy_within(1.., 0);
-            vpns[l - 1] = hot.vpn;
-            strides.copy_within(1.., 0);
-            strides[l - 2] = stride;
-        }
+            self.heads[idx] + 1
+        };
+        self.heads[idx] = head;
+        let pos = idx * 2 * l + head;
+        let stride = hot.vpn.stride_from(self.last[idx]);
+        self.vpns[pos] = hot.vpn;
+        self.vpns[pos + l] = hot.vpn;
+        self.strides[pos] = stride;
+        self.strides[pos + l] = stride;
         self.last[idx] = hot.vpn;
         let stream = StreamId {
             slot: idx as u16,
@@ -308,27 +330,72 @@ impl StreamTrainingTable {
             );
         }
         if self.lens[idx] < l {
-            return None;
+            self.lens[idx] += 1;
+            if self.lens[idx] < l {
+                return None;
+            }
         }
         self.stats.windows += 1;
+        // The newest `L` VPNs end at the newest one's mirror, `pos + L`;
+        // the newest `L - 1` strides end there too.
         Some(StreamWindow {
             stream,
             pid: hot.pid,
-            vpn_history: &self.vpns[idx * l..(idx + 1) * l],
-            stride_history: &self.strides[idx * (l - 1)..(idx + 1) * (l - 1)],
+            vpn_history: &self.vpns[pos + 1..=pos + l],
+            stride_history: &self.strides[pos + 2..=pos + l],
             at: hot.at,
         })
     }
 
-    /// Starts a new stream at `hot`, recycling the first invalid entry
-    /// or else the least recently used one.
-    fn recycle(&mut self, hot: &HotPage, rec: &mut dyn Recorder) {
-        let mut victim = 0;
-        for idx in 1..self.lens.len() {
-            if self.lru_key(idx) < self.lru_key(victim) {
-                victim = idx;
+    /// The entry `hot` joins and its distance: among the live entries of
+    /// `hot`'s process whose newest VPN lies within `Δ_stream`, the
+    /// closest, ties to the lowest slot. Taking the closest keeps two
+    /// nearby streams from stealing each other's pages.
+    fn best_match(&self, hot: &HotPage) -> Option<(usize, u64)> {
+        let mut best = None;
+        for (w, &word) in self.live.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                best = self.closer(w * 64 + bits.trailing_zeros() as usize, hot, best);
+                bits &= bits - 1;
             }
         }
+        best
+    }
+
+    /// [`Self::best_match`] by a scan of every slot, filled or not: the
+    /// reference the live-entry match is checked against.
+    #[cfg(debug_assertions)]
+    fn full_scan_match(&self, hot: &HotPage) -> Option<(usize, u64)> {
+        (0..self.lens.len())
+            .filter(|&idx| self.lens[idx] > 0)
+            .fold(None, |best, idx| self.closer(idx, hot, best))
+    }
+
+    /// The match rule for one entry, visited in ascending slot order:
+    /// entry `idx` replaces `best` if it is `hot`'s process's, within
+    /// `Δ_stream` and strictly closer.
+    fn closer(
+        &self,
+        idx: usize,
+        hot: &HotPage,
+        best: Option<(usize, u64)>,
+    ) -> Option<(usize, u64)> {
+        if self.pids[idx] != hot.pid {
+            return best;
+        }
+        let dist = self.last[idx].raw().abs_diff(hot.vpn.raw());
+        if dist <= self.config.delta_stream && best.is_none_or(|(_, d)| dist < d) {
+            Some((idx, dist))
+        } else {
+            best
+        }
+    }
+
+    /// Starts a new stream at `hot`, recycling the first entry never
+    /// filled or else the least recently used one.
+    fn recycle(&mut self, hot: &HotPage, rec: &mut dyn Recorder) {
+        let victim = self.victim();
         if self.lens[victim] > 0 {
             self.stats.evictions += 1;
             if rec.is_enabled() {
@@ -342,9 +409,13 @@ impl StreamTrainingTable {
             }
             self.generations[victim] += 1;
         }
+        self.live[victim / 64] |= 1 << (victim % 64);
         self.pids[victim] = hot.pid;
         self.last[victim] = hot.vpn;
-        self.vpns[victim * self.config.history] = hot.vpn;
+        let l = self.config.history;
+        self.vpns[victim * 2 * l] = hot.vpn;
+        self.vpns[victim * 2 * l + l] = hot.vpn;
+        self.heads[victim] = 0;
         self.lens[victim] = 1;
         self.lru[victim] = self.clock;
         if rec.is_enabled() {
@@ -360,13 +431,26 @@ impl StreamTrainingTable {
         }
     }
 
-    /// Victim-selection key: invalid entries sort before every valid one.
-    fn lru_key(&self, idx: usize) -> u64 {
-        if self.lens[idx] == 0 {
-            0
-        } else {
-            self.lru[idx]
+    /// The slot a new stream takes: the lowest one not yet live, else
+    /// the least recently used (stamps are unique, so there is no tie).
+    fn victim(&self) -> usize {
+        let n = self.lens.len();
+        for (w, &word) in self.live.iter().enumerate() {
+            if word != u64::MAX {
+                // Past `n` only in the last word: then every slot is live.
+                let idx = w * 64 + word.trailing_ones() as usize;
+                if idx < n {
+                    return idx;
+                }
+            }
         }
+        let mut victim = 0;
+        for idx in 1..n {
+            if self.lru[idx] < self.lru[victim] {
+                victim = idx;
+            }
+        }
+        victim
     }
 
     /// Activity counters.
@@ -376,7 +460,7 @@ impl StreamTrainingTable {
 
     /// Number of valid (in-training) entries.
     pub fn active_streams(&self) -> usize {
-        self.lens.iter().filter(|&&len| len > 0).count()
+        self.live.iter().map(|w| w.count_ones() as usize).sum()
     }
 }
 
@@ -481,6 +565,31 @@ mod tests {
         .validate()
         .is_err());
         assert!(SttConfig::default().validate().is_ok());
+    }
+
+    #[test]
+    fn entries_are_bounded_by_the_slot_width() {
+        // Slot 65,536 would alias slot 0 in a 16-bit `StreamId`.
+        let validate = |entries| {
+            SttConfig {
+                entries,
+                ..Default::default()
+            }
+            .validate()
+        };
+        assert_eq!(validate(SttConfig::MAX_ENTRIES), Ok(()));
+        assert_eq!(
+            validate(SttConfig::MAX_ENTRIES + 1),
+            Err(Error::InvalidConfig {
+                what: "stt entries",
+                constraint: "1..=65536",
+            })
+        );
+        assert!(StreamTrainingTable::new(SttConfig {
+            entries: SttConfig::MAX_ENTRIES + 1,
+            ..Default::default()
+        })
+        .is_err());
     }
 
     #[test]

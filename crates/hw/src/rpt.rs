@@ -16,16 +16,24 @@
 //!
 //! # Layout
 //!
+//! An entry is the paper's 64-bit word, [`PackedRptEntry`], in both this
+//! model and the RTL one ([`crate::rtl_rpt`]). The DRAM copy holds one
+//! word per mapped frame, with a spare bit set so the word is never
+//! zero.
+//!
 //! The cache is one flat `sets × ways` array, like the HPD table and the
 //! LLC model. Each set is kept in most-recently-used-first order with
-//! empty ways at the tail, so a way stores only `{ppn, entry, dirty}`:
-//! recency is its position and emptiness a reserved PPN. Every lookup
-//! and PTE hook touches one way. A hit moves it to the front. A miss
-//! shifts the set back by one into its first empty way or, in a full
-//! set, lets the LRU way fall off the tail (writing it back if dirty),
-//! and fills the front. Ways are never invalidated: a cleared PTE stays
-//! cached as a dirty "no mapping" until it is evicted.
+//! empty ways at the tail, so a way is 16 bytes: its PPN and the packed
+//! entry, whose spare bits say whether it holds a mapping and whether
+//! it is dirty. Recency is its position and emptiness a reserved PPN.
+//! Every lookup and PTE hook touches one way. A hit moves it to the
+//! front. A miss shifts the set back by one into its first empty way
+//! or, in a full set, lets the LRU way fall off the tail (writing it
+//! back if dirty), and fills the front. Ways are never invalidated: a
+//! cleared PTE stays cached as a dirty "no mapping" until it is
+//! evicted.
 
+use std::num::NonZeroU64;
 use std::ops::Range;
 
 use hopp_ds::PageMap;
@@ -34,6 +42,9 @@ use hopp_types::{Error, PageFlags, Pid, Ppn, Result, Vpn};
 
 /// Size of one RPT entry in bytes (64 bits per the paper's layout).
 pub const RPT_ENTRY_BYTES: usize = 8;
+
+/// Width of an entry's VPN field: an entry names VPNs below `2^40`.
+pub const RPT_VPN_BITS: u32 = 40;
 
 /// One RPT record: the owner and flags of a physical frame.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -44,6 +55,41 @@ pub struct RptEntry {
     pub vpn: Vpn,
     /// Shared/huge flags, forwarded to software unconsumed.
     pub flags: PageFlags,
+}
+
+/// An RPT entry in the paper's 64-bit layout:
+/// `[spare:5][pid:16][vpn:40][shared:1][huge:2]`, most significant bit
+/// first. The huge field carries one flag in its low bit.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct PackedRptEntry(u64);
+
+impl PackedRptEntry {
+    /// The bits the layout assigns; the five above them are spare.
+    const FIELDS: u64 = (1 << 59) - 1;
+
+    /// Packs an entry into the paper's 64-bit layout. The VPN must fit
+    /// its [`RPT_VPN_BITS`]-bit field.
+    pub fn pack(entry: RptEntry) -> Self {
+        debug_assert!(entry.vpn.raw() >> RPT_VPN_BITS == 0);
+        let pid = u64::from(entry.pid.raw()) << 43;
+        let vpn = entry.vpn.raw() << 3;
+        let shared = u64::from(entry.flags.shared) << 2;
+        let huge = u64::from(entry.flags.huge);
+        PackedRptEntry(pid | vpn | shared | huge)
+    }
+
+    /// Unpacks back to the behavioural representation.
+    pub fn unpack(self) -> RptEntry {
+        RptEntry {
+            // hopp-check: allow(unit-hygiene): unpacking the entry's 16-bit PID bitfield, not converting units
+            pid: Pid::new((self.0 >> 43) as u16),
+            vpn: Vpn::new((self.0 >> 3) & ((1 << RPT_VPN_BITS) - 1)),
+            flags: PageFlags {
+                shared: (self.0 >> 2) & 1 == 1,
+                huge: self.0 & 0b11 != 0,
+            },
+        }
+    }
 }
 
 /// Geometry of the in-MC RPT cache.
@@ -132,13 +178,28 @@ impl RptStats {
     }
 }
 
-/// One cache way. `entry: None` is a cached "no mapping": a cleared
-/// PTE not yet written back.
+/// Spare bit of a stored word: it holds a mapping. A cached word
+/// without it is a "no mapping", a cleared PTE not yet written back.
+const MAPPED: u64 = 1 << 63;
+/// Spare bit of a cached word: it differs from the DRAM copy.
+const DIRTY: u64 = 1 << 62;
+
+/// The stored word of `entry`: its packed fields, [`MAPPED`] if it is a
+/// mapping.
+fn word_of(entry: Option<RptEntry>) -> u64 {
+    entry.map_or(0, |e| PackedRptEntry::pack(e).0 | MAPPED)
+}
+
+/// The mapping a stored word holds.
+fn entry_of(word: u64) -> Option<RptEntry> {
+    (word & MAPPED != 0).then(|| PackedRptEntry(word & PackedRptEntry::FIELDS).unpack())
+}
+
+/// One cache way: a frame and its stored word, [`DIRTY`] included.
 #[derive(Clone, Copy, Debug)]
 struct CacheWay {
     ppn: Ppn,
-    entry: Option<RptEntry>,
-    dirty: bool,
+    word: u64,
 }
 
 /// PPN of an empty way. A frame number this large is never mapped.
@@ -146,8 +207,7 @@ const EMPTY_PPN: Ppn = Ppn::new(u64::MAX);
 
 const EMPTY: CacheWay = CacheWay {
     ppn: EMPTY_PPN,
-    entry: None,
-    dirty: false,
+    word: 0,
 };
 
 /// The reverse page table: DRAM copy + in-MC cache.
@@ -168,7 +228,8 @@ const EMPTY: CacheWay = CacheWay {
 /// ```
 #[derive(Clone, Debug)]
 pub struct ReversePageTable {
-    dram: PageMap<Ppn, RptEntry>,
+    /// The stored word of every mapped frame, [`MAPPED`] set.
+    dram: PageMap<Ppn, NonZeroU64>,
     /// `sets × ways` ways; each set most-recently-used first, empty ways
     /// at the tail.
     cache: Vec<CacheWay>,
@@ -202,14 +263,12 @@ impl ReversePageTable {
         I: IntoIterator<Item = (Ppn, Pid, Vpn)>,
     {
         for (ppn, pid, vpn) in owned {
-            self.dram.insert(
-                ppn,
-                RptEntry {
-                    pid,
-                    vpn,
-                    flags: PageFlags::default(),
-                },
-            );
+            let entry = RptEntry {
+                pid,
+                vpn,
+                flags: PageFlags::default(),
+            };
+            self.write_dram(ppn, word_of(Some(entry)));
         }
     }
 
@@ -239,18 +298,25 @@ impl ReversePageTable {
             return (front, true);
         }
         // Empty ways are never dirty. Lazy DRAM update on writeback (§V).
-        if way.dirty {
-            match way.entry {
-                Some(e) => {
-                    self.dram.insert(way.ppn, e);
-                }
-                None => {
-                    self.dram.remove(way.ppn);
-                }
-            }
+        if way.word & DIRTY != 0 {
+            self.write_dram(way.ppn, way.word & !DIRTY);
             self.stats.dram_writebacks += 1;
         }
         (front, false)
+    }
+
+    /// Stores `word` (not [`DIRTY`]) as `ppn`'s DRAM copy. A mapping's
+    /// word has [`MAPPED`] set; every other word is zero and clears the
+    /// copy.
+    fn write_dram(&mut self, ppn: Ppn, word: u64) {
+        match NonZeroU64::new(word) {
+            Some(word) => {
+                self.dram.insert(ppn, word);
+            }
+            None => {
+                self.dram.remove(ppn);
+            }
+        }
     }
 
     /// Resolves a hot PPN to its owner, via the cache.
@@ -260,21 +326,18 @@ impl ReversePageTable {
     pub fn lookup(&mut self, ppn: Ppn) -> Option<RptEntry> {
         self.stats.lookups += 1;
         let (front, hit) = self.touch(ppn);
-        let entry = if hit {
+        let word = if hit {
             self.stats.hits += 1;
-            self.cache[front].entry
+            self.cache[front].word
         } else {
             // Miss: read the DRAM copy and fill.
             let _prof = hopp_prof::span("hw/rpt_walk");
             self.stats.dram_reads += 1;
-            let entry = self.dram.get(ppn).copied();
-            self.cache[front] = CacheWay {
-                ppn,
-                entry,
-                dirty: false,
-            };
-            entry
+            let word = self.dram.get(ppn).map_or(0, |w| w.get());
+            self.cache[front] = CacheWay { ppn, word };
+            word
         };
+        let entry = entry_of(word);
         if entry.is_none() {
             self.stats.unresolved += 1;
         }
@@ -289,8 +352,8 @@ impl ReversePageTable {
             .iter()
             .find(|w| w.ppn == ppn)
         {
-            Some(way) => way.entry,
-            None => self.dram.get(ppn).copied(),
+            Some(way) => entry_of(way.word),
+            None => self.dram.get(ppn).and_then(|w| entry_of(w.get())),
         }
     }
 
@@ -306,8 +369,7 @@ impl ReversePageTable {
         let (front, _) = self.touch(ppn);
         self.cache[front] = CacheWay {
             ppn,
-            entry,
-            dirty: true,
+            word: word_of(entry) | DIRTY,
         };
     }
 }
@@ -346,6 +408,34 @@ mod tests {
             ways: 2,
         })
         .unwrap()
+    }
+
+    #[test]
+    fn packing_roundtrips_all_fields_below_the_spare_bits() {
+        for (pid, vpn, shared, huge) in [
+            (0u16, 0u64, false, false),
+            (u16::MAX, (1 << RPT_VPN_BITS) - 1, true, true),
+            (7, 0x1234_5678, true, false),
+            (9, 42, false, true),
+        ] {
+            let e = RptEntry {
+                pid: Pid::new(pid),
+                vpn: Vpn::new(vpn),
+                flags: PageFlags { shared, huge },
+            };
+            let packed = PackedRptEntry::pack(e);
+            assert_eq!(packed.unpack(), e);
+            assert_eq!(packed.0 & !PackedRptEntry::FIELDS, 0);
+            assert_eq!(entry_of(word_of(Some(e))), Some(e));
+            assert_eq!(entry_of(word_of(Some(e)) | DIRTY), Some(e));
+        }
+        assert_eq!(entry_of(word_of(None) | DIRTY), None);
+    }
+
+    #[test]
+    fn ways_and_dram_words_are_table_width() {
+        assert_eq!(std::mem::size_of::<CacheWay>(), 16);
+        assert_eq!(std::mem::size_of::<Option<NonZeroU64>>(), RPT_ENTRY_BYTES);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! the paper implements in Verilog for §VI-F. The cache is 16-way
 //! set-associative over 64-bit entries in the paper's exact layout —
 //! PID (16 bits), VPN (40 bits), shared flag (1 bit), huge flags
-//! (2 bits) — plus per-way valid/dirty bits and 4-bit ages.
+//! (2 bits), the [`PackedRptEntry`] the behavioural model stores too —
+//! plus per-way valid/dirty registers and 4-bit ages.
 //!
 //! Unlike the behavioural [`crate::rpt::ReversePageTable`], which hides
 //! the DRAM round trip inside `lookup`, the RTL model exposes the
@@ -24,43 +25,7 @@
 
 use hopp_types::{PageFlags, Pid, Ppn, Result, Vpn};
 
-use crate::rpt::{RptCacheConfig, RptEntry, RPT_ENTRY_BYTES};
-
-/// Packed 64-bit RPT entry: `[pid:16][vpn:40][shared:1][huge:2]`
-/// (valid/dirty live in separate per-way registers, as in the cache's
-/// tag array).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct PackedRptEntry(u64);
-
-impl PackedRptEntry {
-    /// Packs an entry into the paper's 64-bit layout.
-    pub fn pack(entry: RptEntry) -> Self {
-        debug_assert!(entry.vpn.raw() < (1 << 40));
-        let pid = u64::from(entry.pid.raw()) << 43;
-        let vpn = entry.vpn.raw() << 3;
-        let shared = u64::from(entry.flags.shared) << 2;
-        let huge = u64::from(entry.flags.huge); // low 2 bits reserved
-        PackedRptEntry(pid | vpn | shared | huge)
-    }
-
-    /// Unpacks back to the behavioural representation.
-    pub fn unpack(self) -> RptEntry {
-        RptEntry {
-            // hopp-check: allow(unit-hygiene): unpacking the RTL entry's 16-bit PID bitfield, not converting units
-            pid: Pid::new((self.0 >> 43) as u16),
-            vpn: Vpn::new((self.0 >> 3) & ((1 << 40) - 1)),
-            flags: PageFlags {
-                shared: (self.0 >> 2) & 1 == 1,
-                huge: self.0 & 0b11 != 0,
-            },
-        }
-    }
-
-    /// Raw packed bits (what the DRAM copy stores).
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-}
+use crate::rpt::{PackedRptEntry, RptCacheConfig, RptEntry, RPT_ENTRY_BYTES};
 
 /// Result of a lookup issued to the cache.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -316,23 +281,6 @@ mod tests {
             ways: 2,
         })
         .unwrap()
-    }
-
-    #[test]
-    fn packing_roundtrips_all_fields() {
-        for (pid, vpn, shared, huge) in [
-            (0u16, 0u64, false, false),
-            (u16::MAX, (1 << 40) - 1, true, true),
-            (7, 0x1234_5678, true, false),
-            (9, 42, false, true),
-        ] {
-            let e = RptEntry {
-                pid: Pid::new(pid),
-                vpn: Vpn::new(vpn),
-                flags: PageFlags { shared, huge },
-            };
-            assert_eq!(PackedRptEntry::pack(e).unpack(), e);
-        }
     }
 
     #[test]

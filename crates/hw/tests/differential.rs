@@ -18,13 +18,20 @@
 //! * RPT: identical lookup resolutions on arbitrary op streams — the
 //!   replacement policies may cache different frames, but write-back
 //!   keeps cache ∪ DRAM architecturally equal, so every lookup must
-//!   resolve to the same mapping.
+//!   resolve to the same mapping. The streams reach the edges of the
+//!   packed entry's fields (PID `u16::MAX`, VPN `2^40 − 1`). The
+//!   behavioural RPT, which stores packed words, also matches a plain
+//!   model of unpacked entries in per-set LRU lists op by op: the same
+//!   resolutions and the same counters (hits, DRAM reads, writebacks).
 
 use hopp_ds::PageMap;
 use hopp_hw::hpd::{HotPageDetector, HpdConfig, HpdStats};
-use hopp_hw::rpt::{ReversePageTable, RptCacheConfig, RptEntry, RPT_ENTRY_BYTES};
+use hopp_hw::rpt::{
+    PackedRptEntry, ReversePageTable, RptCacheConfig, RptEntry, RptStats, RPT_ENTRY_BYTES,
+    RPT_VPN_BITS,
+};
 use hopp_hw::rtl::HpdRtl;
-use hopp_hw::rtl_rpt::{PackedRptEntry, RptRtl, RptRtlResponse};
+use hopp_hw::rtl_rpt::{RptRtl, RptRtlResponse};
 use hopp_hw::McPipeline;
 use hopp_mem::PteListener;
 use hopp_obs::NopRecorder;
@@ -391,18 +398,101 @@ fn rpt_ops(seed: u64, frames: u64, n: usize) -> Vec<RptOp> {
     for _ in 0..n {
         let ppn = Ppn::new(rng.gen_range(0..frames));
         match rng.gen_range(0..10) {
-            0..=2 => ops.push(RptOp::Set(
-                // hopp-check is not in play here, but keep PIDs small and
-                // non-kernel so packing stays in range.
-                Pid::new(1 + rng.gen_range(0..100) as u16),
-                Vpn::new(rng.gen_range(0..1 << 30)),
-                ppn,
-            )),
+            0..=2 => {
+                // Non-kernel PIDs and VPNs in the packed entry's fields,
+                // their largest values included.
+                let pid = match rng.gen_range(0..8) {
+                    0 => u16::MAX,
+                    _ => 1 + rng.gen_range(0..100) as u16,
+                };
+                let vpn = match rng.gen_range(0..8) {
+                    0 => (1 << RPT_VPN_BITS) - 1,
+                    _ => rng.gen_range(0..1 << RPT_VPN_BITS),
+                };
+                ops.push(RptOp::Set(Pid::new(pid), Vpn::new(vpn), ppn));
+            }
             3 => ops.push(RptOp::Clear(ppn)),
             _ => ops.push(RptOp::Lookup(ppn)),
         }
     }
     ops
+}
+
+/// A cached way of the reference RPT: frame, mapping (`None`: a cleared
+/// PTE), dirty.
+type RefWay = (Ppn, Option<RptEntry>, bool);
+
+/// The behavioural RPT's contract as a plain model: per-set lists of
+/// unpacked ways, most recently used first, in front of a DRAM map. A
+/// hit moves a way to the front; a miss inserts at the front and, in a
+/// full set, writes the last way back if it is dirty.
+struct RefRpt {
+    sets: Vec<Vec<RefWay>>,
+    ways: usize,
+    dram: PageMap<Ppn, RptEntry>,
+    stats: RptStats,
+}
+
+impl RefRpt {
+    fn new(geometry: RptCacheConfig) -> Self {
+        RefRpt {
+            sets: vec![Vec::new(); geometry.sets().unwrap()],
+            ways: geometry.ways,
+            dram: PageMap::new(),
+            stats: RptStats::default(),
+        }
+    }
+
+    /// Takes `ppn`'s way out of its set if cached; else makes room for
+    /// it, writing back the LRU way of a full set.
+    fn take(&mut self, ppn: Ppn) -> Option<RefWay> {
+        let n = self.sets.len() as u64;
+        let set = &mut self.sets[(ppn.raw() % n) as usize];
+        if let Some(at) = set.iter().position(|w| w.0 == ppn) {
+            return Some(set.remove(at));
+        }
+        if set.len() == self.ways {
+            let (old, entry, dirty) = set.pop().unwrap();
+            if dirty {
+                match entry {
+                    Some(e) => self.dram.insert(old, e),
+                    None => self.dram.remove(old),
+                };
+                self.stats.dram_writebacks += 1;
+            }
+        }
+        None
+    }
+
+    fn put_front(&mut self, way: RefWay) {
+        let n = self.sets.len() as u64;
+        self.sets[(way.0.raw() % n) as usize].insert(0, way);
+    }
+
+    fn lookup(&mut self, ppn: Ppn) -> Option<RptEntry> {
+        self.stats.lookups += 1;
+        let way = match self.take(ppn) {
+            Some(way) => {
+                self.stats.hits += 1;
+                way
+            }
+            None => {
+                self.stats.dram_reads += 1;
+                (ppn, self.dram.get(ppn).copied(), false)
+            }
+        };
+        self.put_front(way);
+        if way.1.is_none() {
+            self.stats.unresolved += 1;
+        }
+        way.1
+    }
+
+    fn update(&mut self, ppn: Ppn, entry: Option<RptEntry>) {
+        self.stats.updates += 1;
+        self.take(ppn);
+        self.put_front((ppn, entry, true));
+    }
 }
 
 /// Applies queued RTL write-backs to the shadow DRAM copy — the memory
@@ -448,6 +538,7 @@ fn rpt_models_resolve_every_lookup_identically() {
     };
     for seed in [3u64, 17, 404] {
         let mut behav = ReversePageTable::new(geometry).unwrap();
+        let mut reference = RefRpt::new(geometry);
         let mut rtl = RptRtl::new(geometry).unwrap();
         let mut shadow: PageMap<Ppn, RptEntry> = PageMap::new();
         let mut lookups = 0u64;
@@ -455,21 +546,41 @@ fn rpt_models_resolve_every_lookup_identically() {
             match op {
                 RptOp::Set(pid, vpn, ppn) => {
                     behav.pte_set(pid, vpn, ppn);
+                    reference.update(
+                        ppn,
+                        Some(RptEntry {
+                            pid,
+                            vpn,
+                            flags: PageFlags::default(),
+                        }),
+                    );
                     rtl.pte_set(pid, vpn, ppn);
                 }
                 RptOp::Clear(ppn) => {
                     behav.pte_clear(Pid::new(1), Vpn::new(0), ppn);
+                    reference.update(ppn, None);
                     rtl.pte_clear(ppn);
                 }
                 RptOp::Lookup(ppn) => {
                     lookups += 1;
                     let want = behav.lookup(ppn);
+                    assert_eq!(
+                        reference.lookup(ppn),
+                        want,
+                        "seed {seed}: lookup({ppn:?}) diverged from the reference"
+                    );
                     let got = rtl_lookup(&mut rtl, &mut shadow, ppn);
                     assert_eq!(got, want, "seed {seed}: lookup({ppn:?}) diverged");
                 }
             }
+            assert_eq!(behav.stats(), reference.stats, "seed {seed}: counters");
             drain_writebacks(&mut rtl, &mut shadow);
         }
+        let stats = behav.stats();
+        assert!(
+            stats.hits > 0 && stats.dram_reads > 0 && stats.dram_writebacks > 0,
+            "seed {seed}: {stats:?}"
+        );
         assert!(lookups > 10_000, "op mix starved the comparison");
         // Different victims, similar locality: hit rates land close.
         let delta = (behav.stats().hit_rate() - rtl.hit_rate()).abs();
@@ -490,7 +601,7 @@ fn rpt_packing_is_lossless_for_the_whole_op_stream() {
     for _ in 0..10_000 {
         let e = RptEntry {
             pid: Pid::new(rng.gen_range(0..u64::from(u16::MAX) + 1) as u16),
-            vpn: Vpn::new(rng.gen_range(0..1 << 40)),
+            vpn: Vpn::new(rng.gen_range(0..1 << RPT_VPN_BITS)),
             flags: PageFlags {
                 shared: rng.gen_range(0..2) == 1,
                 huge: rng.gen_range(0..2) == 1,

@@ -312,13 +312,19 @@ fn say(print: impl FnOnce(&mut dyn Write) -> io::Result<()>) {
     }
 }
 
-/// A fatal run error (lost page, exhausted pool) ends the CLI with the
-/// error's full context on stderr and a non-zero exit code. Takes the
-/// error by value to slot into `unwrap_or_else` directly.
+/// A fatal run error ends the CLI with the error's full context on
+/// stderr: exit code 2 for an input the model cannot take (a page beyond
+/// the RPT's VPN field), 1 for a run that went wrong (lost page,
+/// exhausted pool). Takes the error by value to slot into
+/// `unwrap_or_else` directly.
 #[allow(clippy::needless_pass_by_value)]
 fn fail_run<T>(e: hopp_types::Error) -> T {
     eprintln!("run failed: {e}");
-    std::process::exit(1);
+    let code = match e {
+        hopp_types::Error::VpnOutOfRange { .. } => 2,
+        _ => 1,
+    };
+    std::process::exit(code);
 }
 
 fn print_report(

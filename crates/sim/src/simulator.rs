@@ -8,6 +8,7 @@ use hopp_core::metrics::PrefetchMetrics;
 use hopp_core::HoppEngine;
 use hopp_ds::DetMap;
 use hopp_fabric::{FaultScript, MemoryPool, RemotePool, REGION_SHIFT};
+use hopp_hw::rpt::RPT_VPN_BITS;
 use hopp_hw::McPipeline;
 use hopp_kernel::{Cgroup, FaultInfo, InflightRead, LruTier, Prefetcher, SwapDevice};
 use hopp_mem::{AddressSpace, Mapping};
@@ -209,9 +210,10 @@ impl Simulator {
     /// Propagates fatal simulation errors: a page whose every replica
     /// was lost ([`Error::PageUnreachable`]), an exhausted pool or
     /// remote node, an access by a pid that is no app's
-    /// ([`Error::UnknownProcess`]), or an internal bookkeeping
-    /// violation. Fault
-    /// injection runs surface here instead of panicking.
+    /// ([`Error::UnknownProcess`]) or to a page beyond the RPT's VPN
+    /// field ([`Error::VpnOutOfRange`]), or an internal bookkeeping
+    /// violation. Fault injection runs surface here instead of
+    /// panicking.
     pub fn run(mut self) -> Result<SimReport> {
         // Host-side profiling root; inert unless the harness called
         // `hopp_prof::enable` (never feeds back into simulated state).
@@ -383,6 +385,15 @@ impl Simulator {
     /// Executes one page access.
     fn step(&mut self, app_idx: usize, access: PageAccess) -> Result<()> {
         let _prof = hopp_prof::span("sim/step");
+        // The RPT names a frame's owner in 40 bits: a page above them
+        // would resolve to another page, or another process.
+        if access.vpn.raw() >> RPT_VPN_BITS != 0 {
+            return Err(Error::VpnOutOfRange {
+                pid: access.pid,
+                vpn: access.vpn,
+                bits: RPT_VPN_BITS,
+            });
+        }
         self.clock += Nanos::from_nanos(u64::from(access.think_ns));
         self.drain_completions()?;
         self.counters.accesses += 1;
@@ -1363,6 +1374,31 @@ mod tests {
             .run()
             .err();
         assert_eq!(err, Some(Error::UnknownProcess { pid: Pid::new(9) }));
+    }
+
+    #[test]
+    fn a_page_beyond_the_rpt_vpn_field_ends_the_run() {
+        let vpn = Vpn::new(1 << RPT_VPN_BITS);
+        let app = AppSpec {
+            pid: Pid::new(1),
+            stream: Box::new(SimpleStream::new(Pid::new(1), vpn, 1, 10)),
+            limit_pages: 10,
+        };
+        let err = Simulator::new(
+            SimConfig::with_system(SystemConfig::hopp_default()),
+            vec![app],
+        )
+        .unwrap()
+        .run()
+        .err();
+        assert_eq!(
+            err,
+            Some(Error::VpnOutOfRange {
+                pid: Pid::new(1),
+                vpn,
+                bits: 40
+            })
+        );
     }
 
     #[test]

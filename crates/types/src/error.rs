@@ -56,6 +56,17 @@ pub enum Error {
         /// Pool size in nodes.
         nodes: usize,
     },
+    /// An access names a page beyond the VPN field of the hardware's
+    /// reverse-map entry, so no frame of it could be resolved to its
+    /// owner.
+    VpnOutOfRange {
+        /// The accessing process.
+        pid: Pid,
+        /// The page.
+        vpn: Vpn,
+        /// Width of the VPN field in bits.
+        bits: u32,
+    },
 }
 
 impl fmt::Display for Error {
@@ -92,6 +103,9 @@ impl fmt::Display for Error {
                      raise --mem-nodes or node capacity"
                 )
             }
+            Error::VpnOutOfRange { pid, vpn, bits } => {
+                write!(f, "page {vpn} of {pid} is beyond the {bits}-bit vpn range")
+            }
         }
     }
 }
@@ -119,6 +133,12 @@ mod tests {
             Error::InvalidConfig {
                 what: "n",
                 constraint: "1..=64",
+            }
+            .to_string(),
+            Error::VpnOutOfRange {
+                pid: Pid::new(1),
+                vpn: Vpn::new(1 << 40),
+                bits: 40,
             }
             .to_string(),
         ];
