@@ -69,9 +69,11 @@ pub use pool::{FabricConfig, FabricReport, MemoryPool, NodeReport};
 /// the sharded [`MemoryPool`]; consumers cannot tell them apart except
 /// through latency.
 pub trait RemotePool {
-    /// Registers a swapped-out page with the pool. `hint` is an opaque
-    /// stream identity for placement policies that co-locate streams
-    /// (same value ⇒ same stream); pass `None` when unknown.
+    /// Registers a swapped-out page with the pool, once per swap-slot
+    /// allocation: a page is not placed again before its
+    /// [`RemotePool::release`]. `hint` is an opaque stream identity for
+    /// placement policies that co-locate streams (same value ⇒ same
+    /// stream); pass `None` when unknown.
     ///
     /// # Errors
     ///
@@ -87,8 +89,8 @@ pub trait RemotePool {
         rec: &mut dyn Recorder,
     ) -> Result<()>;
 
-    /// Forgets a page's placement (it became resident again or its
-    /// swap slot was freed).
+    /// Forgets a placed page's placement (it became resident again or
+    /// its swap slot was freed), once per swap-slot free.
     fn release(&mut self, pid: Pid, vpn: Vpn);
 
     /// Synchronously reads one page (a major fault); returns the
@@ -184,7 +186,7 @@ mod tests {
     #[test]
     fn bare_engine_and_single_node_pool_agree_through_the_trait() {
         let mut engine = RdmaEngine::new(RdmaConfig::default());
-        let mut pool = MemoryPool::single(RdmaConfig::default());
+        let mut pool = MemoryPool::new(RdmaConfig::default(), FabricConfig::default()).unwrap();
         let e: &mut dyn RemotePool = &mut engine;
         let p: &mut dyn RemotePool = &mut pool;
         let rec = &mut NopRecorder;

@@ -63,6 +63,9 @@ impl PlacementKind {
 /// and as the fallback for pages the pool never saw placed.
 pub fn hash_node(pid: Pid, vpn: Vpn, nodes: usize) -> usize {
     debug_assert!(nodes > 0);
+    if nodes == 1 {
+        return 0;
+    }
     let key = (u64::from(pid.raw()) << 48) ^ vpn.raw();
     (SplitMix64::seed_from_u64(key).next_u64() % nodes as u64) as usize
 }

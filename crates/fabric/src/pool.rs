@@ -110,7 +110,10 @@ pub struct MemoryPool {
     config: FabricConfig,
     nodes: Vec<Node>,
     placer: Placer,
-    placements: DetMap<(Pid, Vpn), usize>,
+    /// The primary node of every live page whose placement differs from
+    /// [`hash_node`]: spills, and the policies other than static hash.
+    /// A one-node pool never writes it.
+    exceptions: DetMap<(Pid, Vpn), usize>,
     has_faults: bool,
     failovers: u64,
     failed_writes: u64,
@@ -127,27 +130,12 @@ impl MemoryPool {
             config,
             nodes: (0..config.nodes).map(|_| Node::new(rdma)).collect(),
             placer: Placer::new(config.placement, config.nodes),
-            placements: DetMap::new(),
+            exceptions: DetMap::new(),
             has_faults: false,
             failovers: 0,
             failed_writes: 0,
             span_pages: vec![0; config.nodes],
         })
-    }
-
-    /// The degenerate single-node pool matching the paper's testbed.
-    pub fn single(rdma: RdmaConfig) -> Self {
-        let config = FabricConfig::default();
-        MemoryPool {
-            config,
-            nodes: vec![Node::new(rdma)],
-            placer: Placer::new(config.placement, config.nodes),
-            placements: DetMap::new(),
-            has_faults: false,
-            failovers: 0,
-            failed_writes: 0,
-            span_pages: vec![0; config.nodes],
-        }
     }
 
     /// Attaches a fault script; each event must name a node in range.
@@ -192,10 +180,11 @@ impl MemoryPool {
         total
     }
 
-    /// The primary node of a page: its recorded placement, or the
-    /// deterministic hash fallback for pages never seen at swap-out.
+    /// The primary node of a page: its recorded exception, or else its
+    /// hash node, which is where every other live page was placed and
+    /// the fallback for pages never seen at swap-out.
     fn primary_of(&self, pid: Pid, vpn: Vpn) -> usize {
-        match self.placements.get(&(pid, vpn)) {
+        match self.exceptions.get(&(pid, vpn)) {
             Some(&n) => n,
             None => hash_node(pid, vpn, self.config.nodes),
         }
@@ -352,8 +341,14 @@ impl RemotePool for MemoryPool {
         if probed == n {
             return Err(Error::PoolExhausted { nodes: n });
         }
-        if let Some(old) = self.placements.insert((pid, vpn), idx) {
-            self.nodes[old].placed = self.nodes[old].placed.saturating_sub(1);
+        // One `place` per swap-slot allocation: a live page is never
+        // placed again before its `release`.
+        debug_assert!(
+            !self.exceptions.contains_key(&(pid, vpn)),
+            "{pid} {vpn} placed twice"
+        );
+        if idx != hash_node(pid, vpn, n) {
+            self.exceptions.insert((pid, vpn), idx);
         }
         self.nodes[idx].placed += 1;
         if !self.is_degenerate() && rec.is_enabled() {
@@ -370,9 +365,13 @@ impl RemotePool for MemoryPool {
     }
 
     fn release(&mut self, pid: Pid, vpn: Vpn) {
-        if let Some(idx) = self.placements.remove(&(pid, vpn)) {
-            self.nodes[idx].placed = self.nodes[idx].placed.saturating_sub(1);
-        }
+        // One `release` per swap-slot free, of a page `place` counted on
+        // its primary node.
+        let idx = self
+            .exceptions
+            .remove(&(pid, vpn))
+            .unwrap_or_else(|| hash_node(pid, vpn, self.config.nodes));
+        self.nodes[idx].placed = self.nodes[idx].placed.saturating_sub(1);
     }
 
     fn read_page(
@@ -559,7 +558,7 @@ mod tests {
         // The same interleaved op sequence against a 1-node pool and a
         // bare engine must produce identical completion times and
         // stats — the bit-identity guarantee the simulator relies on.
-        let mut p = MemoryPool::single(RdmaConfig::default());
+        let mut p = MemoryPool::new(RdmaConfig::default(), FabricConfig::default()).unwrap();
         let mut e = RdmaEngine::new(RdmaConfig::default());
         let rec = &mut NopRecorder;
         let pid = Pid::new(1);

@@ -23,9 +23,11 @@
 //!
 //! The cache is one flat `sets × ways` array, like the HPD table and the
 //! LLC model. Each set is kept in most-recently-used-first order with
-//! empty ways at the tail, so a way is 16 bytes: its PPN and the packed
-//! entry, whose spare bits say whether it holds a mapping and whether
-//! it is dirty. Recency is its position and emptiness a reserved PPN.
+//! empty ways at the tail, so a way is 16 bytes: its key, the PPN plus
+//! one, and the packed entry, whose spare bits say whether it holds a
+//! mapping and whether it is dirty. Recency is its position, and an
+//! empty way is all zero, so a new cache is a zeroed allocation that
+//! construction never writes.
 //! Every lookup and PTE hook touches one way. A hit moves it to the
 //! front. A miss shifts the set back by one into its first empty way
 //! or, in a full set, lets the LRU way fall off the tail (writing it
@@ -195,20 +197,15 @@ fn entry_of(word: u64) -> Option<RptEntry> {
     (word & MAPPED != 0).then(|| PackedRptEntry(word & PackedRptEntry::FIELDS).unpack())
 }
 
-/// One cache way: a frame and its stored word, [`DIRTY`] included.
-#[derive(Clone, Copy, Debug)]
-struct CacheWay {
-    ppn: Ppn,
-    word: u64,
+/// One cache way: `[key, word]`, the frame's [`key`] and its stored
+/// word, [`DIRTY`] included. An empty way is all zero.
+type CacheWay = [u64; 2];
+
+/// The key of `ppn`'s way: its PPN plus one, so that key 0 is an empty
+/// way. Frame `u64::MAX` has no key.
+fn key(ppn: Ppn) -> u64 {
+    ppn.raw() + 1
 }
-
-/// PPN of an empty way. A frame number this large is never mapped.
-const EMPTY_PPN: Ppn = Ppn::new(u64::MAX);
-
-const EMPTY: CacheWay = CacheWay {
-    ppn: EMPTY_PPN,
-    word: 0,
-};
 
 /// The reverse page table: DRAM copy + in-MC cache.
 ///
@@ -248,7 +245,8 @@ impl ReversePageTable {
         let sets = config.sets()?;
         Ok(ReversePageTable {
             dram: PageMap::new(),
-            cache: vec![EMPTY; sets * config.ways],
+            // A zeroed allocation: construction touches none of its pages.
+            cache: vec![[0; 2]; sets * config.ways],
             ways: config.ways,
             set_mask: sets as u64 - 1,
             stats: RptStats::default(),
@@ -286,20 +284,21 @@ impl ReversePageTable {
     fn touch(&mut self, ppn: Ppn) -> (usize, bool) {
         let range = self.set_range(ppn);
         let front = range.start;
+        let key = key(ppn);
         let set = &mut self.cache[range];
         let at = set
             .iter()
-            .position(|w| w.ppn == ppn || w.ppn == EMPTY_PPN)
+            .position(|&[k, _]| k == key || k == 0)
             .unwrap_or(set.len() - 1);
-        let way = set[at];
+        let way @ [k, word] = set[at];
         set.copy_within(..at, 1);
-        if way.ppn == ppn {
+        if k == key {
             set[0] = way;
             return (front, true);
         }
         // Empty ways are never dirty. Lazy DRAM update on writeback (§V).
-        if way.word & DIRTY != 0 {
-            self.write_dram(way.ppn, way.word & !DIRTY);
+        if word & DIRTY != 0 {
+            self.write_dram(Ppn::new(k - 1), word & !DIRTY);
             self.stats.dram_writebacks += 1;
         }
         (front, false)
@@ -328,13 +327,13 @@ impl ReversePageTable {
         let (front, hit) = self.touch(ppn);
         let word = if hit {
             self.stats.hits += 1;
-            self.cache[front].word
+            self.cache[front][1]
         } else {
             // Miss: read the DRAM copy and fill.
             let _prof = hopp_prof::span("hw/rpt_walk");
             self.stats.dram_reads += 1;
             let word = self.dram.get(ppn).map_or(0, |w| w.get());
-            self.cache[front] = CacheWay { ppn, word };
+            self.cache[front] = [key(ppn), word];
             word
         };
         let entry = entry_of(word);
@@ -350,9 +349,9 @@ impl ReversePageTable {
     pub fn peek(&self, ppn: Ppn) -> Option<RptEntry> {
         match self.cache[self.set_range(ppn)]
             .iter()
-            .find(|w| w.ppn == ppn)
+            .find(|&&[k, _]| k == key(ppn))
         {
-            Some(way) => entry_of(way.word),
+            Some(&[_, word]) => entry_of(word),
             None => self.dram.get(ppn).and_then(|w| entry_of(w.get())),
         }
     }
@@ -367,10 +366,7 @@ impl ReversePageTable {
     fn update(&mut self, ppn: Ppn, entry: Option<RptEntry>) {
         self.stats.updates += 1;
         let (front, _) = self.touch(ppn);
-        self.cache[front] = CacheWay {
-            ppn,
-            word: word_of(entry) | DIRTY,
-        };
+        self.cache[front] = [key(ppn), word_of(entry) | DIRTY];
     }
 }
 
@@ -436,6 +432,59 @@ mod tests {
     fn ways_and_dram_words_are_table_width() {
         assert_eq!(std::mem::size_of::<CacheWay>(), 16);
         assert_eq!(std::mem::size_of::<Option<NonZeroU64>>(), RPT_ENTRY_BYTES);
+    }
+
+    #[test]
+    fn a_new_cache_is_all_zero_and_names_no_frame() {
+        for mut r in [
+            rpt(),
+            small_rpt(),
+            ReversePageTable::new(RptCacheConfig::with_kib(1)).unwrap(),
+        ] {
+            assert!(r.cache.iter().all(|&way| way == [0; 2]));
+            assert!(r.dram.is_empty());
+            // Frame 0's key is 1: an empty way does not match it.
+            assert_eq!(r.peek(Ppn::new(0)), None);
+            assert_eq!(r.lookup(Ppn::new(0)), None);
+            assert_eq!((r.stats().hits, r.stats().dram_reads), (0, 1));
+        }
+    }
+
+    #[test]
+    fn frame_zero_and_the_top_frame_round_trip_through_writeback() {
+        // The top frame of the simulator's frame table, whose links are
+        // `u32` (2^32 − 2 frames).
+        let top = Ppn::new(u64::from(u32::MAX) - 2);
+        for ppn in [Ppn::new(0), top] {
+            let mut r = small_rpt();
+            let (a, b) = (Ppn::new(1), Ppn::new(2));
+            let e = RptEntry {
+                pid: Pid::new(u16::MAX),
+                vpn: Vpn::new((1 << RPT_VPN_BITS) - 1),
+                flags: PageFlags::default(),
+            };
+            r.pte_set(e.pid, e.vpn, ppn);
+            assert_eq!(r.lookup(ppn), Some(e), "{ppn:?}: cached");
+            assert_eq!(r.peek(ppn), Some(e));
+            // Two other frames push it out of the 2-way set: written back.
+            r.pte_set(Pid::new(1), Vpn::new(1), a);
+            r.pte_set(Pid::new(1), Vpn::new(2), b);
+            assert_eq!(r.stats().dram_writebacks, 1, "{ppn:?}");
+            assert!(r.cache.iter().all(|&[k, _]| k != key(ppn)));
+            assert_eq!(r.peek(ppn), Some(e), "{ppn:?}: in DRAM");
+            assert_eq!(r.lookup(ppn), Some(e), "{ppn:?}: read back");
+            assert_eq!(r.stats().dram_reads, 1);
+            r.pte_clear(e.pid, e.vpn, ppn);
+            assert_eq!(r.lookup(ppn), None, "{ppn:?}: cleared");
+            r.pte_set(Pid::new(1), Vpn::new(1), a);
+            r.pte_set(Pid::new(1), Vpn::new(2), b);
+            // The cleared word went back too and removed the DRAM copy.
+            assert!(r.cache.iter().all(|&[k, _]| k != key(ppn)));
+            assert!(r.dram.get(ppn).is_none(), "{ppn:?}: cleared in DRAM");
+            assert_eq!(r.lookup(ppn), None);
+            assert_eq!(r.stats().unresolved, 2);
+            assert_eq!(r.peek(a).map(|e| e.vpn), Some(Vpn::new(1)));
+        }
     }
 
     #[test]

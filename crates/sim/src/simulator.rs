@@ -280,7 +280,8 @@ impl Simulator {
     /// pending on one frame. In flight, no slot carries two
     /// reads or a swapcache frame, every flagged slot is covered by a
     /// queued read of its kind, and every queued baseline read whose
-    /// page is still swapped out flags that page's slot. The RPT names
+    /// page is still swapped out flags that page's slot. The pool's
+    /// nodes count one placed page per live swap slot. The RPT names
     /// the resident page of every frame handed out and nothing for a
     /// swapcache or free frame. The scans make it O(frames + slots +
     /// pages + reads in flight²).
@@ -371,6 +372,21 @@ impl Simulator {
             self.frames.lru.total_len(),
             self.frames.in_use(),
             "every frame in use is on one list"
+        );
+        // The pool keeps only placements that differ from the hash node
+        // and `release` decrements the node it finds, which is sound only
+        // with one `place` per slot allocation and one `release` per free.
+        let placed: u64 = self
+            .pool
+            .report(self.clock)
+            .nodes
+            .iter()
+            .map(|n| n.placed)
+            .sum();
+        assert_eq!(
+            placed,
+            self.swapdev.used_slots() as u64,
+            "pages placed in the pool = live swap slots"
         );
         let rpt = self.mc.rpt();
         for (ppn, mapped) in self.frames.mapped_owners() {

@@ -17,13 +17,15 @@
 //! # Layout
 //!
 //! The tags live in one flat `sets × ways` array of `u32`. Each set is
-//! kept in most-recently-used-first order, with empty ways (tag
-//! `u32::MAX`) at the tail, so recency is the position in the set and
-//! no LRU stamps are stored. A hit moves its tag to the front. A miss
-//! takes the first empty way or, in a full set, the LRU way at the
-//! tail, shifts the ways before it back by one and writes the new tag
-//! at the front. An invalidation removes the tag and appends an empty
-//! way. A lookup stops at the first empty way.
+//! kept in most-recently-used-first order, with empty ways at the tail,
+//! so recency is the position in the set and no LRU stamps are stored.
+//! A hit moves its tag to the front. A miss takes the first empty way
+//! or, in a full set, the LRU way at the tail, shifts the ways before it
+//! back by one and writes the new tag at the front. An invalidation
+//! removes the tag and appends an empty way. A lookup stops at the first
+//! empty way. A line is stored as its tag plus one and an empty way as
+//! 0, so a new cache is a zeroed allocation that construction never
+//! writes.
 //!
 //! One routine looks a tag up in a set and moves it to the front. A
 //! 16-way set (every preset but `tiny`) is passed to it as a
@@ -79,9 +81,9 @@
 //! lines wrap around the sets, so no page is tracked and both calls
 //! always take the per-line loop.
 //!
-//! A tag is the line address shifted right by the set bits, so `u32`
-//! tags cover pages `0..`[`LlcConfig::max_pages`]: 2^37 pages for a
-//! 2 MB, 16-way cache. Half-width tags halve the array.
+//! A tag is the line address shifted right by the set bits, stored plus
+//! one, so `u32` tags cover pages `0..`[`LlcConfig::max_pages`]: 2^37
+//! pages for a 2 MB, 16-way cache. Half-width tags halve the array.
 
 use std::ops::Range;
 
@@ -152,8 +154,8 @@ impl LlcConfig {
 
     /// The number of pages the cache can tag: it models pages
     /// `0..max_pages()`. A tag is a line address shifted right by the
-    /// set bits and must stay below the `u32::MAX` that marks an empty
-    /// way, so the bound is `(2^32 − 1) · sets / 64`.
+    /// set bits, stored plus one to keep 0 for an empty way, so it must
+    /// stay below `u32::MAX` and the bound is `(2^32 − 1) · sets / 64`.
     ///
     /// # Errors
     ///
@@ -161,7 +163,7 @@ impl LlcConfig {
     /// [`LlcConfig::sets`]).
     pub fn max_pages(&self) -> Result<u64> {
         let sets = self.sets()? as u64;
-        Ok(u64::from(EMPTY).saturating_mul(sets) / LINES_PER_PAGE as u64)
+        Ok(u64::from(u32::MAX).saturating_mul(sets) / LINES_PER_PAGE as u64)
     }
 }
 
@@ -192,10 +194,10 @@ impl LlcStats {
     }
 }
 
-/// Tag value of an empty way. A real tag is a line address shifted
-/// right by the set bits, which stays below `u32::MAX` for every page
-/// below [`LlcConfig::max_pages`].
-const EMPTY: u32 = u32::MAX;
+/// Stored value of an empty way. A line is stored as its tag plus one,
+/// and a tag stays below `u32::MAX` for every page below
+/// [`LlcConfig::max_pages`], so no line is stored as 0.
+const EMPTY: u32 = 0;
 
 /// A set-associative, physically-indexed LLC with true-LRU replacement.
 ///
@@ -268,6 +270,7 @@ impl LastLevelCache {
         let sets = config.sets()?;
         let pages = if sets >= LINES_PER_PAGE { pages } else { 0 };
         Ok(LastLevelCache {
+            // A zeroed allocation: construction touches none of its pages.
             tags: vec![EMPTY; sets * config.ways],
             ways: config.ways,
             set_mask: sets as u64 - 1,
@@ -411,15 +414,15 @@ impl LastLevelCache {
     }
 
     /// The index range of the set holding line address `raw`, and the
-    /// tag the line is stored as.
+    /// value the line is stored as: its tag plus one.
     fn locate(&self, raw: u64) -> (Range<usize>, u32) {
         let base = (raw & self.set_mask) as usize * self.ways;
         let tag = raw >> self.set_bits;
         debug_assert!(
-            tag < u64::from(EMPTY),
+            tag < u64::from(u32::MAX),
             "line {raw:#x} lies past LlcConfig::max_pages"
         );
-        (base..base + self.ways, tag as u32)
+        (base..base + self.ways, tag as u32 + 1)
     }
 
     /// Drops every line belonging to `ppn`.
@@ -570,7 +573,7 @@ mod tests {
 
     #[test]
     fn highest_taggable_page_hits_misses_and_invalidates_exactly() {
-        for (sets, ways) in [(1, 16), (4, 4), (64, 4), (2_048, 16)] {
+        for (sets, ways) in [(1, 16), (4, 4), (64, 4), (512, 8), (2_048, 16)] {
             let config = LlcConfig {
                 capacity_bytes: sets * ways * LINE_SIZE,
                 ways,
@@ -582,6 +585,9 @@ mod tests {
             let all = u64::MAX;
             let resident = LINES_PER_PAGE.min(sets * ways) as u64;
             assert_eq!(llc.access_lines(top, 64), all, "{sets} sets: cold");
+            // With at least 64 sets its last line has the highest tag,
+            // stored as `u32::MAX`.
+            assert_eq!(llc.tags.contains(&u32::MAX), sets >= 64, "{sets} sets");
             // A walk longer than the cache thrashes true LRU.
             let warm = if resident == 64 { 0 } else { all };
             assert_eq!(llc.access_lines(top, 64), warm, "{sets} sets: warm");
@@ -590,6 +596,43 @@ mod tests {
             llc.invalidate_page(top);
             assert_eq!(llc.stats().invalidations, resident, "{sets} sets");
             assert_eq!(llc.access_lines(top, 64), all, "{sets} sets: dropped");
+        }
+    }
+
+    #[test]
+    fn the_top_line_is_stored_as_u32_max_and_round_trips() {
+        for config in [LlcConfig::simulator_default(), LlcConfig::tiny()] {
+            let top = Ppn::new(config.max_pages().unwrap() - 1);
+            let line = top.line(63);
+            let mut llc = LastLevelCache::new(config).unwrap();
+            assert_eq!(llc.locate(line.raw()).1, u32::MAX, "{config:?}");
+            assert!(!llc.access(line, AccessKind::Read), "{config:?}: cold");
+            assert!(llc.access(line, AccessKind::Write), "{config:?}: warm");
+            assert_eq!(llc.tags.iter().filter(|&&t| t != EMPTY).count(), 1);
+            llc.invalidate_page(top);
+            assert_eq!(llc.stats().invalidations, 1, "{config:?}");
+            assert!(llc.tags.iter().all(|&t| t == EMPTY), "{config:?}");
+            assert!(!llc.access(line, AccessKind::Read), "{config:?}: dropped");
+        }
+    }
+
+    #[test]
+    fn a_new_cache_is_all_zero() {
+        assert_eq!(EMPTY, 0);
+        let one_set = LlcConfig {
+            capacity_bytes: 16 * LINE_SIZE,
+            ways: 16,
+        };
+        for config in [
+            LlcConfig::simulator_default(),
+            LlcConfig::tiny(),
+            LlcConfig::default_server(),
+            one_set,
+        ] {
+            let llc = LastLevelCache::with_tracked_pages(config, 4_096).unwrap();
+            assert!(llc.tags.iter().all(|&t| t == 0), "{config:?}");
+            assert!(llc.pressure.iter().all(|&p| p == 0), "{config:?}");
+            assert!(llc.walked.is_empty() && llc.stamp.is_empty());
         }
     }
 
