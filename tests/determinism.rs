@@ -21,11 +21,20 @@
 //!    of Depth-16's are wasted, so the two pin the baseline's half of
 //!    the prefetch metrics.
 //!
+//! 5. *Frame-list pinning*: two HoPP tenants under trace-assisted
+//!    reclaim, each held below a quarter of its footprint, and a
+//!    Fastswap run at 25% local share one golden file. Together they
+//!    move frames between the swapcache list and the process lists
+//!    under pressure, rotate hot pages on second chances and fill the
+//!    timeliness histogram, so the charge, residency and swapcache
+//!    bookkeeping cannot drift unnoticed.
+//!
 //! To regenerate the goldens after an *intentional* behaviour change,
 //! run `HOPP_BLESS=1 cargo test --test determinism` and commit the
 //! updated files with an explanation.
 
-use hopp_sim::{run_workload_with, BaselineKind, SimConfig, SystemConfig};
+use hopp_sim::{run_workload_with, AppSpec, BaselineKind, SimConfig, Simulator, SystemConfig};
+use hopp_types::{Nanos, Pid};
 use hopp_workloads::WorkloadKind;
 
 const GOLDEN: &str = concat!(
@@ -46,6 +55,11 @@ const GOLDEN_FASTSWAP: &str = concat!(
 const GOLDEN_DEPTH16: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/graphx_pr_depth16_small.json"
+);
+
+const GOLDEN_LISTS: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/frame_lists_small.json"
 );
 
 fn small_hopp_report() -> String {
@@ -77,6 +91,34 @@ fn three_channel_hopp_report() -> String {
     run_workload_with(config, WorkloadKind::Quicksort, 2_048, 7, 0.5)
         .expect("small three-channel hopp run")
         .metrics_json()
+}
+
+/// Two HoPP tenants with trace-assisted reclaim, each limited to 240
+/// of its 1,024 pages, then GraphX-PR under Fastswap at 25% local.
+fn frame_list_reports() -> String {
+    let config = SimConfig {
+        trace_assisted_reclaim: Some(Nanos::from_millis(2)),
+        ..SimConfig::with_system(SystemConfig::hopp_default())
+    };
+    let tenant = |pid: u16, kind: WorkloadKind, seed: u64| AppSpec {
+        pid: Pid::new(pid),
+        stream: kind.build(Pid::new(pid), 1_024, seed),
+        limit_pages: 240,
+    };
+    let apps = vec![
+        tenant(1, WorkloadKind::Kmeans, 42),
+        tenant(2, WorkloadKind::NpbIs, 43),
+    ];
+    let tenants = Simulator::new(config, apps)
+        .expect("valid tenants")
+        .run()
+        .expect("two-tenant run")
+        .metrics_json();
+    let config = SimConfig::with_system(SystemConfig::Baseline(BaselineKind::Fastswap));
+    let fastswap = run_workload_with(config, WorkloadKind::GraphPr, 2_048, 11, 0.25)
+        .expect("fastswap run")
+        .metrics_json();
+    format!("{tenants}\n{fastswap}")
 }
 
 /// Compares `got` with the golden file at `path`, or rewrites the file
@@ -118,4 +160,9 @@ fn depth16_report_matches_golden() {
         GOLDEN_DEPTH16,
         &small_baseline_report(BaselineKind::DepthN(16)),
     );
+}
+
+#[test]
+fn frame_list_reports_match_golden() {
+    check_golden(GOLDEN_LISTS, &frame_list_reports());
 }
