@@ -15,6 +15,14 @@
 //! Every owner (a cgroup, or the swapcache) has an active and an
 //! inactive list over the same table. [`LruLists`] is the one-owner
 //! view of it.
+//!
+//! The lists are the cgroup accounting too (cgroup v2 `memory.max`):
+//! a cgroup's charge is the length of its two lists, and it is over
+//! its limit exactly when they hold more pages than the limit. HoPP
+//! charges the pages it injects, because they go on the owning
+//! application's lists; Fastswap and Leap leave their prefetched
+//! swapcache pages on the swapcache's lists, where they count against
+//! no limit (§I).
 
 use hopp_types::Ppn;
 

@@ -61,7 +61,6 @@ impl<L: PteListener + ?Sized> PteListener for &mut L {
 pub struct AddressSpace {
     pid: Pid,
     map: PageMap<Vpn, Mapping>,
-    resident: usize,
 }
 
 impl AddressSpace {
@@ -70,7 +69,6 @@ impl AddressSpace {
         AddressSpace {
             pid,
             map: PageMap::new(),
-            resident: 0,
         }
     }
 
@@ -107,10 +105,7 @@ impl AddressSpace {
                 listener.pte_clear(self.pid, vpn, pte.ppn);
                 Some(pte)
             }
-            _ => {
-                self.resident += 1;
-                None
-            }
+            _ => None,
         };
         listener.pte_set(self.pid, vpn, ppn);
         displaced
@@ -138,35 +133,11 @@ impl AddressSpace {
         match self.map.get(vpn).copied() {
             Some(Mapping::Present(pte)) => {
                 self.map.insert(vpn, Mapping::Swapped(slot));
-                self.resident -= 1;
                 listener.pte_clear(self.pid, vpn, pte.ppn);
                 Some(pte)
             }
             _ => None,
         }
-    }
-
-    /// Removes a page entirely (process exit / unmap). Returns the frame
-    /// if one was present.
-    pub fn unmap<L: PteListener>(&mut self, vpn: Vpn, listener: &mut L) -> Option<Ppn> {
-        match self.map.remove(vpn) {
-            Some(Mapping::Present(pte)) => {
-                self.resident -= 1;
-                listener.pte_clear(self.pid, vpn, pte.ppn);
-                Some(pte.ppn)
-            }
-            _ => None,
-        }
-    }
-
-    /// Number of pages currently present in DRAM.
-    pub fn resident_pages(&self) -> usize {
-        self.resident
-    }
-
-    /// Number of pages the process has ever touched (present + swapped).
-    pub fn mapped_pages(&self) -> usize {
-        self.map.len()
     }
 
     /// Iterates over present pages in ascending `Vpn` order.
@@ -216,13 +187,12 @@ mod tests {
 
         assert_eq!(space.lookup(vpn), None);
         assert!(space.map_present(vpn, ppn, &mut rec).is_none());
-        assert_eq!(space.resident_pages(), 1);
+        assert_eq!(space.iter_present().count(), 1);
         assert!(matches!(space.lookup(vpn), Some(Mapping::Present(p)) if p.ppn == ppn));
 
         let pte = space.swap_out(vpn, SwapSlot::new(9), &mut rec).unwrap();
         assert_eq!(pte.ppn, ppn);
-        assert_eq!(space.resident_pages(), 0);
-        assert_eq!(space.mapped_pages(), 1);
+        assert_eq!(space.iter_present().count(), 0);
         assert!(matches!(
             space.lookup(vpn),
             Some(Mapping::Swapped(s)) if s == SwapSlot::new(9)
@@ -249,9 +219,9 @@ mod tests {
         assert_eq!(prev.ppn, Ppn::new(1));
         assert!(prev.dirty);
         assert_eq!(
-            space.resident_pages(),
+            space.iter_present().count(),
             1,
-            "a remap must not double-count residency"
+            "a remap leaves one present page"
         );
         assert_eq!(rec.clears, vec![(Pid::new(1), vpn, Ppn::new(1))]);
         assert_eq!(
@@ -293,18 +263,6 @@ mod tests {
         space.swap_out(vpn, SwapSlot::new(0), &mut ()).unwrap();
         space.mark_dirty(vpn); // must not panic or resurrect the mapping
         assert!(matches!(space.lookup(vpn), Some(Mapping::Swapped(_))));
-    }
-
-    #[test]
-    fn unmap_notifies_and_forgets() {
-        let mut rec = Recorder::default();
-        let mut space = AddressSpace::new(Pid::new(2));
-        let vpn = Vpn::new(8);
-        assert!(space.map_present(vpn, Ppn::new(3), &mut rec).is_none());
-        assert_eq!(space.unmap(vpn, &mut rec), Some(Ppn::new(3)));
-        assert_eq!(space.lookup(vpn), None);
-        assert_eq!(space.mapped_pages(), 0);
-        assert_eq!(rec.clears.len(), 1);
     }
 
     #[test]

@@ -159,9 +159,6 @@ impl HistogramSummary {
 pub struct LatencyHistograms {
     /// Full major-fault latency (synchronous remote read + CPU cost).
     pub major_fault: Histogram,
-    /// Prefetch timeliness: arrival→first-touch (both HoPP and
-    /// baseline prefetches).
-    pub timeliness: Histogram,
     /// Demand-access stalls on in-flight prefetches.
     pub inflight_wait: Histogram,
     /// RDMA read latency (issue→completion, queueing included).
@@ -176,11 +173,13 @@ impl LatencyHistograms {
         Self::default()
     }
 
-    /// Copyable summaries of all five histograms.
-    pub fn summaries(&self) -> LatencySummaries {
+    /// Copyable summaries of all four histograms, beside `timeliness`:
+    /// the prefetch-timeliness summary, which the caller keeps with its
+    /// per-source prefetch metrics rather than here.
+    pub fn summaries(&self, timeliness: HistogramSummary) -> LatencySummaries {
         LatencySummaries {
             major_fault: self.major_fault.summary(),
-            timeliness: self.timeliness.summary(),
+            timeliness,
             inflight_wait: self.inflight_wait.summary(),
             rdma_read: self.rdma_read.summary(),
             rdma_write: self.rdma_write.summary(),
@@ -193,7 +192,8 @@ impl LatencyHistograms {
 pub struct LatencySummaries {
     /// Major-fault latency.
     pub major_fault: HistogramSummary,
-    /// Prefetch timeliness.
+    /// Prefetch timeliness: arrival→first-touch (both HoPP and
+    /// baseline prefetches).
     pub timeliness: HistogramSummary,
     /// Inflight-wait stalls.
     pub inflight_wait: HistogramSummary,

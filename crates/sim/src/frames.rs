@@ -3,16 +3,19 @@
 //! A record holds the frame's owner, its LRU links and list (owner
 //! [`SWAPCACHE`] for swapcache pages, [`list_of`]`(i) = i + 1` for the
 //! mapped pages of the simulator's `i`-th process record), its marks
-//! (swapcache page or not, and the [`Source`] of its pending prefetch),
-//! that prefetch's arrival time and HoPP stream, and its last hot time
-//! under trace-assisted reclaim.
+//! (the [`Source`] of its pending prefetch), that prefetch's arrival
+//! time and HoPP stream, and its last hot time under trace-assisted
+//! reclaim.
 //! Zero means empty in every column, and a frame's record is pushed as
 //! zeroes when the frame is first handed out, so building the table
-//! only reserves memory: it writes nothing per frame. The marks are
-//! exact: a frame is marked as a swapcache page exactly while its
-//! owner's swap slot records it as cached, and names one prefetch
-//! source from the page's arrival until its first hit or its reclaim
-//! (no page is prefetched twice at once). Nothing else tracks either.
+//! only reserves memory: it writes nothing per frame. The list a frame
+//! is on is the one record of what it holds: a frame holds a swapcache
+//! page exactly while it is on the [`SWAPCACHE`] list, which is exactly
+//! while its owner's swap slot records it as cached, and a process's
+//! list is as long as its cgroup's charge. The marks are exact too: a
+//! frame names one prefetch source from the page's arrival until its
+//! first hit or its reclaim (no page is prefetched twice at once), and
+//! nothing else tracks that.
 
 use hopp_core::three_tier::Tier;
 use hopp_core::StreamId;
@@ -27,12 +30,6 @@ pub(crate) const SWAPCACHE: usize = 0;
 pub(crate) const fn list_of(i: usize) -> usize {
     i + 1
 }
-
-/// Mark: the frame holds an uncharged swapcache page.
-const IN_SWAPCACHE: u8 = 1;
-/// Marks: the pending prefetch's [`Source::index`] plus one, or zero.
-const SOURCE_SHIFT: u8 = 1;
-const SOURCE: u8 = 7 << SOURCE_SHIFT;
 
 /// Who issued a prefetch: the fault-path baseline (Depth-N's injections
 /// included) or one of HoPP's tiers. Every step of a prefetch's life is
@@ -75,6 +72,8 @@ struct Prefetch {
 pub(crate) struct FrameTable {
     pool: FrameAllocator,
     pub(crate) lru: LruLinks,
+    /// Per frame: its pending prefetch's [`Source::index`] plus one, or
+    /// zero.
     marks: Vec<u8>,
     /// The pending prefetch of the frame's page, valid while its marks
     /// name a source.
@@ -135,17 +134,6 @@ impl FrameTable {
         Ok(())
     }
 
-    /// Marks `ppn` as holding a swapcache page, or clears the mark.
-    pub(crate) fn set_swapcache(&mut self, ppn: Ppn, cached: bool) {
-        let marks = &mut self.marks[ppn.index()];
-        *marks = *marks & !IN_SWAPCACHE | if cached { IN_SWAPCACHE } else { 0 };
-    }
-
-    /// Whether `ppn` holds a swapcache page.
-    pub(crate) fn in_swapcache(&self, ppn: Ppn) -> bool {
-        self.marks[ppn.index()] & IN_SWAPCACHE != 0
-    }
-
     /// Records that `source` prefetched `ppn`'s page, which arrived at
     /// `at`; `stream` is the HoPP stream that asked for it (`None` for
     /// the baseline).
@@ -158,7 +146,7 @@ impl FrameTable {
     ) {
         let i = ppn.index();
         debug_assert!(self.source(i).is_none(), "{ppn:?}: a prefetch is pending");
-        self.marks[i] |= (source.index() as u8 + 1) << SOURCE_SHIFT;
+        self.marks[i] = source.index() as u8 + 1;
         self.prefetch[i] = Prefetch {
             arrival: at,
             stream: stream.map_or(0, StreamId::key),
@@ -170,7 +158,7 @@ impl FrameTable {
     pub(crate) fn take_prefetch(&mut self, ppn: Ppn) -> Option<(Source, Option<StreamId>, Nanos)> {
         let i = ppn.index();
         let source = self.source(i)?;
-        self.marks[i] &= !SOURCE;
+        self.marks[i] = 0;
         let Prefetch { arrival, stream } = self.prefetch[i];
         let stream = (source != Source::Baseline).then(|| StreamId::from_key(stream));
         Some((source, stream, arrival))
@@ -178,15 +166,9 @@ impl FrameTable {
 
     /// The source of frame `i`'s pending prefetch, if any.
     fn source(&self, i: usize) -> Option<Source> {
-        let source = usize::from((self.marks[i] & SOURCE) >> SOURCE_SHIFT);
-        Source::ALL.get(source.checked_sub(1)?).copied()
-    }
-
-    /// Moves `from`'s pending prefetch to `to`, which now holds its page.
-    pub(crate) fn inherit_prefetch(&mut self, from: Ppn, to: Ppn) {
-        if let Some((source, stream, at)) = self.take_prefetch(from) {
-            self.mark_prefetch(to, source, stream, at);
-        }
+        Source::ALL
+            .get(usize::from(self.marks[i]).checked_sub(1)?)
+            .copied()
     }
 
     /// Frames with a pending prefetch, per [`Source::index`] (a scan,
@@ -200,14 +182,14 @@ impl FrameTable {
         counts
     }
 
-    /// Allocated frames marked as swapcache pages, with their owners
-    /// (a scan, for consistency checks).
+    /// Allocated frames on the swapcache list, with their owners (a
+    /// scan, for consistency checks).
     #[cfg(any(test, debug_assertions))]
     pub(crate) fn swapcache_frames(&self) -> impl Iterator<Item = (Ppn, Pid, Vpn)> + '_ {
         (0..self.marks.len()).filter_map(|i| {
             let ppn = Ppn::from_index(i);
             let (pid, vpn) = self.pool.owner(ppn)?;
-            self.in_swapcache(ppn).then_some((ppn, pid, vpn))
+            self.on_swapcache_list(ppn).then_some((ppn, pid, vpn))
         })
     }
 
@@ -218,9 +200,20 @@ impl FrameTable {
     pub(crate) fn mapped_owners(&self) -> impl Iterator<Item = (Ppn, Option<(Pid, Vpn)>)> + '_ {
         (0..self.marks.len()).map(|i| {
             let ppn = Ppn::from_index(i);
-            let owner = self.pool.owner(ppn).filter(|_| !self.in_swapcache(ppn));
+            let owner = self
+                .pool
+                .owner(ppn)
+                .filter(|_| !self.on_swapcache_list(ppn));
             (ppn, owner)
         })
+    }
+
+    /// Whether `ppn` is on the swapcache's list.
+    #[cfg(any(test, debug_assertions))]
+    fn on_swapcache_list(&self, ppn: Ppn) -> bool {
+        self.lru
+            .list_of(ppn)
+            .is_some_and(|(owner, _)| owner == SWAPCACHE)
     }
 
     /// Records that the MC reported `ppn` hot at `at` (trace-assisted
@@ -251,8 +244,7 @@ mod tests {
         let mut ft = FrameTable::new(2, 1, true);
         for source in Source::ALL {
             let ppn = ft.alloc(Pid::new(3), Vpn::new(9)).unwrap();
-            ft.lru.insert(list_of(0), ppn, LruTier::Active);
-            ft.set_swapcache(ppn, true);
+            ft.lru.insert(SWAPCACHE, ppn, LruTier::Inactive);
             ft.mark_prefetch(ppn, source, None, Nanos::from_nanos(3));
             ft.set_hot(ppn, Nanos::ZERO);
             assert_eq!(ft.last_hot(ppn), Some(Nanos::ZERO));
@@ -260,7 +252,7 @@ mod tests {
             assert_eq!(ft.lru.total_len(), 0);
             let again = ft.alloc(Pid::new(3), Vpn::new(10)).unwrap();
             assert_eq!(again, ppn, "LIFO reuse");
-            assert!(!ft.in_swapcache(again));
+            assert_eq!(ft.swapcache_frames().count(), 0);
             assert_eq!(ft.pending_counts(), [0; 4]);
             assert_eq!(ft.take_prefetch(again), None);
             assert_eq!(ft.last_hot(again), None);
@@ -269,25 +261,38 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_marks_keep_source_stream_and_arrival() {
+    fn the_list_a_frame_is_on_says_whether_it_maps_its_page() {
         let mut ft = FrameTable::new(2, 1, false);
+        let owner = (Pid::new(1), Vpn::new(4));
+        let ppn = ft.alloc(owner.0, owner.1).unwrap();
+        ft.lru.insert(SWAPCACHE, ppn, LruTier::Inactive);
+        assert_eq!(
+            ft.swapcache_frames().collect::<Vec<_>>(),
+            [(ppn, owner.0, owner.1)]
+        );
+        assert_eq!(ft.mapped_owners().collect::<Vec<_>>(), [(ppn, None)]);
+        // A minor fault moves the frame to its process's list.
+        ft.lru.insert(list_of(0), ppn, LruTier::Active);
+        assert_eq!(ft.swapcache_frames().count(), 0);
+        assert_eq!(ft.mapped_owners().collect::<Vec<_>>(), [(ppn, Some(owner))]);
+        ft.free(ppn).unwrap();
+        assert_eq!(ft.mapped_owners().collect::<Vec<_>>(), [(ppn, None)]);
+    }
+
+    #[test]
+    fn prefetch_marks_keep_source_stream_and_arrival() {
+        let mut ft = FrameTable::new(1, 1, false);
         let ppn = ft.alloc(Pid::new(1), Vpn::new(0)).unwrap();
-        let to = ft.alloc(Pid::new(1), Vpn::new(1)).unwrap();
         let stream = StreamId::from_key(u64::from(u32::MAX) << 16 | 63);
         for (at, source) in Source::ALL.into_iter().enumerate() {
             let at = Nanos::from_nanos(at as u64);
             let stream = (source != Source::Baseline).then_some(stream);
             ft.mark_prefetch(ppn, source, stream, at);
-            ft.set_swapcache(ppn, true);
             let mut pending = [0; 4];
             pending[source.index()] = 1;
             assert_eq!(ft.pending_counts(), pending);
-            ft.inherit_prefetch(ppn, to);
+            assert_eq!(ft.take_prefetch(ppn), Some((source, stream, at)));
             assert_eq!(ft.take_prefetch(ppn), None);
-            assert!(ft.in_swapcache(ppn), "only the prefetch moves");
-            ft.set_swapcache(ppn, false);
-            assert_eq!(ft.take_prefetch(to), Some((source, stream, at)));
-            assert_eq!(ft.take_prefetch(to), None);
         }
         // Without trace-assisted reclaim nothing is remembered.
         ft.set_hot(ppn, Nanos::from_nanos(5));

@@ -6,8 +6,10 @@
 //!
 //! * application page accesses come from `hopp-workloads` streams;
 //! * address translation, frames and PTEs from `hopp-mem`; the
-//!   simulator keeps every per-frame fact (owner, LRU links, swapcache
-//!   mark, pending prefetch) in one PPN-indexed frame table;
+//!   simulator keeps every per-frame fact (owner, LRU links, pending
+//!   prefetch) in one PPN-indexed frame table, where the list a frame
+//!   is on says whether it holds a swapcache page, and a process's list
+//!   length is its cgroup charge;
 //! * the LLC model filters accesses into the off-chip miss stream
 //!   (`hopp-trace`), which feeds the MC pipeline (`hopp-hw`);
 //! * the kernel side (swapcache, LRU reclaim, cgroup limits, fault

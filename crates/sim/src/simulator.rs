@@ -10,7 +10,7 @@ use hopp_ds::DetMap;
 use hopp_fabric::{FaultScript, MemoryPool, RemotePool, REGION_SHIFT};
 use hopp_hw::rpt::RPT_VPN_BITS;
 use hopp_hw::McPipeline;
-use hopp_kernel::{Cgroup, FaultInfo, InflightRead, LruTier, Prefetcher, SwapDevice};
+use hopp_kernel::{FaultInfo, InflightRead, LruTier, Prefetcher, SwapDevice};
 use hopp_mem::{AddressSpace, Mapping};
 use hopp_net::CompletionQueue;
 use hopp_obs::{Event, LatencyHistograms, ObsRecorder, Recorder};
@@ -36,12 +36,14 @@ struct HoppRuntime {
     exec: ExecutionEngine,
 }
 
-/// One process: its page table, its cgroup, its access stream and its
-/// per-app counters. The `i`-th record's mapped pages are on LRU list
-/// [`list_of`]`(i)`.
+/// One process: its page table, its cgroup limit, its access stream
+/// and its per-app counters. The `i`-th record's mapped pages are on LRU
+/// list [`list_of`]`(i)`, whose length is its cgroup's charge.
 struct Process {
     space: AddressSpace,
-    cgroup: Cgroup,
+    /// The cgroup limit: the most pages list [`list_of`]`(i)` may hold
+    /// once reclaim is done.
+    limit_pages: usize,
     stream: Box<dyn AccessStream>,
     finished_at: Option<Nanos>,
     accesses: u64,
@@ -62,8 +64,8 @@ pub struct Simulator {
     clock: Nanos,
     llc: LastLevelCache,
     mc: McPipeline,
-    /// One record per local frame: owner, LRU links, swapcache mark,
-    /// pending prefetch.
+    /// One record per local frame: owner, LRU links (the swapcache's
+    /// list or its process's), pending prefetch.
     frames: FrameTable,
     /// One record per process, in input order, which is also the
     /// round-robin order.
@@ -84,6 +86,9 @@ pub struct Simulator {
     prefetch_metrics: [PrefetchMetrics; 4],
     base_cq: CompletionQueue<BaseArrival>,
     hopp: Option<HoppRuntime>,
+    /// Run-wide counts. Accesses and major and minor faults are counted
+    /// per app only, so those fields stay zero here; [`Self::counters`]
+    /// fills them in as the per-app sums.
     counters: Counters,
     prefetch_buf: Vec<hopp_kernel::PrefetchRequest>,
     /// Reused HoPP order buffer (see [`Self::on_hot_page`]).
@@ -136,9 +141,15 @@ impl Simulator {
             if app.pid == Pid::KERNEL || procs.iter().any(|p| p.pid() == app.pid) {
                 return Err(Error::UnknownProcess { pid: app.pid });
             }
+            if app.limit_pages == 0 {
+                return Err(Error::InvalidConfig {
+                    what: "cgroup limit",
+                    constraint: "at least one page",
+                });
+            }
             procs.push(Process {
                 space: AddressSpace::new(app.pid),
-                cgroup: Cgroup::with_limit(app.limit_pages)?,
+                limit_pages: app.limit_pages,
                 stream: app.stream,
                 finished_at: None,
                 accesses: 0,
@@ -271,24 +282,24 @@ impl Simulator {
     }
 
     /// Frame conservation, checked at the end of debug-build runs: every
-    /// access is counted as one kind, every frame in use holds a
-    /// resident page or a swapcache page and is on exactly one list,
-    /// each list is as long as what it stands for, every swapped-out
-    /// page's slot holds that page, every swapcache frame is its page's
-    /// slot's cached frame, every cgroup's charge is within its limit,
-    /// and every source's prefetch is hit, wasted or still marked
-    /// pending on one frame. In flight, no slot carries two
-    /// reads or a swapcache frame, every flagged slot is covered by a
-    /// queued read of its kind, and every queued baseline read whose
-    /// page is still swapped out flags that page's slot. The pool's
-    /// nodes count one placed page per live swap slot. The RPT names
-    /// the resident page of every frame handed out and nothing for a
-    /// swapcache or free frame. The scans make it O(frames + slots +
-    /// pages + reads in flight²).
+    /// access is counted as one kind, every frame in use is on exactly
+    /// one list, every process has as many present PTEs as its list
+    /// holds and no more than its cgroup limit, every frame in use holds
+    /// a present page or a swapcache page, every swapped-out page's slot
+    /// holds that page, every frame on the swapcache list is its page's
+    /// slot's cached frame and no other slot caches one, and every
+    /// source's prefetch is hit, wasted or still marked pending on one
+    /// frame. In flight, no slot carries two reads or a swapcache frame,
+    /// every flagged slot is covered by a queued read of its kind, and
+    /// every queued baseline read whose page is still swapped out flags
+    /// that page's slot. The pool's nodes count one placed page per live
+    /// swap slot. The RPT names the resident page of every frame handed
+    /// out and nothing for a swapcache or free frame. The scans make it
+    /// O(frames + slots + pages + reads in flight²).
     #[cfg(any(test, debug_assertions))]
     fn check_frame_conservation(&self) {
         use hopp_kernel::SlotView;
-        let c = &self.counters;
+        let c = self.counters();
         assert_eq!(
             c.accesses,
             c.dram_hits + c.minor_faults + c.major_faults + c.first_touches,
@@ -334,18 +345,22 @@ impl Simulator {
         assert_eq!(
             self.swapdev.cached_slots(),
             swapcache,
-            "cached slots = swapcache frames"
+            "cached slots = frames on the swapcache list"
         );
-        let resident: usize = self.procs.iter().map(|p| p.space.resident_pages()).sum();
+        let mut present = 0;
+        for (idx, p) in self.procs.iter().enumerate() {
+            let pid = p.pid();
+            let listed = self.frames.lru.len(list_of(idx));
+            let mapped = p.space.iter_present().count();
+            assert_eq!(mapped, listed, "{pid}: present PTEs = listed");
+            let limit = p.limit_pages;
+            assert!(listed <= limit, "{pid}: {listed} listed over limit {limit}");
+            present += mapped;
+        }
         assert_eq!(
             self.frames.in_use(),
-            resident + swapcache,
-            "frames in use = resident pages + swapcache pages"
-        );
-        assert_eq!(
-            self.frames.lru.len(SWAPCACHE),
-            swapcache,
-            "swapcache list = swapcache pages"
+            present + swapcache,
+            "frames in use = present PTEs + swapcache frames"
         );
         let pending = self.frames.pending_counts();
         for (source, (m, pending)) in Source::ALL
@@ -356,16 +371,6 @@ impl Simulator {
                 m.prefetched(),
                 m.prefetch_hits() + m.wasted() + pending as u64,
                 "{source:?}: prefetched = hits + wasted + pending frames"
-            );
-        }
-        for (idx, p) in self.procs.iter().enumerate() {
-            let listed = self.frames.lru.len(list_of(idx));
-            let (pid, charged) = (p.pid(), p.cgroup.charged_pages());
-            assert_eq!(listed, charged, "{pid}: listed = charged");
-            let limit = p.cgroup.limit_pages();
-            assert!(
-                charged <= limit,
-                "{pid}: charge {charged} over limit {limit}"
             );
         }
         assert_eq!(
@@ -412,22 +417,19 @@ impl Simulator {
         }
         self.clock += Nanos::from_nanos(u64::from(access.think_ns));
         self.drain_completions()?;
-        self.counters.accesses += 1;
         self.procs[app_idx].accesses += 1;
-        if self.config.timeline_every > 0
-            && self
-                .counters
-                .accesses
-                .is_multiple_of(self.config.timeline_every)
-        {
-            let [_, tiers @ ..] = &self.prefetch_metrics;
-            self.timeline.push(TimelineSample {
-                at: self.clock,
-                accesses: self.counters.accesses,
-                major_faults: self.counters.major_faults,
-                minor_faults: self.counters.minor_faults,
-                hopp_injected: tiers.iter().map(PrefetchMetrics::prefetched).sum(),
-            });
+        if self.config.timeline_every > 0 {
+            let c = self.counters();
+            if c.accesses.is_multiple_of(self.config.timeline_every) {
+                let [_, tiers @ ..] = &self.prefetch_metrics;
+                self.timeline.push(TimelineSample {
+                    at: self.clock,
+                    accesses: c.accesses,
+                    major_faults: c.major_faults,
+                    minor_faults: c.minor_faults,
+                    hopp_injected: tiers.iter().map(PrefetchMetrics::prefetched).sum(),
+                });
+            }
         }
 
         // Per-app counters go to the stream's app (`app_idx`); page
@@ -511,8 +513,9 @@ impl Simulator {
     /// First application access to `(pid, vpn)`'s page in frame `ppn`,
     /// mapped or in the swapcache: settles the frame's pending
     /// prefetch, if any, as a hit of its source. The timeliness goes to
-    /// HoPP's policy for a HoPP prefetch, to the timeliness histogram
-    /// and (at `full`) to a [`Event::PrefetchHit`].
+    /// HoPP's policy for a HoPP prefetch, to the source's metrics (whose
+    /// merge is the report's timeliness histogram) and (at `full`) to a
+    /// [`Event::PrefetchHit`].
     fn settle_first_hit(&mut self, pid: Pid, vpn: Vpn, ppn: Ppn) {
         let Some((source, stream, arrived)) = self.frames.take_prefetch(ppn) else {
             return;
@@ -522,9 +525,6 @@ impl Simulator {
             h.engine.on_timeliness(stream, timeliness);
         }
         self.prefetch_metrics[source.index()].on_hit(timeliness);
-        if self.obs_hists {
-            self.hists.timeliness.record_nanos(timeliness);
-        }
         if self.recorder.is_enabled() {
             self.recorder.record(
                 self.clock,
@@ -550,7 +550,6 @@ impl Simulator {
     ) -> Result<()> {
         let _prof = hopp_prof::span("kernel/minor_fault");
         self.clock += self.config.latency.prefetch_hit();
-        self.counters.minor_faults += 1;
         self.procs[app_idx].minor_faults += 1;
         let pid = self.procs[idx].pid();
         self.settle_first_hit(pid, vpn, ppn);
@@ -562,7 +561,6 @@ impl Simulator {
         // `map_page` moves the frame off the swapcache list.
         self.swapdev.free(slot);
         self.pool.release(pid, vpn);
-        self.frames.set_swapcache(ppn, false);
         self.map_page(idx, vpn, ppn)?;
         if !access.kind.is_read() {
             self.procs[idx].space.mark_dirty(vpn);
@@ -589,7 +587,6 @@ impl Simulator {
         access: &PageAccess,
     ) -> Result<()> {
         let _prof = hopp_prof::span("kernel/major_fault");
-        self.counters.major_faults += 1;
         self.procs[app_idx].major_faults += 1;
         let pid = self.procs[idx].pid();
 
@@ -647,28 +644,17 @@ impl Simulator {
         self.line_loop(ppn, access)
     }
 
-    /// Installs a PTE in process `idx`'s page table, charges its cgroup
-    /// and reclaims if over limit.
+    /// Installs a PTE in process `idx`'s page table and puts the frame
+    /// on the process's active list, which charges it to the cgroup,
+    /// then reclaims if that took the list over the limit.
     fn map_page(&mut self, idx: usize, vpn: Vpn, ppn: Ppn) -> Result<()> {
-        let displaced = self.procs[idx].space.map_present(vpn, ppn, &mut self.mc);
+        // Every caller maps a page that is swapped out or never touched:
+        // a present page would still hold another frame.
+        if let Some(prev) = self.procs[idx].space.map_present(vpn, ppn, &mut self.mc) {
+            return Err(Error::FrameNotOwned { ppn: prev.ppn });
+        }
         self.frames.lru.insert(list_of(idx), ppn, LruTier::Active);
-        if let Some(prev) = displaced {
-            // The page was already present (a double map). None of the
-            // current fault paths produce one, but if a future path
-            // does, the displaced frame must be released — it used to
-            // leak silently in release builds — and the cgroup charge
-            // already covers this page, so don't charge again. Its
-            // pending prefetch describes the page, so it moves along.
-            self.frames.inherit_prefetch(prev.ppn, ppn);
-            self.frames.free(prev.ppn)?;
-            self.llc.invalidate_page(prev.ppn);
-            self.mc.on_page_reclaimed(prev.ppn);
-            return Ok(());
-        }
-        if self.procs[idx].cgroup.charge() {
-            self.reclaim_over_limit(idx)?;
-        }
-        Ok(())
+        self.reclaim_over_limit(idx)
     }
 
     /// The memory-system walk of one page touch: lines
@@ -912,9 +898,8 @@ impl Simulator {
         } else {
             // The fill ends the slot's read in flight.
             self.swapdev.cache(slot, ppn);
-            // Unproven page: inactive list, *not* charged to the cgroup
-            // (the Fastswap/Leap accounting gap).
-            self.frames.set_swapcache(ppn, true);
+            // Unproven page: the swapcache's inactive list, *not* charged
+            // to the cgroup (the Fastswap/Leap accounting gap).
             self.frames.lru.insert(SWAPCACHE, ppn, LruTier::Inactive);
         }
         Ok(())
@@ -992,7 +977,7 @@ impl Simulator {
     /// the highest pid's among equals.
     fn evict_one(&mut self, prefer: usize) -> Result<bool> {
         if let Some((ppn, from)) = self.frames.lru.pop_evict(SWAPCACHE) {
-            self.evict_frame(ppn, from)?;
+            self.evict_frame(ppn, SWAPCACHE, from)?;
             return Ok(true);
         }
         let listed = |idx: usize| self.frames.lru.len(list_of(idx));
@@ -1001,20 +986,23 @@ impl Simulator {
                 .filter(|&idx| listed(idx) > 0)
                 .max_by_key(|&idx| (listed(idx), self.procs[idx].pid()))
         });
-        let Some((ppn, from)) = victim.and_then(|idx| self.pop_mapped_victim(list_of(idx))) else {
+        let Some(owner) = victim.map(list_of) else {
             return Ok(false);
         };
-        self.evict_frame(ppn, from)?;
+        let Some((ppn, from)) = self.pop_mapped_victim(owner) else {
+            return Ok(false);
+        };
+        self.evict_frame(ppn, owner, from)?;
         Ok(true)
     }
 
-    /// Reclaims the given frame, which reclaim just took off its `from`
-    /// list: swapcache pages are dropped, mapped pages are swapped out
-    /// (dirty ones written back over RDMA).
+    /// Reclaims the given frame, which reclaim just took off list owner
+    /// `owner`'s `from` list: swapcache pages are dropped, mapped pages
+    /// are swapped out (dirty ones written back over RDMA).
     ///
     /// With `reclaim_in_advance = false` (pre-v5.8 kernels) the per-page
     /// reclaim cost lands on the current fault's critical path.
-    fn evict_frame(&mut self, ppn: Ppn, from: LruTier) -> Result<()> {
+    fn evict_frame(&mut self, ppn: Ppn, owner: usize, from: LruTier) -> Result<()> {
         let _prof = hopp_prof::span("kernel/reclaim");
         if !self.config.reclaim_in_advance {
             self.clock += self.config.latency.reclaim_per_page;
@@ -1029,7 +1017,7 @@ impl Simulator {
             self.prefetch_metrics[source.index()].on_wasted();
         }
         let dirty;
-        if self.frames.in_swapcache(ppn) {
+        if owner == SWAPCACHE {
             // An unconsumed prefetch: drop it; the swap copy remains
             // valid at its slot.
             let Some(Mapping::Swapped(slot)) = self.procs[idx].space.lookup(vpn) else {
@@ -1072,7 +1060,6 @@ impl Simulator {
                 }
                 self.counters.writebacks += 1;
             }
-            self.procs[idx].cgroup.uncharge();
         }
         if self.recorder.is_enabled() {
             self.recorder
@@ -1088,13 +1075,15 @@ impl Simulator {
         Ok(())
     }
 
-    /// Direct reclaim for process `idx`, whose cgroup exceeded its limit.
+    /// Direct reclaim for process `idx` while its list, its cgroup's
+    /// charge, holds more pages than its limit.
     fn reclaim_over_limit(&mut self, idx: usize) -> Result<()> {
-        while self.procs[idx].cgroup.over_limit() {
-            let Some((ppn, from)) = self.pop_mapped_victim(list_of(idx)) else {
+        let owner = list_of(idx);
+        while self.frames.lru.len(owner) > self.procs[idx].limit_pages {
+            let Some((ppn, from)) = self.pop_mapped_victim(owner) else {
                 break;
             };
-            self.evict_frame(ppn, from)?;
+            self.evict_frame(ppn, owner, from)?;
         }
         Ok(())
     }
@@ -1121,7 +1110,20 @@ impl Simulator {
         self.frames.lru.pop_evict(owner)
     }
 
+    /// The run's counters, with accesses and major and minor faults
+    /// summed over the apps.
+    fn counters(&self) -> Counters {
+        let sum = |count: fn(&Process) -> u64| self.procs.iter().map(count).sum();
+        Counters {
+            accesses: sum(|p| p.accesses),
+            major_faults: sum(|p| p.major_faults),
+            minor_faults: sum(|p| p.minor_faults),
+            ..self.counters
+        }
+    }
+
     fn report(mut self) -> SimReport {
+        let counters = self.counters();
         let mut per_app = BTreeMap::new();
         let mut completion = Nanos::ZERO;
         for p in &self.procs {
@@ -1139,7 +1141,7 @@ impl Simulator {
         }
         // Every remote demand request is a major fault. The tiers' own
         // reports count none, so their coverage reads 1.0 or 0.0.
-        let demand_remote = self.counters.major_faults;
+        let demand_remote = counters.major_faults;
         let [baseline, tiers @ ..] = &self.prefetch_metrics;
         let (hopp_report, tier_reports, tier_stats) = match &self.hopp {
             Some(h) => (
@@ -1153,7 +1155,7 @@ impl Simulator {
             system: self.config.system.name(),
             completion,
             per_app,
-            counters: self.counters,
+            counters,
             baseline: baseline.report(demand_remote),
             hopp: hopp_report,
             hopp_tiers: tier_reports,
@@ -1172,7 +1174,8 @@ impl Simulator {
             obs: ObsReport {
                 level: self.config.obs_level,
                 latency: if self.config.obs_level.histograms() {
-                    self.hists.summaries()
+                    let all: PrefetchMetrics = self.prefetch_metrics.iter().sum();
+                    self.hists.summaries(all.report(0).timeliness)
                 } else {
                     Default::default()
                 },
@@ -1440,6 +1443,19 @@ mod tests {
     }
 
     #[test]
+    fn mapping_a_present_page_again_is_an_error() {
+        let mut sim = Simulator::new(SimConfig::default(), vec![scan_app(1, 1, 1, 10)]).unwrap();
+        let vpn = Vpn::new(7);
+        let first = sim.ensure_frame(0, vpn).unwrap();
+        sim.map_page(0, vpn, first).unwrap();
+        let second = sim.ensure_frame(0, vpn).unwrap();
+        assert_eq!(
+            sim.map_page(0, vpn, second),
+            Err(Error::FrameNotOwned { ppn: first })
+        );
+    }
+
+    #[test]
     fn duplicate_pids_are_rejected() {
         let apps = vec![scan_app(1, 300, 1, 300), scan_app(1, 300, 1, 300)];
         assert!(Simulator::new(SimConfig::default(), apps).is_err());
@@ -1534,7 +1550,7 @@ mod tests {
             crate::runner::solo_simulator(SimConfig::with_system(system), pid, stream, 8_192, 0.25)
                 .unwrap();
         sim.run_apps().unwrap();
-        assert!(sim.counters.minor_faults > 0);
+        assert!(sim.counters().minor_faults > 0);
         sim.check_frame_conservation();
     }
 

@@ -91,7 +91,16 @@ fn frame_pool_beyond_the_llc_tag_range_is_rejected_up_front() {
 
 #[test]
 fn zero_cgroup_limit_is_rejected() {
-    assert!(Simulator::new(SimConfig::default(), vec![scan_app(512, 0)]).is_err());
+    let err = Simulator::new(SimConfig::default(), vec![scan_app(512, 0)])
+        .err()
+        .expect("a zero limit is rejected");
+    assert_eq!(
+        err,
+        Error::InvalidConfig {
+            what: "cgroup limit",
+            constraint: "at least one page",
+        }
+    );
 }
 
 #[test]
