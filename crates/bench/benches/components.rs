@@ -11,6 +11,7 @@
 //! `cargo bench --bench components`.
 
 use std::hint::black_box;
+use std::path::Path;
 use std::time::Instant;
 
 use hopp_core::stt::{StreamTrainingTable, SttConfig};
@@ -19,11 +20,19 @@ use hopp_hw::{HotPageDetector, HpdConfig, McPipeline, ReversePageTable, RptCache
 use hopp_kernel::{LruLinks, LruTier};
 use hopp_mem::{FrameAllocator, PteListener};
 use hopp_obs::NopRecorder;
+use hopp_scn::hst::{self, HstHeader};
 use hopp_trace::llc::{LastLevelCache, LlcConfig};
 use hopp_types::{AccessKind, HotPage, Nanos, PageFlags, Pid, Ppn, Vpn, LINES_PER_PAGE, PAGE_SIZE};
+use hopp_workloads::WorkloadKind;
 
 /// Times `iters` calls of `op` and prints a one-line report.
-fn bench(name: &str, iters: u64, mut op: impl FnMut(u64)) {
+fn bench(name: &str, iters: u64, op: impl FnMut(u64)) {
+    bench_ops(name, iters, 1, op);
+}
+
+/// Like [`bench`] for a call that does `ops` units of work: the report
+/// is per unit.
+fn bench_ops(name: &str, iters: u64, ops: u64, mut op: impl FnMut(u64)) {
     // Warm-up pass so cold caches don't pollute the measurement.
     for i in 0..iters / 10 {
         op(i);
@@ -33,9 +42,10 @@ fn bench(name: &str, iters: u64, mut op: impl FnMut(u64)) {
         op(i);
     }
     let elapsed = start.elapsed();
-    let ns_per_op = elapsed.as_nanos() as f64 / iters as f64;
+    let ns_per_op = elapsed.as_nanos() as f64 / (iters * ops) as f64;
     println!(
-        "{name:<28} {iters:>10} iters  {ns_per_op:>9.1} ns/op  {:>8.2} Mops/s",
+        "{name:<28} {:>10} iters  {ns_per_op:>9.1} ns/op  {:>8.2} Mops/s",
+        iters * ops,
         1e3 / ns_per_op
     );
 }
@@ -211,10 +221,32 @@ fn bench_frames() {
     });
 }
 
+fn bench_scn() {
+    // The benchmark's pagerank-hst-hopp recording (GraphX-PR at 65,536
+    // pages, seed 42): one op is one decoded record of a whole-file
+    // `read_file`, header, checksum and trailer checks included.
+    let path = std::env::temp_dir().join(format!("hopp-components-{}.hst", std::process::id()));
+    let header = HstHeader {
+        pid: Pid::new(1),
+        footprint_pages: 65_536,
+        seed: 42,
+        source: WorkloadKind::GraphPr.name().to_string(),
+    };
+    let mut stream = WorkloadKind::GraphPr.build(header.pid, header.footprint_pages, header.seed);
+    let records = hst::record_file(&path, &header, &mut *stream).unwrap();
+    let decode = |path: &Path| hst::read_file(path).unwrap().accesses.len() as u64;
+    assert_eq!(decode(&path), records);
+    bench_ops("scn/read_file", 50, records, |_| {
+        black_box(decode(black_box(&path)));
+    });
+    std::fs::remove_file(&path).ok();
+}
+
 fn main() {
     bench_llc();
     bench_hpd();
     bench_rpt();
     bench_stt();
     bench_frames();
+    bench_scn();
 }

@@ -32,7 +32,16 @@
 //! access instead of the 16 a flat fixed-width record would take. The
 //! initial decoder state is `vpn = 0, lines = 1, think_ns = 0` and the
 //! header's pid, so encoder and decoder stay in lockstep without any
-//! seekable state — both writer and reader are fully streaming.
+//! seekable state.
+//!
+//! The writer ([`HstWriter`]) and [`HstReader`] are streaming: they
+//! need no seek and hold one record at a time. [`read_file`] is not: it
+//! reads the whole file with one `std::fs::read`, decodes every record
+//! from those bytes into a `Vec` reserved from the trailer's count, and
+//! takes the record checksum in one pass once the end tag is found. Both
+//! readers run the same record decoder over a byte source (the file's
+//! bytes, or a [`Read`]), so every input gives the same [`ScnError`]
+//! (variant, offset and detail) on both.
 
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -40,7 +49,7 @@ use std::path::Path;
 use hopp_trace::AccessStream;
 use hopp_types::{AccessKind, PageAccess, Pid, Vpn, LINES_PER_PAGE};
 
-use crate::{fnv1a64, ScnError, ScnResult};
+use crate::{fnv1a64, fnv1a64_extend, ScnError, ScnResult, FNV1A64_OFFSET};
 
 /// File magic: `HOPPHST1`.
 pub const MAGIC: [u8; 8] = *b"HOPPHST1";
@@ -53,24 +62,18 @@ const TAG_LINES: u8 = 0x04;
 const TAG_THINK: u8 = 0x08;
 const TAG_ALL: u8 = TAG_WRITE | TAG_PID | TAG_LINES | TAG_THINK;
 const TAG_END: u8 = 0xFF;
+/// Bytes after the last record: the end tag, the count and the checksum.
+const TRAILER_LEN: usize = 17;
 
-/// The decoder/encoder's shared initial state.
-#[derive(Clone, Copy, Debug)]
-struct Prev {
-    pid: Pid,
-    vpn: u64,
-    lines: u8,
-    think_ns: u32,
-}
-
-impl Prev {
-    fn initial(pid: Pid) -> Self {
-        Prev {
-            pid,
-            vpn: 0,
-            lines: 1,
-            think_ns: 0,
-        }
+/// The state encoder and decoder share before the first record: the
+/// header's pid, `vpn = 0`, `lines = 1`, `think_ns = 0`.
+fn initial(pid: Pid) -> PageAccess {
+    PageAccess {
+        pid,
+        vpn: Vpn::new(0),
+        kind: AccessKind::Read,
+        lines: 1,
+        think_ns: 0,
     }
 }
 
@@ -139,7 +142,7 @@ fn push_varint(buf: &mut Vec<u8>, mut v: u64) {
 /// Streaming `.hst` writer over any [`Write`] sink.
 pub struct HstWriter<W: Write> {
     w: W,
-    prev: Prev,
+    prev: PageAccess,
     count: u64,
     checksum: u64,
     buf: Vec<u8>,
@@ -158,9 +161,9 @@ impl<W: Write> HstWriter<W> {
         w.write_all(&header.fingerprint().to_le_bytes())?;
         Ok(HstWriter {
             w,
-            prev: Prev::initial(header.pid),
+            prev: initial(header.pid),
             count: 0,
-            checksum: 0xcbf2_9ce4_8422_2325,
+            checksum: FNV1A64_OFFSET,
             buf: Vec::with_capacity(16),
         })
     }
@@ -195,19 +198,11 @@ impl<W: Write> HstWriter<W> {
         if tag & TAG_THINK != 0 {
             self.buf.extend_from_slice(&a.think_ns.to_le_bytes());
         }
-        let delta = a.vpn.raw().wrapping_sub(self.prev.vpn);
+        let delta = a.vpn.raw().wrapping_sub(self.prev.vpn.raw());
         push_varint(&mut self.buf, zigzag_encode(delta));
-        for &b in &self.buf {
-            self.checksum ^= u64::from(b);
-            self.checksum = self.checksum.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.checksum = fnv1a64_extend(self.checksum, &self.buf);
         self.count += 1;
-        self.prev = Prev {
-            pid: a.pid,
-            vpn: a.vpn.raw(),
-            lines: a.lines,
-            think_ns: a.think_ns,
-        };
+        self.prev = *a;
         self.w.write_all(&self.buf)
     }
 
@@ -225,17 +220,389 @@ impl<W: Write> HstWriter<W> {
     }
 }
 
+/// A source of `.hst` bytes for the one decoder ([`read_header`] and
+/// [`Decoder::next`]): the whole file in memory ([`SliceCursor`], behind
+/// [`read_file`]) or any [`Read`] ([`ReadCursor`], behind [`HstReader`]).
+/// A short read does not advance the offset, so on both sources it
+/// fails at the offset where the field starts, and every input gives
+/// the same [`ScnError`] on both paths.
+trait ByteSource {
+    /// The file label errors carry.
+    fn path(&self) -> &str;
+
+    /// Bytes consumed so far, from the start of the file.
+    fn offset(&self) -> u64;
+
+    /// Takes the next `N` bytes; `None` on a short read.
+    fn take<const N: usize>(&mut self) -> Option<[u8; N]>;
+
+    /// Fills `buf` with the next bytes; `None` on a short read.
+    fn fill(&mut self, buf: &mut [u8]) -> Option<()>;
+
+    /// The error behind the last short read: truncation, or what the
+    /// underlying reader reported.
+    fn short_read(&mut self) -> ScnError;
+
+    /// Sees the bytes of a record as they are decoded, for a source that
+    /// keeps a running checksum.
+    fn hash(&mut self, bytes: &[u8]);
+
+    /// FNV-1a over the record bytes, which end at `end` (the end tag's
+    /// offset).
+    fn checksum(&self, end: u64) -> u64;
+}
+
+/// A malformed-trace error at `offset`. Takes the path, not the source,
+/// so the decoder's cursor never escapes into an error path and stays
+/// in registers.
+#[cold]
+fn format_error(path: &str, offset: u64, detail: impl Into<String>) -> ScnError {
+    ScnError::Format {
+        path: path.to_string(),
+        offset,
+        detail: detail.into(),
+    }
+}
+
+const TRUNCATED: &str = "unexpected end of file (truncated trace)";
+
+/// The whole file's bytes, decoded in place. The record checksum is one
+/// pass over the record region once the end tag is found.
+struct SliceCursor<'a> {
+    bytes: &'a [u8],
+    rest: &'a [u8],
+    records_from: usize,
+    path: &'a str,
+}
+
+impl ByteSource for SliceCursor<'_> {
+    fn path(&self) -> &str {
+        self.path
+    }
+
+    #[inline]
+    fn offset(&self) -> u64 {
+        (self.bytes.len() - self.rest.len()) as u64
+    }
+
+    #[inline]
+    fn take<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let (head, tail) = self.rest.split_first_chunk::<N>()?;
+        self.rest = tail;
+        Some(*head)
+    }
+
+    fn fill(&mut self, buf: &mut [u8]) -> Option<()> {
+        let (head, tail) = self.rest.split_at_checked(buf.len())?;
+        buf.copy_from_slice(head);
+        self.rest = tail;
+        Some(())
+    }
+
+    fn short_read(&mut self) -> ScnError {
+        format_error(self.path, self.offset(), TRUNCATED)
+    }
+
+    #[inline]
+    fn hash(&mut self, _bytes: &[u8]) {}
+
+    fn checksum(&self, end: u64) -> u64 {
+        let end = usize::try_from(end).unwrap_or(usize::MAX);
+        fnv1a64(self.bytes.get(self.records_from..end).unwrap_or(&[]))
+    }
+}
+
+/// A [`Read`] source, hashed as its records are decoded.
+struct ReadCursor<R> {
+    r: R,
+    offset: u64,
+    checksum: u64,
+    path: String,
+    /// The error of the last short read, if it was not end of file.
+    failed: Option<io::Error>,
+}
+
+impl<R: Read> ByteSource for ReadCursor<R> {
+    fn path(&self) -> &str {
+        &self.path
+    }
+
+    fn offset(&self) -> u64 {
+        self.offset
+    }
+
+    fn take<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let mut buf = [0u8; N];
+        self.fill(&mut buf)?;
+        Some(buf)
+    }
+
+    fn fill(&mut self, buf: &mut [u8]) -> Option<()> {
+        match self.r.read_exact(buf) {
+            Ok(()) => {
+                self.offset += buf.len() as u64;
+                Some(())
+            }
+            Err(e) => {
+                self.failed = (e.kind() != io::ErrorKind::UnexpectedEof).then_some(e);
+                None
+            }
+        }
+    }
+
+    fn short_read(&mut self) -> ScnError {
+        match self.failed.take() {
+            Some(e) => ScnError::Io {
+                path: self.path.clone(),
+                detail: e.to_string(),
+            },
+            None => format_error(&self.path, self.offset, TRUNCATED),
+        }
+    }
+
+    fn hash(&mut self, bytes: &[u8]) {
+        self.checksum = fnv1a64_extend(self.checksum, bytes);
+    }
+
+    fn checksum(&self, _end: u64) -> u64 {
+        self.checksum
+    }
+}
+
+/// Takes the next `N` header bytes, or fails with the source's
+/// short-read error.
+fn field<const N: usize>(src: &mut impl ByteSource) -> ScnResult<[u8; N]> {
+    src.take().ok_or_else(|| src.short_read())
+}
+
+/// Reads and validates the header: magic, version, fields, label and
+/// fingerprint.
+fn read_header<S: ByteSource>(src: &mut S) -> ScnResult<HstHeader> {
+    let magic: [u8; 8] = field(src)?;
+    if magic != MAGIC {
+        return Err(format_error(src.path(), 0, "not a .hst trace (bad magic)"));
+    }
+    let version = u32::from_le_bytes(field(src)?);
+    if version != VERSION {
+        return Err(format_error(
+            src.path(),
+            8,
+            format!("unsupported version {version} (want {VERSION})"),
+        ));
+    }
+    let pid = Pid::new(u16::from_le_bytes(field(src)?));
+    let footprint_pages = u64::from_le_bytes(field(src)?);
+    let seed = u64::from_le_bytes(field(src)?);
+    let label_len = usize::from(u16::from_le_bytes(field(src)?));
+    let mut label = vec![0u8; label_len];
+    if src.fill(&mut label).is_none() {
+        return Err(src.short_read());
+    }
+    let Ok(source) = String::from_utf8(label) else {
+        return Err(format_error(
+            src.path(),
+            src.offset(),
+            "source label is not UTF-8",
+        ));
+    };
+    let header = HstHeader {
+        pid,
+        footprint_pages,
+        seed,
+        source,
+    };
+    let stored = u64::from_le_bytes(field(src)?);
+    let expect = header.fingerprint();
+    if stored != expect {
+        return Err(format_error(
+            src.path(),
+            src.offset(),
+            format!("header fingerprint mismatch (stored {stored:#018x}, computed {expect:#018x})"),
+        ));
+    }
+    Ok(header)
+}
+
+/// Why a record or the trailer failed to decode. The error names the
+/// record's (or the end tag's) offset.
+#[derive(Clone, Copy)]
+enum Bad {
+    /// A field ran past the end of the input.
+    Short,
+    /// A tag with bits beyond [`TAG_ALL`].
+    Tag(u8),
+    /// A line count outside `1..=64`.
+    Lines(u8),
+    /// A VPN delta above 64 bits.
+    Overflow,
+    /// The trailer's record count is not the number decoded.
+    Count { trailer: u64, decoded: u64 },
+    /// The trailer's checksum is not the record bytes'.
+    Checksum,
+}
+
+impl Bad {
+    #[cold]
+    fn detail(self) -> String {
+        match self {
+            Bad::Short => TRUNCATED.to_string(),
+            Bad::Tag(tag) => format!("invalid record tag {tag:#04x}"),
+            Bad::Lines(lines) => format!("invalid line count {lines} (want 1..=64)"),
+            Bad::Overflow => "VPN delta varint overflows 64 bits".to_string(),
+            Bad::Count { trailer, decoded } => {
+                format!("record count mismatch (trailer {trailer}, decoded {decoded})")
+            }
+            Bad::Checksum => "record checksum mismatch (corrupt trace)".to_string(),
+        }
+    }
+}
+
+/// The record decoder: the fields of the last record decoded (the
+/// initial state before the first) and the number of records decoded.
+/// The fields are kept apart, not as a [`PageAccess`], and no error
+/// path borrows them, so they stay in registers while a whole file is
+/// decoded.
+struct Decoder {
+    pid: Pid,
+    vpn: u64,
+    lines: u8,
+    think_ns: u32,
+    count: u64,
+}
+
+impl Decoder {
+    fn new(header: &HstHeader) -> Self {
+        let PageAccess {
+            pid,
+            vpn,
+            lines,
+            think_ns,
+            ..
+        } = initial(header.pid);
+        Decoder {
+            pid,
+            vpn: vpn.raw(),
+            lines,
+            think_ns,
+            count: 0,
+        }
+    }
+
+    /// Decodes the next record and hands it to `emit`; `Ok(false)` after
+    /// a valid trailer.
+    #[inline]
+    fn next<S: ByteSource>(
+        &mut self,
+        src: &mut S,
+        emit: impl FnOnce(PageAccess),
+    ) -> ScnResult<bool> {
+        let at = src.offset();
+        let step = match src.take() {
+            None => Err(Bad::Short),
+            Some([TAG_END]) => self.trailer(src, at).map(|()| false),
+            Some([tag]) => self.record(src, tag).map(|()| {
+                emit(PageAccess {
+                    pid: self.pid,
+                    vpn: Vpn::new(self.vpn),
+                    kind: if tag & TAG_WRITE != 0 {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    },
+                    lines: self.lines,
+                    think_ns: self.think_ns,
+                });
+                true
+            }),
+        };
+        match step {
+            Ok(more) => Ok(more),
+            Err(Bad::Short) => Err(src.short_read()),
+            Err(bad) => Err(format_error(src.path(), at, bad.detail())),
+        }
+    }
+
+    /// Decodes the fields after `tag`, the record's tag byte, into the
+    /// decoder's state.
+    #[inline]
+    fn record<S: ByteSource>(&mut self, src: &mut S, tag: u8) -> Result<(), Bad> {
+        if tag & !TAG_ALL != 0 {
+            return Err(Bad::Tag(tag));
+        }
+        src.hash(&[tag]);
+        if tag & TAG_PID != 0 {
+            let raw = src.take::<2>().ok_or(Bad::Short)?;
+            src.hash(&raw);
+            self.pid = Pid::new(u16::from_le_bytes(raw));
+        }
+        if tag & TAG_LINES != 0 {
+            let [lines] = src.take::<1>().ok_or(Bad::Short)?;
+            src.hash(&[lines]);
+            self.lines = lines;
+        }
+        if self.lines == 0 || usize::from(self.lines) > LINES_PER_PAGE {
+            return Err(Bad::Lines(self.lines));
+        }
+        if tag & TAG_THINK != 0 {
+            let raw = src.take::<4>().ok_or(Bad::Short)?;
+            src.hash(&raw);
+            self.think_ns = u32::from_le_bytes(raw);
+        }
+        self.vpn = self.vpn.wrapping_add(zigzag_decode(read_varint(src)?));
+        self.count += 1;
+        Ok(())
+    }
+
+    /// Checks the trailer that follows the end tag at `at`: the record
+    /// count, then the checksum.
+    #[inline]
+    fn trailer<S: ByteSource>(&self, src: &mut S, at: u64) -> Result<(), Bad> {
+        let count = u64::from_le_bytes(src.take().ok_or(Bad::Short)?);
+        let checksum = u64::from_le_bytes(src.take().ok_or(Bad::Short)?);
+        if count != self.count {
+            return Err(Bad::Count {
+                trailer: count,
+                decoded: self.count,
+            });
+        }
+        if checksum != src.checksum(at) {
+            return Err(Bad::Checksum);
+        }
+        Ok(())
+    }
+}
+
+/// Reads a record's LEB128 VPN delta.
+#[inline]
+fn read_varint<S: ByteSource>(src: &mut S) -> Result<u64, Bad> {
+    let mut out = 0u64;
+    let mut shift = 0;
+    while shift < 63 {
+        let [byte] = src.take::<1>().ok_or(Bad::Short)?;
+        src.hash(&[byte]);
+        out |= u64::from(byte & 0x7F) << shift;
+        if byte & 0x80 == 0 {
+            return Ok(out);
+        }
+        shift += 7;
+    }
+    // The tenth byte holds bit 63 alone.
+    let [byte] = src.take::<1>().ok_or(Bad::Short)?;
+    src.hash(&[byte]);
+    if byte > 1 {
+        return Err(Bad::Overflow);
+    }
+    Ok(out | u64::from(byte) << 63)
+}
+
 /// Streaming `.hst` reader over any [`Read`] source. [`HstReader::next`]
 /// yields typed errors; [`HstReader::read_all`] validates the whole
-/// trace up front and hands back a replayable [`HstTrace`].
+/// trace up front and hands back a replayable [`HstTrace`]. It decodes
+/// with the same decoder as [`read_file`], so both fail alike.
 pub struct HstReader<R: Read> {
-    r: R,
-    path: String,
-    offset: u64,
+    src: ReadCursor<R>,
     header: HstHeader,
-    prev: Prev,
-    count: u64,
-    checksum: u64,
+    decoder: Decoder,
     finished: bool,
 }
 
@@ -257,55 +624,20 @@ impl<R: Read> HstReader<R> {
     /// Returns [`ScnError::Format`] on bad magic/version/fingerprint
     /// and [`ScnError::Io`] on read failures.
     pub fn with_path(r: R, path: &str) -> ScnResult<Self> {
-        let mut rd = HstReader {
+        let mut src = ReadCursor {
             r,
-            path: path.to_string(),
             offset: 0,
-            header: HstHeader {
-                pid: Pid::KERNEL,
-                footprint_pages: 0,
-                seed: 0,
-                source: String::new(),
-            },
-            prev: Prev::initial(Pid::KERNEL),
-            count: 0,
-            checksum: 0xcbf2_9ce4_8422_2325,
+            checksum: FNV1A64_OFFSET,
+            path: path.to_string(),
+            failed: None,
+        };
+        let header = read_header(&mut src)?;
+        Ok(HstReader {
+            src,
+            decoder: Decoder::new(&header),
+            header,
             finished: false,
-        };
-        let mut magic = [0u8; 8];
-        rd.fill(&mut magic)?;
-        if magic != MAGIC {
-            return Err(rd.format_at(0, "not a .hst trace (bad magic)"));
-        }
-        let version = u32::from_le_bytes(rd.take()?);
-        if version != VERSION {
-            return Err(rd.format_at(8, format!("unsupported version {version} (want {VERSION})")));
-        }
-        let pid = Pid::new(u16::from_le_bytes(rd.take()?));
-        let footprint_pages = u64::from_le_bytes(rd.take()?);
-        let seed = u64::from_le_bytes(rd.take()?);
-        let label_len = usize::from(u16::from_le_bytes(rd.take()?));
-        let mut label = vec![0u8; label_len];
-        rd.fill(&mut label)?;
-        let source = match String::from_utf8(label) {
-            Ok(s) => s,
-            Err(_) => return Err(rd.format_here("source label is not UTF-8")),
-        };
-        rd.header = HstHeader {
-            pid,
-            footprint_pages,
-            seed,
-            source,
-        };
-        let stored = u64::from_le_bytes(rd.take()?);
-        let expect = rd.header.fingerprint();
-        if stored != expect {
-            return Err(rd.format_here(format!(
-                "header fingerprint mismatch (stored {stored:#018x}, computed {expect:#018x})"
-            )));
-        }
-        rd.prev = Prev::initial(pid);
-        Ok(rd)
+        })
     }
 
     /// The validated header.
@@ -341,138 +673,11 @@ impl<R: Read> HstReader<R> {
     // `Result<Option<_>>` rather than `Option<Item>`.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> ScnResult<Option<PageAccess>> {
-        if self.finished {
-            return Ok(None);
+        let mut next = None;
+        if !self.finished {
+            self.finished = !self.decoder.next(&mut self.src, |a| next = Some(a))?;
         }
-        let at = self.offset;
-        let [tag] = self.take::<1>()?;
-        if tag == TAG_END {
-            let count = u64::from_le_bytes(self.take()?);
-            let checksum = u64::from_le_bytes(self.take()?);
-            if count != self.count {
-                return Err(self.format_at(
-                    at,
-                    format!(
-                        "record count mismatch (trailer {count}, decoded {})",
-                        self.count
-                    ),
-                ));
-            }
-            if checksum != self.checksum {
-                return Err(self.format_at(at, "record checksum mismatch (corrupt trace)"));
-            }
-            self.finished = true;
-            return Ok(None);
-        }
-        if tag & !TAG_ALL != 0 {
-            return Err(self.format_at(at, format!("invalid record tag {tag:#04x}")));
-        }
-        self.hash(&[tag]);
-        let pid = if tag & TAG_PID != 0 {
-            let raw = self.take::<2>()?;
-            self.hash(&raw);
-            Pid::new(u16::from_le_bytes(raw))
-        } else {
-            self.prev.pid
-        };
-        let lines = if tag & TAG_LINES != 0 {
-            let [l] = self.take::<1>()?;
-            self.hash(&[l]);
-            l
-        } else {
-            self.prev.lines
-        };
-        if lines == 0 || usize::from(lines) > LINES_PER_PAGE {
-            return Err(self.format_at(at, format!("invalid line count {lines} (want 1..=64)")));
-        }
-        let think_ns = if tag & TAG_THINK != 0 {
-            let raw = self.take::<4>()?;
-            self.hash(&raw);
-            u32::from_le_bytes(raw)
-        } else {
-            self.prev.think_ns
-        };
-        let delta = zigzag_decode(self.read_varint(at)?);
-        let vpn = self.prev.vpn.wrapping_add(delta);
-        self.prev = Prev {
-            pid,
-            vpn,
-            lines,
-            think_ns,
-        };
-        self.count += 1;
-        Ok(Some(PageAccess {
-            pid,
-            vpn: Vpn::new(vpn),
-            kind: if tag & TAG_WRITE != 0 {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            },
-            lines,
-            think_ns,
-        }))
-    }
-
-    fn read_varint(&mut self, at: u64) -> ScnResult<u64> {
-        let mut out = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let [byte] = self.take::<1>()?;
-            self.hash(&[byte]);
-            if shift >= 63 && byte > 1 {
-                return Err(self.format_at(at, "VPN delta varint overflows 64 bits"));
-            }
-            out |= u64::from(byte & 0x7F) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(out);
-            }
-            shift += 7;
-            if shift > 63 {
-                return Err(self.format_at(at, "VPN delta varint longer than 10 bytes"));
-            }
-        }
-    }
-
-    fn hash(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.checksum ^= u64::from(b);
-            self.checksum = self.checksum.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn take<const N: usize>(&mut self) -> ScnResult<[u8; N]> {
-        let mut buf = [0u8; N];
-        self.fill(&mut buf)?;
-        Ok(buf)
-    }
-
-    fn fill(&mut self, buf: &mut [u8]) -> ScnResult<()> {
-        match self.r.read_exact(buf) {
-            Ok(()) => {
-                self.offset += buf.len() as u64;
-                Ok(())
-            }
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                Err(self.format_here("unexpected end of file (truncated trace)"))
-            }
-            Err(e) => Err(ScnError::Io {
-                path: self.path.clone(),
-                detail: e.to_string(),
-            }),
-        }
-    }
-
-    fn format_at(&self, offset: u64, detail: impl Into<String>) -> ScnError {
-        ScnError::Format {
-            path: self.path.clone(),
-            offset,
-            detail: detail.into(),
-        }
-    }
-
-    fn format_here(&self, detail: impl Into<String>) -> ScnError {
-        self.format_at(self.offset, detail)
+        Ok(next)
     }
 }
 
@@ -511,7 +716,9 @@ impl AccessStream for HstReplay {
 }
 
 /// Reads and fully validates a `.hst` file (header fingerprint, every
-/// record, trailer count and checksum).
+/// record, trailer count and checksum). The file is read once and
+/// decoded from its bytes; bytes after the trailer are ignored, as by
+/// [`HstReader`].
 ///
 /// # Errors
 ///
@@ -519,11 +726,38 @@ impl AccessStream for HstReplay {
 /// [`ScnError::Format`] on any malformed content.
 pub fn read_file(path: &Path) -> ScnResult<HstTrace> {
     let shown = path.display().to_string();
-    let file = std::fs::File::open(path).map_err(|e| ScnError::Io {
+    let bytes = std::fs::read(path).map_err(|e| ScnError::Io {
         path: shown.clone(),
         detail: e.to_string(),
     })?;
-    HstReader::with_path(io::BufReader::new(file), &shown)?.read_all()
+    let mut src = SliceCursor {
+        bytes: &bytes,
+        rest: &bytes,
+        records_from: 0,
+        path: &shown,
+    };
+    let header = read_header(&mut src)?;
+    src.records_from = bytes.len() - src.rest.len();
+    let mut accesses = Vec::with_capacity(capacity_hint(&bytes, src.records_from));
+    let mut decoder = Decoder::new(&header);
+    while decoder.next(&mut src, |a| accesses.push(a))? {}
+    Ok(HstTrace { header, accesses })
+}
+
+/// Records to reserve for a file whose records start at `records_from`:
+/// the trailer's count, at most one per two bytes of the record region
+/// (a record is at least a tag and a one-byte delta), so a hostile
+/// count cannot force a large allocation.
+fn capacity_hint(bytes: &[u8], records_from: usize) -> usize {
+    let region = bytes.len().saturating_sub(records_from + TRAILER_LEN);
+    let claimed = bytes
+        .len()
+        .checked_sub(16)
+        .and_then(|at| bytes.get(at..)?.first_chunk::<8>())
+        .map_or(0, |count| u64::from_le_bytes(*count));
+    usize::try_from(claimed)
+        .unwrap_or(usize::MAX)
+        .min(region / 2)
 }
 
 /// Drains `stream` into a `.hst` file under `header`; returns the
@@ -701,5 +935,55 @@ mod tests {
         let mut replay = trace.into_stream();
         assert_eq!(replay.name(), "hst-replay");
         assert_eq!(replay.next_access().map(|a| a.vpn), Some(Vpn::new(77)));
+    }
+
+    /// Writes `bytes` to a fresh file named after `name` and decodes it
+    /// with [`read_file`].
+    fn read_bytes(name: &str, bytes: &[u8]) -> ScnResult<HstTrace> {
+        let path = std::env::temp_dir().join(format!("hopp_scn_{name}_{}.hst", std::process::id()));
+        std::fs::write(&path, bytes).unwrap();
+        let read = read_file(&path);
+        std::fs::remove_file(&path).ok();
+        read
+    }
+
+    #[test]
+    fn read_file_reserves_the_trailer_count() {
+        let mut w = HstWriter::new(Vec::new(), &header()).unwrap();
+        for i in 0..1000 {
+            w.push(&PageAccess::read(Pid::new(1), Vpn::new(i))).unwrap();
+        }
+        let trace = read_bytes("reserve", &w.finish().unwrap()).unwrap();
+        assert_eq!(trace.accesses.len(), 1000);
+        assert_eq!(trace.accesses.capacity(), 1000);
+    }
+
+    #[test]
+    fn a_hostile_trailer_count_reserves_at_most_one_record_per_two_bytes() {
+        let mut w = HstWriter::new(Vec::new(), &header()).unwrap();
+        for i in 0..100 {
+            w.push(&PageAccess::read(Pid::new(1), Vpn::new(i))).unwrap();
+        }
+        let mut bytes = w.finish().unwrap();
+        let count_at = bytes.len() - 16;
+        bytes[count_at..count_at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        let end = bytes.len() - TRAILER_LEN;
+        let err = read_bytes("hostile_count", &bytes).unwrap_err();
+        let ScnError::Format { offset, detail, .. } = err else {
+            panic!("{err:?}")
+        };
+        assert_eq!(offset, end as u64);
+        assert_eq!(
+            detail,
+            "record count mismatch (trailer 1099511627776, decoded 100)"
+        );
+        // The records start after the 8 + 4 + 2 + 8 + 8 header bytes, the
+        // 2 + 10 label bytes and the 8-byte fingerprint.
+        let records_from = 50;
+        let region = end - records_from;
+        assert_eq!(capacity_hint(&bytes, records_from), region / 2);
+        assert!(capacity_hint(&bytes, records_from) <= 100);
+        // Too short for a trailer: nothing is reserved.
+        assert_eq!(capacity_hint(&bytes[..records_from + 3], records_from), 0);
     }
 }

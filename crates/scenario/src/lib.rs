@@ -107,7 +107,15 @@ pub type ScnResult<T> = core::result::Result<T, ScnError>;
 /// for the `.hst` header fingerprint and record checksum, and for
 /// scenario-file content hashes.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_extend(FNV1A64_OFFSET, bytes)
+}
+
+/// FNV-1a's initial state: the hash of no bytes.
+const FNV1A64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the running FNV-1a state `hash`, so a hash can be
+/// taken a few bytes at a time.
+fn fnv1a64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);

@@ -519,9 +519,11 @@ impl Accesses {
     /// workload label.
     fn open(cli: &Cli) -> (Accesses, HstHeader, String) {
         if let Some(path) = &cli.replay_trace {
+            // A malformed or unreadable trace is bad input, like a bad
+            // `--scenario`: exit code 2.
             let trace = hst::read_file(Path::new(path)).unwrap_or_else(|e| {
                 eprintln!("replay-trace failed: {e}");
-                std::process::exit(1);
+                std::process::exit(2);
             });
             let h = trace.header.clone();
             sayln!(
