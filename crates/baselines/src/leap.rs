@@ -12,9 +12,7 @@
 //! §VI-E effect that makes Leap slower than Fastswap on the two-thread
 //! microbenchmark.
 
-use std::collections::VecDeque;
-
-use hopp_ds::DetMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use hopp_kernel::{FaultInfo, PrefetchRequest, Prefetcher, SlotView};
 use hopp_types::{Pid, Vpn};
@@ -28,7 +26,7 @@ pub struct LeapPrefetcher {
     /// doubles after a prefetch-hit and halves after a major fault,
     /// within `[min_depth, max_depth]`.
     adaptive: Option<(usize, usize)>,
-    history: DetMap<Pid, VecDeque<Vpn>>,
+    history: BTreeMap<Pid, VecDeque<Vpn>>,
 }
 
 impl Default for LeapPrefetcher {
@@ -53,7 +51,7 @@ impl LeapPrefetcher {
             window,
             depth,
             adaptive: None,
-            history: DetMap::new(),
+            history: BTreeMap::new(),
         }
     }
 
@@ -72,7 +70,7 @@ impl LeapPrefetcher {
             window,
             depth: min_depth,
             adaptive: Some((min_depth, max_depth)),
-            history: DetMap::new(),
+            history: BTreeMap::new(),
         }
     }
 
@@ -125,7 +123,7 @@ impl Prefetcher for LeapPrefetcher {
                 (self.depth / 2).max(min_depth)
             };
         }
-        let history = self.history.get_or_insert_with(fault.pid, VecDeque::new);
+        let history = self.history.entry(fault.pid).or_default();
         history.push_back(fault.vpn);
         if history.len() > self.window {
             history.pop_front();

@@ -1,16 +1,15 @@
-//! `hopp-ds` micro-benchmarks against the `BTreeMap` predecessors.
+//! `hopp-ds` micro-benchmark against the `BTreeMap` predecessor.
 //!
-//! Every structure in `hopp-ds` replaced a `BTreeMap` on the simulated
-//! stack's per-access path (ISSUE 4); this bench quantifies the swap at
-//! the working-set sizes the ISSUE gates on (>= 64K entries). The
-//! harness is a plain `main` over `std::time::Instant` (no crates.io
+//! `PageMap` replaced a `BTreeMap` on the simulated stack's per-access
+//! path; this bench quantifies the swap at working-set sizes of 64K
+//! entries and more. The harness is a plain `main` over `std::time::Instant` (no crates.io
 //! access for `criterion`). Run with `cargo bench --bench ds`.
 
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Instant;
 
-use hopp_ds::{DetMap, PageMap};
+use hopp_ds::PageMap;
 use hopp_types::rng::SplitMix64;
 use hopp_types::Ppn;
 
@@ -32,44 +31,6 @@ fn report(name: &str, n: usize, btree_ns: f64, ds_ns: f64) {
         "{name:<22} n={n:>7}  btree {btree_ns:>7.1} ns/op  hopp-ds {ds_ns:>7.1} ns/op  speedup {:>5.2}x",
         btree_ns / ds_ns
     );
-}
-
-/// Keys scattered over a sparse space, as `(Pid, Vpn)`-style map keys
-/// are after hashing.
-fn sparse_keys(n: usize) -> Vec<u64> {
-    let mut rng = SplitMix64::seed_from_u64(0xD5);
-    (0..n).map(|_| rng.next_u64()).collect()
-}
-
-fn bench_detmap(n: usize) {
-    const ITERS: u64 = 2_000_000;
-    let keys = sparse_keys(n);
-
-    let mut btree: BTreeMap<u64, u64> = keys.iter().map(|&k| (k, k)).collect();
-    let mut det: DetMap<u64, u64> = DetMap::with_capacity(n);
-    for &k in &keys {
-        det.insert(k, k);
-    }
-
-    let bt = bench_ns(ITERS, |i| {
-        black_box(btree.get(&keys[i as usize % n]));
-    });
-    let ds = bench_ns(ITERS, |i| {
-        black_box(det.get(&keys[i as usize % n]));
-    });
-    report("detmap/get", n, bt, ds);
-
-    let bt = bench_ns(ITERS, |i| {
-        let k = keys[i as usize % n];
-        btree.remove(&k);
-        black_box(btree.insert(k, i));
-    });
-    let ds = bench_ns(ITERS, |i| {
-        let k = keys[i as usize % n];
-        det.remove(&k);
-        black_box(det.insert(k, i));
-    });
-    report("detmap/remove+insert", n, bt, ds);
 }
 
 fn bench_pagemap(n: usize) {
@@ -109,7 +70,6 @@ fn bench_pagemap(n: usize) {
 
 fn main() {
     for n in [65_536usize, 262_144] {
-        bench_detmap(n);
         bench_pagemap(n);
         println!();
     }

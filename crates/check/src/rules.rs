@@ -84,12 +84,12 @@ const DETERMINISM_BANS: [(&str, &str); 8] = [
     ),
     (
         "HashMap",
-        "default-hasher map iterates in random order; use `hopp_ds::DetMap` (seeded hash, \
-         insertion-order iteration), `hopp_ds::PageMap` for dense page keys, or `BTreeMap`",
+        "default-hasher map iterates in random order; use `BTreeMap`, or `hopp_ds::PageMap` \
+         for dense page keys",
     ),
     (
         "HashSet",
-        "default-hasher set iterates in random order; use `hopp_ds::DetMap<K, ()>` or `BTreeSet`",
+        "default-hasher set iterates in random order; use `BTreeSet`",
     ),
 ];
 

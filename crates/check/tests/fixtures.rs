@@ -147,9 +147,10 @@ fn stale_and_reasonless_waivers_are_findings() {
 #[test]
 fn hopp_ds_collections_pass_where_hashmap_fires() {
     let report = check("dsaware");
-    // The `ds` crate is sim-critical, yet its `DetMap`/`PageMap`/`Lru`
-    // usage produces nothing; the `HashMap` twin fires at each use site
-    // with a steer that names the deterministic replacement.
+    // The `ds` crate is sim-critical, yet its use of the fixture's
+    // `hopp_ds` collections produces nothing; the `HashMap` twin fires
+    // at each use site with a steer that names the deterministic
+    // replacement.
     let got: Vec<_> = report.findings.iter().map(brief).collect();
     assert_eq!(
         got,
@@ -161,7 +162,7 @@ fn hopp_ds_collections_pass_where_hashmap_fires() {
         report.render()
     );
     assert!(
-        report.findings[0].message.contains("hopp_ds::DetMap"),
+        report.findings[0].message.contains("`BTreeMap`"),
         "steer recommends the deterministic map: {}",
         report.findings[0].message
     );
@@ -313,7 +314,7 @@ fn ordering_sensitivity_fires_on_hash_iteration_with_escaping_writes() {
         report.render()
     );
     assert!(
-        report.findings[0].message.contains("hopp_ds::DetMap")
+        report.findings[0].message.contains("`BTreeMap`/`BTreeSet`")
             && report.findings[0].message.contains("`index`"),
         "steer names the binding and the fix: {}",
         report.findings[0].message

@@ -14,7 +14,8 @@
 //! opposite trade-off of the stride-based tiers. The
 //! `experiments markov` target compares the two.
 
-use hopp_ds::DetMap;
+use std::collections::BTreeMap;
+
 use hopp_types::{HotPage, Nanos, Pid, Vpn};
 
 use crate::engine::PrefetchOrder;
@@ -61,9 +62,9 @@ pub struct MarkovStats {
 pub struct MarkovEngine {
     config: MarkovConfig,
     /// MRU-ordered successor lists.
-    table: DetMap<(Pid, Vpn), Vec<Vpn>>,
+    table: BTreeMap<(Pid, Vpn), Vec<Vpn>>,
     /// Last hot page seen per process.
-    last: DetMap<Pid, Vpn>,
+    last: BTreeMap<Pid, Vpn>,
     stats: MarkovStats,
 }
 
@@ -78,8 +79,8 @@ impl MarkovEngine {
         assert!(config.depth >= 1, "depth must be at least 1");
         MarkovEngine {
             config,
-            table: DetMap::new(),
-            last: DetMap::new(),
+            table: BTreeMap::new(),
+            last: BTreeMap::new(),
             stats: MarkovStats::default(),
         }
     }

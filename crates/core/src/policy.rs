@@ -93,14 +93,6 @@ impl PolicyConfig {
             ..Default::default()
         }
     }
-
-    /// A policy with default huge-page batching enabled.
-    pub fn with_huge_batch() -> Self {
-        PolicyConfig {
-            huge_batch: Some(HugeBatchConfig::default()),
-            ..Default::default()
-        }
-    }
 }
 
 /// One prefetch decision from the policy engine: `span` consecutive

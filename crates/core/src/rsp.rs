@@ -43,20 +43,20 @@ pub fn is_ripple_with(window: &StreamWindow, max_stride: i64) -> bool {
     ripple_num >= l / 2
 }
 
-/// Runs Algorithm 2 with the paper's default `max_stride = 2`.
-pub fn is_ripple(window: &StreamWindow) -> bool {
-    is_ripple_with(window, MAX_STRIDE)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stt::test_support::OwnedWindow;
 
+    /// Algorithm 2 over `vpns` at the paper's default `max_stride`.
+    fn ripple_at_max_stride(vpns: &[u64]) -> bool {
+        is_ripple_with(&OwnedWindow::from_vpns(vpns).window(), MAX_STRIDE)
+    }
+
     #[test]
     fn clean_stride_1_is_a_ripple() {
         let vpns: Vec<u64> = (100..116).collect();
-        assert!(is_ripple(&OwnedWindow::from_vpns(&vpns).window()));
+        assert!(ripple_at_max_stride(&vpns));
     }
 
     #[test]
@@ -65,7 +65,7 @@ mod tests {
         let vpns = [
             100, 102, 101, 103, 105, 104, 106, 107, 109, 108, 110, 111, 113, 112, 114, 115,
         ];
-        assert!(is_ripple(&OwnedWindow::from_vpns(&vpns).window()));
+        assert!(ripple_at_max_stride(&vpns));
     }
 
     #[test]
@@ -74,7 +74,7 @@ mod tests {
         let vpns = [
             100, 101, 5000, 102, 103, 104, 9000, 105, 106, 107, 108, 7000, 109, 110, 111, 112,
         ];
-        assert!(is_ripple(&OwnedWindow::from_vpns(&vpns).window()));
+        assert!(ripple_at_max_stride(&vpns));
     }
 
     #[test]
@@ -82,14 +82,14 @@ mod tests {
         let vpns = [
             100, 900, 40, 7000, 3, 650, 12000, 88, 4100, 77, 950, 31, 8000, 210, 5, 666,
         ];
-        assert!(!is_ripple(&OwnedWindow::from_vpns(&vpns).window()));
+        assert!(!ripple_at_max_stride(&vpns));
     }
 
     #[test]
     fn large_stride_stream_is_not_a_ripple() {
         // A clean stride-10 simple stream: SSP's job, not RSP's.
         let vpns: Vec<u64> = (0..16).map(|k| 100 + 10 * k).collect();
-        assert!(!is_ripple(&OwnedWindow::from_vpns(&vpns).window()));
+        assert!(!ripple_at_max_stride(&vpns));
     }
 
     #[test]
@@ -111,6 +111,6 @@ mod tests {
                 vpns.push(18 * r + 2 * k);
             }
         }
-        assert!(!is_ripple(&OwnedWindow::from_vpns(&vpns).window()));
+        assert!(!ripple_at_max_stride(&vpns));
     }
 }

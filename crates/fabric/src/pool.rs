@@ -1,6 +1,6 @@
 //! The sharded memory pool: N nodes, placement, replication, failover.
 
-use hopp_ds::DetMap;
+use std::collections::BTreeMap;
 
 use hopp_net::{RdmaConfig, RdmaEngine, RdmaStats};
 use hopp_obs::{Event, NodeHistograms, NodeLatencySummary, Recorder};
@@ -113,7 +113,7 @@ pub struct MemoryPool {
     /// The primary node of every live page whose placement differs from
     /// [`hash_node`]: spills, and the policies other than static hash.
     /// A one-node pool never writes it.
-    exceptions: DetMap<(Pid, Vpn), usize>,
+    exceptions: BTreeMap<(Pid, Vpn), usize>,
     has_faults: bool,
     failovers: u64,
     failed_writes: u64,
@@ -130,7 +130,7 @@ impl MemoryPool {
             config,
             nodes: (0..config.nodes).map(|_| Node::new(rdma)).collect(),
             placer: Placer::new(config.placement, config.nodes),
-            exceptions: DetMap::new(),
+            exceptions: BTreeMap::new(),
             has_faults: false,
             failovers: 0,
             failed_writes: 0,

@@ -45,6 +45,7 @@
 
 use std::io::{self, Read, Write};
 use std::path::Path;
+use std::rc::Rc;
 
 use hopp_trace::AccessStream;
 use hopp_types::{AccessKind, PageAccess, Pid, Vpn, LINES_PER_PAGE};
@@ -662,7 +663,9 @@ impl<R: Read> HstReader<R> {
         })
     }
 
-    /// Decodes the next access; `Ok(None)` after a valid trailer.
+    /// Decodes the next access; `Ok(None)` after a valid trailer. An
+    /// error also ends the stream: the failed read may have left the
+    /// source mid-record, so every later call returns `Ok(None)`.
     ///
     /// # Errors
     ///
@@ -675,7 +678,9 @@ impl<R: Read> HstReader<R> {
     pub fn next(&mut self) -> ScnResult<Option<PageAccess>> {
         let mut next = None;
         if !self.finished {
-            self.finished = !self.decoder.next(&mut self.src, |a| next = Some(a))?;
+            let more = self.decoder.next(&mut self.src, |a| next = Some(a));
+            self.finished = !matches!(more, Ok(true));
+            more?;
         }
         Ok(next)
     }
@@ -691,23 +696,30 @@ pub struct HstTrace {
 }
 
 impl HstTrace {
-    /// Consumes the trace into a replaying [`AccessStream`].
+    /// Consumes the trace into a replaying [`AccessStream`]. The
+    /// accesses are moved, not copied.
     pub fn into_stream(self) -> HstReplay {
         HstReplay {
-            accesses: self.accesses.into_iter(),
+            accesses: Rc::new(self.accesses),
+            next: 0,
         }
     }
 }
 
-/// Replays a validated [`HstTrace`] as an [`AccessStream`].
+/// Replays a validated [`HstTrace`] as an [`AccessStream`]. Clones
+/// share one decoded copy of the accesses, and each continues from the
+/// position it was cloned at.
 #[derive(Clone, Debug)]
 pub struct HstReplay {
-    accesses: std::vec::IntoIter<PageAccess>,
+    accesses: Rc<Vec<PageAccess>>,
+    next: usize,
 }
 
 impl AccessStream for HstReplay {
     fn next_access(&mut self) -> Option<PageAccess> {
-        self.accesses.next()
+        let access = *self.accesses.get(self.next)?;
+        self.next += 1;
+        Some(access)
     }
 
     fn name(&self) -> &str {
@@ -935,6 +947,87 @@ mod tests {
         let mut replay = trace.into_stream();
         assert_eq!(replay.name(), "hst-replay");
         assert_eq!(replay.next_access().map(|a| a.vpn), Some(Vpn::new(77)));
+    }
+
+    /// Serves `bytes`, but fails once with [`io::ErrorKind::Other`] when
+    /// the read position reaches `fail_at`.
+    struct FailsOnce<'a> {
+        bytes: &'a [u8],
+        pos: usize,
+        fail_at: Option<usize>,
+    }
+
+    impl Read for FailsOnce<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let mut end = self.bytes.len();
+            if let Some(at) = self.fail_at {
+                if self.pos == at {
+                    self.fail_at = None;
+                    return Err(io::Error::other("injected failure"));
+                }
+                end = at;
+            }
+            let n = buf.len().min(end - self.pos);
+            buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_reader_ends_after_a_failed_read() {
+        let accesses: Vec<PageAccess> = (0..20)
+            .map(|i| {
+                PageAccess::read(Pid::new(1), Vpn::new(i + 1))
+                    .with_lines(64)
+                    .with_think(1000 + i as u32)
+            })
+            .collect();
+        let mut w = HstWriter::new(Vec::new(), &header()).unwrap();
+        for a in &accesses {
+            w.push(a).unwrap();
+        }
+        let bytes = w.finish().unwrap();
+        // Records start at byte 50. The first is 7 bytes (tag, lines,
+        // think, VPN delta), every later one 6 (tag, think, VPN delta):
+        // fail two bytes into record 10's think field.
+        let fail_at = 50 + 7 + 6 * 9 + 1 + 2;
+        let mut r = HstReader::new(FailsOnce {
+            bytes: &bytes,
+            pos: 0,
+            fail_at: Some(fail_at),
+        })
+        .unwrap();
+        for a in &accesses[..10] {
+            assert_eq!(r.next().unwrap().as_ref(), Some(a));
+        }
+        let err = r.next().unwrap_err();
+        assert!(
+            matches!(&err, ScnError::Io { detail, .. } if detail == "injected failure"),
+            "{err:?}"
+        );
+        // The source would now serve the rest of record 10 and beyond.
+        assert_eq!(r.next().unwrap(), None);
+        assert_eq!(r.next().unwrap(), None);
+    }
+
+    #[test]
+    fn a_cloned_replay_continues_from_the_same_position() {
+        let accesses: Vec<PageAccess> = (0..5)
+            .map(|i| PageAccess::read(Pid::new(1), Vpn::new(i)))
+            .collect();
+        let mut replay = HstTrace {
+            header: header(),
+            accesses: accesses.clone(),
+        }
+        .into_stream();
+        assert_eq!(replay.next_access(), Some(accesses[0]));
+        let mut clone = replay.clone();
+        assert!(Rc::ptr_eq(&replay.accesses, &clone.accesses));
+        let rest = |r: &mut HstReplay| std::iter::from_fn(|| r.next_access()).collect::<Vec<_>>();
+        assert_eq!(rest(&mut clone), accesses[1..]);
+        assert_eq!(rest(&mut replay), accesses[1..]);
+        assert_eq!(replay.next_access(), None);
     }
 
     /// Writes `bytes` to a fresh file named after `name` and decodes it

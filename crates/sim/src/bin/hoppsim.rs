@@ -18,7 +18,7 @@ use std::path::Path;
 use hopp_core::policy::HugeBatchConfig;
 use hopp_core::{HoppConfig, MarkovConfig, TrainerKind};
 use hopp_obs::{events_to_chrome_trace_with_extra, ObsLevel};
-use hopp_scn::{hst, HstHeader, HstTrace, Scenario, WorkloadSource};
+use hopp_scn::{hst, HstHeader, Scenario, WorkloadSource};
 use hopp_sim::runner::SOLO_PID;
 use hopp_sim::{
     solo_simulator, BaselineKind, FaultScript, PlacementKind, SimConfig, SimReport, SystemConfig,
@@ -505,11 +505,12 @@ fn write_outputs(cli: &Cli, r: &SimReport, prof: Option<&hopp_prof::ProfReport>)
 }
 
 /// Where the run's accesses come from: a catalogue workload or a
-/// scenario, or a recorded `.hst` trace. Every stream built from one
-/// source yields the same accesses.
+/// scenario, or a recorded `.hst` trace (decoded once; every run's
+/// stream is a clone of the unstarted replay). Every stream built from
+/// one source yields the same accesses.
 enum Accesses {
     Live(WorkloadSource),
-    Replay(HstTrace),
+    Replay(hst::HstReplay),
 }
 
 impl Accesses {
@@ -538,7 +539,7 @@ impl Accesses {
                 "replay of {path} ({}, {} pages, seed {})",
                 h.source, h.footprint_pages, h.seed
             );
-            return (Accesses::Replay(trace), h, label);
+            return (Accesses::Replay(trace.into_stream()), h, label);
         }
         let source = match &cli.scenario {
             Some(p) => {
@@ -571,7 +572,7 @@ impl Accesses {
     fn stream(&self, h: &HstHeader) -> Box<dyn AccessStream> {
         match self {
             Accesses::Live(source) => source.build(h.pid, h.footprint_pages, h.seed),
-            Accesses::Replay(trace) => Box::new(trace.clone().into_stream()),
+            Accesses::Replay(replay) => Box::new(replay.clone()),
         }
     }
 }

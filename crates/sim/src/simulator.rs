@@ -6,7 +6,6 @@ use std::collections::BTreeMap;
 use hopp_core::exec::ExecutionEngine;
 use hopp_core::metrics::PrefetchMetrics;
 use hopp_core::HoppEngine;
-use hopp_ds::DetMap;
 use hopp_fabric::{FaultScript, MemoryPool, RemotePool, REGION_SHIFT};
 use hopp_hw::rpt::RPT_VPN_BITS;
 use hopp_hw::McPipeline;
@@ -79,7 +78,7 @@ pub struct Simulator {
     /// Per-region stream identity for stream-aware placement, harvested
     /// from HoPP prefetch orders. Maintained only when the placement
     /// policy asks for hints.
-    stream_hints: DetMap<(Pid, u64), u64>,
+    stream_hints: BTreeMap<(Pid, u64), u64>,
     baseline: Box<dyn Prefetcher>,
     /// Prefetch metrics per [`Source`], in [`Source::index`] order: the
     /// baseline's, then HoPP's tiers', whose sum is HoPP's totals.
@@ -179,7 +178,7 @@ impl Simulator {
                 None => SwapDevice::new(),
             },
             pool: MemoryPool::new(config.rdma, config.fabric)?,
-            stream_hints: DetMap::new(),
+            stream_hints: BTreeMap::new(),
             baseline,
             prefetch_metrics: Default::default(),
             base_cq: CompletionQueue::with_capacity(64),

@@ -1,6 +1,6 @@
 //! Steady-state allocation regression test (ISSUE 4, satellite 3).
 //!
-//! The simulator's hot-path collections (`DetMap`/`PageMap`) keep their
+//! The simulator's page tables (`PageMap`) keep their
 //! backing storage across insert/remove churn, its frame table is sized
 //! once at construction, and the per-tick
 //! scratch buffers (`prefetch_buf`, the HoPP completion buffer, the
@@ -137,7 +137,7 @@ fn fault_path_extra_passes_do_not_grow_allocations() {
     let long = allocs_for(system, 12);
     // The long run does 3x the passes (and 3x the faults) of the short
     // run on the identical working set. The fault path's collections
-    // (in-flight `DetMap`s, LRU lists, swapcache, completion queue) and
+    // (swap-slot records, LRU links, page tables, completion queue) and
     // scratch buffers are all warm after the first pass, so the extra
     // 8 passes may only add a small fraction on top: amortized
     // slab/heap doublings, nothing per-tick. BTreeMap-era node churn

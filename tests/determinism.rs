@@ -7,8 +7,8 @@
 //!    [`hopp_sim::SimReport`]s (`metrics_json`).
 //! 2. *Migration safety*: a fixed-seed small-scale report matches a
 //!    golden file committed **before** the `hopp-ds` data-structure
-//!    migration, proving the `BTreeMap` → `DetMap`/`PageMap`/`Lru`
-//!    swap is behaviour-preserving, not just "still deterministic".
+//!    migration, proving the `BTreeMap` → `hopp-ds` swap is
+//!    behaviour-preserving, not just "still deterministic".
 //!
 //! 3. *Multi-channel pinning*: a fixed-seed Quicksort run with three
 //!    interleaved memory channels matches its own golden file, so the
