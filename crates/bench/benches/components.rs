@@ -18,12 +18,13 @@ use hopp_core::stt::{StreamTrainingTable, SttConfig};
 use hopp_core::three_tier::{ThreeTier, TierConfig};
 use hopp_hw::{HotPageDetector, HpdConfig, McPipeline, ReversePageTable, RptCacheConfig};
 use hopp_kernel::{LruLinks, LruTier};
-use hopp_mem::{FrameAllocator, PteListener};
+use hopp_mem::{AddressSpace, FrameAllocator, PteListener};
 use hopp_obs::NopRecorder;
 use hopp_scn::hst::{self, HstHeader};
 use hopp_trace::llc::{LastLevelCache, LlcConfig};
+use hopp_types::rng::SplitMix64;
 use hopp_types::{AccessKind, HotPage, Nanos, PageFlags, Pid, Ppn, Vpn, LINES_PER_PAGE, PAGE_SIZE};
-use hopp_workloads::WorkloadKind;
+use hopp_workloads::{WorkloadKind, HEAP_BASE};
 
 /// Times `iters` calls of `op` and prints a one-line report.
 fn bench(name: &str, iters: u64, op: impl FnMut(u64)) {
@@ -160,6 +161,23 @@ fn bench_rpt() {
     black_box(rpt.stats());
 }
 
+fn bench_mem() {
+    // A page table with 65,536 present pages from the workloads' heap
+    // base, looked up in a shuffled order, as the access path visits an
+    // `AddressSpace`'s pages.
+    const PAGES: u64 = 65_536;
+    let mut space = AddressSpace::new(Pid::new(1));
+    let mut order: Vec<Vpn> = (0..PAGES).map(|i| Vpn::new(HEAP_BASE + i)).collect();
+    for (i, &vpn) in order.iter().enumerate() {
+        let displaced = space.map_present(vpn, Ppn::from_index(i), &mut ());
+        assert!(displaced.is_none());
+    }
+    SplitMix64::seed_from_u64(0xA7).shuffle(&mut order);
+    bench("mem/lookup", 2_000_000, |i| {
+        black_box(space.lookup(order[(i % PAGES) as usize]));
+    });
+}
+
 fn bench_stt() {
     let mut stt = StreamTrainingTable::new(SttConfig::default()).unwrap();
     let mut tiers = ThreeTier::new(TierConfig::default());
@@ -246,6 +264,7 @@ fn main() {
     bench_llc();
     bench_hpd();
     bench_rpt();
+    bench_mem();
     bench_stt();
     bench_frames();
     bench_scn();

@@ -17,9 +17,9 @@
 //!   `HashMap`/`HashSet` binding whose body mutates state or emits
 //!   output that outlives the loop is flagged, workspace-wide: harness
 //!   crates escape the blanket `HashMap` ban, but artifact bytes they
-//!   write must still not depend on hash-iteration order. `hopp_ds::PageMap`
-//!   and `BTreeMap`/`BTreeSet` iterate deterministically and are never
-//!   tracked.
+//!   write must still not depend on hash-iteration order. `BTreeMap`/
+//!   `BTreeSet` and index-ordered tables iterate deterministically and
+//!   are never tracked.
 //! * **unsafe-audit** — every `unsafe` token must carry a `// SAFETY:`
 //!   comment on its own line or within the three lines above it,
 //!   workspace-wide (today only `crates/prof/src/alloc.rs` is allowed
@@ -328,8 +328,8 @@ fn process_stmt(
                             message: format!(
                                 "iterating unordered `{}` `{}` mutates state that outlives the \
                                  loop (line {mutated_at}); hash order varies per process — use \
-                                 `BTreeMap`/`BTreeSet` (`hopp_ds::PageMap` for dense page \
-                                 keys), or collect and sort the keys first",
+                                 `BTreeMap`/`BTreeSet` (a page- or frame-indexed `Vec` for \
+                                 dense keys), or collect and sort the keys first",
                                 w.ty, w.coll
                             ),
                         });

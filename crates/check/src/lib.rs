@@ -26,7 +26,7 @@
 //!   `HashMap`/`HashSet` must not mutate state or emit output that
 //!   outlives the loop, *workspace-wide*: harness crates escape the
 //!   blanket `HashMap` ban, but artifact bytes must not depend on hash
-//!   order. `hopp_ds::PageMap` and `BTreeMap` iterate
+//!   order. `BTreeMap` and index-ordered tables iterate
 //!   deterministically and are never flagged;
 //! * [`Rule::PanicPolicy`] — no `unwrap`/`expect`/`panic!` in non-test
 //!   hot-path code; failures travel as [`hopp_types::Error`]-style typed

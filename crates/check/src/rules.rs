@@ -10,7 +10,7 @@ use crate::{FileContext, Finding, Rule};
 /// file IO, `obs` exporters, `workloads` generators, `bench`, the
 /// checker itself) are exempt from those two rules but not from unit
 /// hygiene.
-pub const SIM_CRITICAL_CRATES: [&str; 10] = [
+pub const SIM_CRITICAL_CRATES: [&str; 9] = [
     "hw",
     "kernel",
     "mem",
@@ -19,7 +19,6 @@ pub const SIM_CRITICAL_CRATES: [&str; 10] = [
     "core",
     "sim",
     "baselines",
-    "ds",
     "scenario",
 ];
 
@@ -84,8 +83,8 @@ const DETERMINISM_BANS: [(&str, &str); 8] = [
     ),
     (
         "HashMap",
-        "default-hasher map iterates in random order; use `BTreeMap`, or `hopp_ds::PageMap` \
-         for dense page keys",
+        "default-hasher map iterates in random order; use `BTreeMap`, or a `Vec` indexed \
+         by page or frame number for dense keys",
     ),
     (
         "HashSet",

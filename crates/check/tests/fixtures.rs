@@ -145,10 +145,10 @@ fn stale_and_reasonless_waivers_are_findings() {
 }
 
 #[test]
-fn hopp_ds_collections_pass_where_hashmap_fires() {
+fn deterministic_collections_pass_where_hashmap_fires() {
     let report = check("dsaware");
-    // The `ds` crate is sim-critical, yet its use of the fixture's
-    // `hopp_ds` collections produces nothing; the `HashMap` twin fires
+    // The `mem` crate is sim-critical, yet its use of `BTreeMap`, a
+    // `Vec` and a page map produces nothing; the `HashMap` twin fires
     // at each use site with a steer that names the deterministic
     // replacement.
     let got: Vec<_> = report.findings.iter().map(brief).collect();

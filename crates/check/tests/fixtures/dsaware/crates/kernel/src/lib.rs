@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-/// Non-deterministic twin of the `ds` fixture's `HotState`.
+/// Non-deterministic twin of the `mem` fixture's `HotState`.
 pub struct BadState {
     pub inflight: HashMap<u64, u64>,
 }

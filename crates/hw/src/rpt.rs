@@ -17,9 +17,11 @@
 //! # Layout
 //!
 //! An entry is the paper's 64-bit word, [`PackedRptEntry`], in both this
-//! model and the RTL one ([`crate::rtl_rpt`]). The DRAM copy holds one
-//! word per mapped frame, with a spare bit set so the word is never
-//! zero.
+//! model and the RTL one ([`crate::rtl_rpt`]). The DRAM copy is a
+//! column of words indexed by PPN, as in the paper's reserved region: a
+//! mapped frame's word has a spare bit set, and 0 means no mapping. The
+//! column covers the frames written so far and grows in steps of 1,024
+//! frames (8 KiB); a frame past its end reads as 0.
 //!
 //! The cache is one flat `sets × ways` array, like the HPD table and the
 //! LLC model. Each set is kept in most-recently-used-first order with
@@ -35,10 +37,8 @@
 //! cleared PTE stays cached as a dirty "no mapping" until it is
 //! evicted.
 
-use std::num::NonZeroU64;
 use std::ops::Range;
 
-use hopp_ds::PageMap;
 use hopp_mem::PteListener;
 use hopp_types::{Error, PageFlags, Pid, Ppn, Result, Vpn};
 
@@ -180,6 +180,11 @@ impl RptStats {
     }
 }
 
+/// Frames the DRAM column grows by: 8 KiB of words a step. Growing in
+/// fixed steps keeps the column within a step of the highest frame
+/// written, where doubling could leave up to twice that.
+const DRAM_STEP: usize = 1 << 10;
+
 /// Spare bit of a stored word: it holds a mapping. A cached word
 /// without it is a "no mapping", a cleared PTE not yet written back.
 const MAPPED: u64 = 1 << 63;
@@ -225,8 +230,9 @@ fn key(ppn: Ppn) -> u64 {
 /// ```
 #[derive(Clone, Debug)]
 pub struct ReversePageTable {
-    /// The stored word of every mapped frame, [`MAPPED`] set.
-    dram: PageMap<Ppn, NonZeroU64>,
+    /// The DRAM copy: every frame's stored word, [`MAPPED`] set for a
+    /// mapping, indexed by PPN. Frames past the end read as 0.
+    dram: Vec<u64>,
     /// `sets × ways` ways; each set most-recently-used first, empty ways
     /// at the tail.
     cache: Vec<CacheWay>,
@@ -244,7 +250,7 @@ impl ReversePageTable {
     pub fn new(config: RptCacheConfig) -> Result<Self> {
         let sets = config.sets()?;
         Ok(ReversePageTable {
-            dram: PageMap::new(),
+            dram: Vec::new(),
             // A zeroed allocation: construction touches none of its pages.
             cache: vec![[0; 2]; sets * config.ways],
             ways: config.ways,
@@ -304,18 +310,23 @@ impl ReversePageTable {
         (front, false)
     }
 
+    /// `ppn`'s DRAM copy: 0 past the end of the column.
+    fn read_dram(&self, ppn: Ppn) -> u64 {
+        self.dram.get(ppn.index()).copied().unwrap_or(0)
+    }
+
     /// Stores `word` (not [`DIRTY`]) as `ppn`'s DRAM copy. A mapping's
     /// word has [`MAPPED`] set; every other word is zero and clears the
-    /// copy.
+    /// copy. A write past the end grows the column to the next multiple
+    /// of [`DRAM_STEP`] frames.
     fn write_dram(&mut self, ppn: Ppn, word: u64) {
-        match NonZeroU64::new(word) {
-            Some(word) => {
-                self.dram.insert(ppn, word);
-            }
-            None => {
-                self.dram.remove(ppn);
-            }
+        let i = ppn.index();
+        if i >= self.dram.len() {
+            let len = (i / DRAM_STEP + 1) * DRAM_STEP;
+            self.dram.reserve_exact(len - self.dram.len());
+            self.dram.resize(len, 0);
         }
+        self.dram[i] = word;
     }
 
     /// Resolves a hot PPN to its owner, via the cache.
@@ -332,7 +343,7 @@ impl ReversePageTable {
             // Miss: read the DRAM copy and fill.
             let _prof = hopp_prof::span("hw/rpt_walk");
             self.stats.dram_reads += 1;
-            let word = self.dram.get(ppn).map_or(0, |w| w.get());
+            let word = self.read_dram(ppn);
             self.cache[front] = [key(ppn), word];
             word
         };
@@ -352,7 +363,7 @@ impl ReversePageTable {
             .find(|&&[k, _]| k == key(ppn))
         {
             Some(&[_, word]) => entry_of(word),
-            None => self.dram.get(ppn).and_then(|w| entry_of(w.get())),
+            None => entry_of(self.read_dram(ppn)),
         }
     }
 
@@ -431,7 +442,9 @@ mod tests {
     #[test]
     fn ways_and_dram_words_are_table_width() {
         assert_eq!(std::mem::size_of::<CacheWay>(), 16);
-        assert_eq!(std::mem::size_of::<Option<NonZeroU64>>(), RPT_ENTRY_BYTES);
+        let mut r = rpt();
+        r.bootstrap([(Ppn::new(0), Pid::new(1), Vpn::new(1))]);
+        assert_eq!(std::mem::size_of_val(&r.dram[0]), RPT_ENTRY_BYTES);
     }
 
     #[test]
@@ -451,11 +464,11 @@ mod tests {
     }
 
     #[test]
-    fn frame_zero_and_the_top_frame_round_trip_through_writeback() {
-        // The top frame of the simulator's frame table, whose links are
-        // `u32` (2^32 − 2 frames).
-        let top = Ppn::new(u64::from(u32::MAX) - 2);
-        for ppn in [Ppn::new(0), top] {
+    fn frames_at_the_column_edges_round_trip_through_writeback() {
+        // Frame 0, the last frame of the first step and the first of the
+        // second.
+        for (ppn, steps) in [(0, 1), (DRAM_STEP - 1, 1), (DRAM_STEP, 2)] {
+            let ppn = Ppn::new(ppn as u64);
             let mut r = small_rpt();
             let (a, b) = (Ppn::new(1), Ppn::new(2));
             let e = RptEntry {
@@ -471,6 +484,7 @@ mod tests {
             r.pte_set(Pid::new(1), Vpn::new(2), b);
             assert_eq!(r.stats().dram_writebacks, 1, "{ppn:?}");
             assert!(r.cache.iter().all(|&[k, _]| k != key(ppn)));
+            assert_eq!(r.dram.len(), steps * DRAM_STEP, "{ppn:?}");
             assert_eq!(r.peek(ppn), Some(e), "{ppn:?}: in DRAM");
             assert_eq!(r.lookup(ppn), Some(e), "{ppn:?}: read back");
             assert_eq!(r.stats().dram_reads, 1);
@@ -478,13 +492,68 @@ mod tests {
             assert_eq!(r.lookup(ppn), None, "{ppn:?}: cleared");
             r.pte_set(Pid::new(1), Vpn::new(1), a);
             r.pte_set(Pid::new(1), Vpn::new(2), b);
-            // The cleared word went back too and removed the DRAM copy.
+            // The cleared word went back too and zeroed the DRAM copy.
             assert!(r.cache.iter().all(|&[k, _]| k != key(ppn)));
-            assert!(r.dram.get(ppn).is_none(), "{ppn:?}: cleared in DRAM");
+            assert_eq!(r.read_dram(ppn), 0, "{ppn:?}: cleared in DRAM");
             assert_eq!(r.lookup(ppn), None);
             assert_eq!(r.stats().unresolved, 2);
             assert_eq!(r.peek(a).map(|e| e.vpn), Some(Vpn::new(1)));
         }
+    }
+
+    #[test]
+    fn the_top_frame_keys_its_way_through_the_cache() {
+        // The top frame of the simulator's frame table, whose links are
+        // `u32` (2^32 − 2 frames). Its DRAM word would need a 32 GiB
+        // column, so it stays cached: set, peek, lookup and clear.
+        let top = Ppn::new(u64::from(u32::MAX) - 2);
+        let mut r = small_rpt();
+        let e = RptEntry {
+            pid: Pid::new(u16::MAX),
+            vpn: Vpn::new((1 << RPT_VPN_BITS) - 1),
+            flags: PageFlags::default(),
+        };
+        r.pte_set(e.pid, e.vpn, top);
+        assert_eq!(r.cache[0], [key(top), word_of(Some(e)) | DIRTY]);
+        assert_eq!(r.peek(top), Some(e));
+        assert_eq!(r.peek(Ppn::new(u64::from(u32::MAX) - 3)), None);
+        assert_eq!(r.lookup(top), Some(e));
+        r.pte_clear(e.pid, e.vpn, top);
+        assert_eq!(r.peek(top), None);
+        assert_eq!(r.lookup(top), None);
+        let stats = r.stats();
+        assert_eq!(
+            (stats.hits, stats.dram_reads, stats.dram_writebacks),
+            (2, 0, 0)
+        );
+        assert!(r.dram.is_empty());
+    }
+
+    #[test]
+    fn a_frame_past_the_column_reads_as_no_mapping() {
+        let mut r = rpt();
+        r.bootstrap([(Ppn::new(3), Pid::new(1), Vpn::new(30))]);
+        let past = Ppn::new(DRAM_STEP as u64);
+        assert_eq!(r.peek(past), None);
+        assert_eq!(r.lookup(past), None);
+        assert_eq!((r.stats().dram_reads, r.stats().unresolved), (1, 1));
+        assert_eq!(r.dram.len(), DRAM_STEP, "a read grows nothing");
+    }
+
+    #[test]
+    fn a_writeback_past_the_column_grows_it_by_one_step() {
+        let mut r = small_rpt();
+        r.bootstrap([(Ppn::new(0), Pid::new(1), Vpn::new(10))]);
+        assert_eq!((r.dram.len(), r.dram.capacity()), (DRAM_STEP, DRAM_STEP));
+        let edge = Ppn::new(DRAM_STEP as u64);
+        r.pte_set(Pid::new(2), Vpn::new(20), edge);
+        r.pte_set(Pid::new(1), Vpn::new(1), Ppn::new(1));
+        r.pte_set(Pid::new(1), Vpn::new(2), Ppn::new(2));
+        assert_eq!(r.stats().dram_writebacks, 1);
+        let step = 2 * DRAM_STEP;
+        assert_eq!((r.dram.len(), r.dram.capacity()), (step, step));
+        assert_eq!(r.lookup(edge).map(|e| e.vpn), Some(Vpn::new(20)));
+        assert_eq!(r.lookup(Ppn::new(0)).map(|e| e.vpn), Some(Vpn::new(10)));
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //!   model of unpacked entries in per-set LRU lists op by op: the same
 //!   resolutions and the same counters (hits, DRAM reads, writebacks).
 
-use hopp_ds::PageMap;
+use std::collections::BTreeMap;
+
 use hopp_hw::hpd::{HotPageDetector, HpdConfig, HpdStats};
 use hopp_hw::rpt::{
     PackedRptEntry, ReversePageTable, RptCacheConfig, RptEntry, RptStats, RPT_ENTRY_BYTES,
@@ -429,7 +430,7 @@ type RefWay = (Ppn, Option<RptEntry>, bool);
 struct RefRpt {
     sets: Vec<Vec<RefWay>>,
     ways: usize,
-    dram: PageMap<Ppn, RptEntry>,
+    dram: BTreeMap<Ppn, RptEntry>,
     stats: RptStats,
 }
 
@@ -438,7 +439,7 @@ impl RefRpt {
         RefRpt {
             sets: vec![Vec::new(); geometry.sets().unwrap()],
             ways: geometry.ways,
-            dram: PageMap::new(),
+            dram: BTreeMap::new(),
             stats: RptStats::default(),
         }
     }
@@ -456,7 +457,7 @@ impl RefRpt {
             if dirty {
                 match entry {
                     Some(e) => self.dram.insert(old, e),
-                    None => self.dram.remove(old),
+                    None => self.dram.remove(&old),
                 };
                 self.stats.dram_writebacks += 1;
             }
@@ -478,7 +479,7 @@ impl RefRpt {
             }
             None => {
                 self.stats.dram_reads += 1;
-                (ppn, self.dram.get(ppn).copied(), false)
+                (ppn, self.dram.get(&ppn).copied(), false)
             }
         };
         self.put_front(way);
@@ -497,14 +498,14 @@ impl RefRpt {
 
 /// Applies queued RTL write-backs to the shadow DRAM copy — the memory
 /// controller's write port, modelled as immediate service.
-fn drain_writebacks(rtl: &mut RptRtl, shadow: &mut PageMap<Ppn, RptEntry>) {
+fn drain_writebacks(rtl: &mut RptRtl, shadow: &mut BTreeMap<Ppn, RptEntry>) {
     while let Some(wb) = rtl.pop_writeback() {
         match wb.entry {
             Some(packed) => {
                 shadow.insert(wb.ppn, packed.unpack());
             }
             None => {
-                shadow.remove(wb.ppn);
+                shadow.remove(&wb.ppn);
             }
         }
     }
@@ -513,7 +514,11 @@ fn drain_writebacks(rtl: &mut RptRtl, shadow: &mut PageMap<Ppn, RptEntry>) {
 /// Resolves one RTL lookup to the behavioural `Option<RptEntry>`
 /// contract: a cached tombstone surfaces as a kernel-owned hit, a miss
 /// is answered from the shadow DRAM.
-fn rtl_lookup(rtl: &mut RptRtl, shadow: &mut PageMap<Ppn, RptEntry>, ppn: Ppn) -> Option<RptEntry> {
+fn rtl_lookup(
+    rtl: &mut RptRtl,
+    shadow: &mut BTreeMap<Ppn, RptEntry>,
+    ppn: Ppn,
+) -> Option<RptEntry> {
     match rtl.lookup(ppn) {
         RptRtlResponse::Hit(e) if e.pid == Pid::KERNEL => None,
         RptRtlResponse::Hit(e) => Some(e),
@@ -521,7 +526,7 @@ fn rtl_lookup(rtl: &mut RptRtl, shadow: &mut PageMap<Ppn, RptEntry>, ppn: Ppn) -
             // The DRAM read must see any dirty eviction the behavioural
             // model would already have folded into its own DRAM copy.
             drain_writebacks(rtl, shadow);
-            let entry = shadow.get(ppn).copied();
+            let entry = shadow.get(&ppn).copied();
             rtl.dram_response(ppn, entry)
         }
     }
@@ -540,7 +545,7 @@ fn rpt_models_resolve_every_lookup_identically() {
         let mut behav = ReversePageTable::new(geometry).unwrap();
         let mut reference = RefRpt::new(geometry);
         let mut rtl = RptRtl::new(geometry).unwrap();
-        let mut shadow: PageMap<Ppn, RptEntry> = PageMap::new();
+        let mut shadow: BTreeMap<Ppn, RptEntry> = BTreeMap::new();
         let mut lookups = 0u64;
         for op in rpt_ops(seed, 256, 30_000) {
             match op {

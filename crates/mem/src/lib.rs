@@ -28,6 +28,7 @@
 
 pub mod frames;
 pub mod page_table;
+mod pagemap;
 
 pub use frames::FrameAllocator;
 pub use page_table::{AddressSpace, Mapping, Pte, PteListener};

@@ -1,7 +1,8 @@
 //! Per-process page tables and the PTE-update hook interface.
 
-use hopp_ds::PageMap;
 use hopp_types::{Pid, Ppn, SwapSlot, Vpn};
+
+use crate::pagemap::PageMap;
 
 /// A present page-table entry.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -60,7 +61,7 @@ impl<L: PteListener + ?Sized> PteListener for &mut L {
 #[derive(Clone, Debug)]
 pub struct AddressSpace {
     pid: Pid,
-    map: PageMap<Vpn, Mapping>,
+    map: PageMap<Mapping>,
 }
 
 impl AddressSpace {

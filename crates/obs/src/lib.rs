@@ -54,13 +54,3 @@ pub use hist::{
     NodeLatencySummary,
 };
 pub use recorder::{NopRecorder, ObsLevel, ObsRecorder, Recorder, TraceSink};
-
-use hopp_types::Nanos;
-
-/// Records `event` at `at` — tiny forwarding helper so instrumented
-/// code reads `obs::emit(rec, at, ...)` instead of `rec.record(...)`
-/// where the borrow checker needs a reborrow.
-#[inline]
-pub fn emit(rec: &mut dyn Recorder, at: Nanos, event: Event) {
-    rec.record(at, event);
-}

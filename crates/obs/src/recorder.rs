@@ -183,14 +183,6 @@ impl ObsRecorder {
         }
     }
 
-    /// Events held right now, cloned (empty when off).
-    pub fn snapshot(&self) -> Vec<TimedEvent> {
-        match self {
-            ObsRecorder::Off => Vec::new(),
-            ObsRecorder::Sink(s) => s.events().copied().collect(),
-        }
-    }
-
     /// Events dropped by the ring buffer.
     pub fn dropped(&self) -> u64 {
         match self {

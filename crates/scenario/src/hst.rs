@@ -597,9 +597,8 @@ fn read_varint<S: ByteSource>(src: &mut S) -> Result<u64, Bad> {
 }
 
 /// Streaming `.hst` reader over any [`Read`] source. [`HstReader::next`]
-/// yields typed errors; [`HstReader::read_all`] validates the whole
-/// trace up front and hands back a replayable [`HstTrace`]. It decodes
-/// with the same decoder as [`read_file`], so both fail alike.
+/// yields typed errors. It decodes with the same decoder as
+/// [`read_file`], so both fail alike.
 pub struct HstReader<R: Read> {
     src: ReadCursor<R>,
     header: HstHeader,
@@ -644,23 +643,6 @@ impl<R: Read> HstReader<R> {
     /// The validated header.
     pub fn header(&self) -> &HstHeader {
         &self.header
-    }
-
-    /// Decodes every remaining record and checks the trailer, so a
-    /// malformed trace fails here, before any replay starts.
-    ///
-    /// # Errors
-    ///
-    /// As [`HstReader::next`].
-    pub fn read_all(mut self) -> ScnResult<HstTrace> {
-        let mut accesses = Vec::new();
-        while let Some(acc) = self.next()? {
-            accesses.push(acc);
-        }
-        Ok(HstTrace {
-            header: self.header,
-            accesses,
-        })
     }
 
     /// Decodes the next access; `Ok(None)` after a valid trailer. An

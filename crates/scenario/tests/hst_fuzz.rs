@@ -4,9 +4,9 @@
 //! byte flips, truncation at header, record and trailer offsets, edited
 //! trailer counts and checksums, invalid tags and line counts, and
 //! overlong VPN varints. Every mutant is decoded three ways: by
-//! `hst::read_file` (the whole file's bytes), by `HstReader::read_all`
-//! over the bytes, and by `HstReader::read_all` over a reader that hands
-//! out one byte per `read`. All three must return the same result (the
+//! `hst::read_file` (the whole file's bytes), by `HstReader::next` calls
+//! over the bytes, and by `HstReader::next` calls over a reader that
+//! hands out one byte per `read`. All three must return the same result (the
 //! same accesses, or the same `ScnError` variant, offset and detail),
 //! and none may panic. The named tests at the end pin single mutants.
 
@@ -237,6 +237,19 @@ impl Mutation {
     }
 }
 
+/// Decodes every record with [`HstReader::next`] up to the trailer,
+/// stopping at the first error.
+fn stream_all<R: Read>(mut reader: HstReader<R>) -> ScnResult<HstTrace> {
+    let mut accesses = Vec::new();
+    while let Some(access) = reader.next()? {
+        accesses.push(access);
+    }
+    Ok(HstTrace {
+        header: reader.header().clone(),
+        accesses,
+    })
+}
+
 /// A file of its own for each caller, so tests can run in parallel.
 fn scratch_file(name: &str) -> PathBuf {
     Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("hst_fuzz_{name}.hst"))
@@ -250,8 +263,8 @@ fn decode_everywhere(file: &Path, what: &str, bytes: &[u8]) -> ScnResult<HstTrac
     let decoded = catch_unwind(AssertUnwindSafe(|| {
         (
             hst::read_file(file),
-            HstReader::with_path(bytes, &shown).and_then(HstReader::read_all),
-            HstReader::with_path(OneByte(bytes), &shown).and_then(HstReader::read_all),
+            HstReader::with_path(bytes, &shown).and_then(stream_all),
+            HstReader::with_path(OneByte(bytes), &shown).and_then(stream_all),
         )
     }));
     let Ok((sliced, streamed, trickled)) = decoded else {

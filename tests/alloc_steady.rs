@@ -1,7 +1,7 @@
 //! Steady-state allocation regression test (ISSUE 4, satellite 3).
 //!
-//! The simulator's page tables (`PageMap`) keep their
-//! backing storage across insert/remove churn, its frame table is sized
+//! The simulator's page tables allocate a chunk once per 1,024-page
+//! range and never free it while the run lasts, its frame table is sized
 //! once at construction, and the per-tick
 //! scratch buffers (`prefetch_buf`, the HoPP completion buffer, the
 //! baseline completion queue) are pre-sized and reused. This test pins
@@ -10,7 +10,7 @@
 //! training stack is held to the same budget, and fed directly it must
 //! allocate nothing at all once warm.
 //!
-//! Before the `hopp-ds` migration every fault churned `BTreeMap` nodes
+//! Before the move to indexed tables every fault churned `BTreeMap` nodes
 //! (in-flight maps, LRU stamp maps, swap-slot contents), so extra
 //! passes allocated in proportion to their fault count and this bound
 //! failed by an order of magnitude.

@@ -6,9 +6,9 @@
 //!    with identical config + seed produce byte-identical serialized
 //!    [`hopp_sim::SimReport`]s (`metrics_json`).
 //! 2. *Migration safety*: a fixed-seed small-scale report matches a
-//!    golden file committed **before** the `hopp-ds` data-structure
-//!    migration, proving the `BTreeMap` → `hopp-ds` swap is
-//!    behaviour-preserving, not just "still deterministic".
+//!    golden file committed **before** the hot-path maps moved from
+//!    `BTreeMap` to page- and frame-indexed tables, proving that swap
+//!    is behaviour-preserving, not just "still deterministic".
 //!
 //! 3. *Multi-channel pinning*: a fixed-seed Quicksort run with three
 //!    interleaved memory channels matches its own golden file, so the

@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use hopp_bench::experiments as ex;
 use hopp_bench::lab::{self, SweepSpec};
 use hopp_bench::Scale;
-use hopp_scn::{HstHeader, HstReader, HstWriter, Scenario, WorkloadSource};
+use hopp_scn::{HstHeader, HstReader, HstTrace, HstWriter, Scenario, WorkloadSource};
 use hopp_sim::runner::SOLO_PID;
 use hopp_sim::{SimConfig, SystemConfig};
 use hopp_workloads::WorkloadKind;
@@ -61,10 +61,13 @@ fn assert_replay_bit_identical(source: &WorkloadSource) {
         .expect("simulation succeeds")
     };
     let live = run(source.build(SOLO_PID, fp, scale.seed));
-    let trace = HstReader::new(bytes.as_slice())
-        .and_then(HstReader::read_all)
-        .expect("the recorded trace decodes");
-    assert_eq!(trace.header.source, source.name());
+    let mut reader = HstReader::new(bytes.as_slice()).expect("the recorded header decodes");
+    assert_eq!(reader.header().source, source.name());
+    let trace = HstTrace {
+        header: reader.header().clone(),
+        accesses: std::iter::from_fn(|| reader.next().expect("the recorded trace decodes"))
+            .collect(),
+    };
     let replayed = run(Box::new(trace.into_stream()));
 
     assert_eq!(
