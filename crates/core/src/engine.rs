@@ -63,17 +63,6 @@ pub struct HoppEngine {
 impl HoppEngine {
     /// Builds the engine.
     ///
-    /// # Panics
-    ///
-    /// Panics if the STT configuration is invalid; use
-    /// [`HoppEngine::try_new`] to handle that as an error.
-    pub fn new(config: HoppConfig) -> Self {
-        // hopp-check: allow(panic-policy): documented panicking convenience constructor; try_new is the fallible path
-        Self::try_new(config).expect("invalid HoPP configuration")
-    }
-
-    /// Fallible constructor.
-    ///
     /// # Errors
     ///
     /// Returns the validation error of an invalid [`SttConfig`].
@@ -113,7 +102,7 @@ impl HoppEngine {
         rec: &mut dyn Recorder,
         out: &mut Vec<PrefetchOrder>,
     ) {
-        let _prof = hopp_prof::span("core/train");
+        let _prof = hopp_prof::span(hopp_prof::SpanId::CoreTrain);
         if self.ignore_shared && hot.flags.shared {
             return;
         }
@@ -196,9 +185,13 @@ mod tests {
         }
     }
 
+    fn engine(config: HoppConfig) -> HoppEngine {
+        HoppEngine::try_new(config).expect("valid HoPP configuration")
+    }
+
     #[test]
     fn stride_stream_produces_forward_orders() {
-        let mut e = HoppEngine::new(HoppConfig::default());
+        let mut e = engine(HoppConfig::default());
         let mut orders = Vec::new();
         for k in 0..32u64 {
             orders.extend(e.on_hot_page(&hot(1, 1_000 + 4 * k, k)));
@@ -214,7 +207,7 @@ mod tests {
 
     #[test]
     fn training_needs_a_full_window() {
-        let mut e = HoppEngine::new(HoppConfig::default());
+        let mut e = engine(HoppConfig::default());
         // 15 pages: one short of the default L=16 window.
         for k in 0..15u64 {
             assert!(e.on_hot_page(&hot(1, 100 + k, k)).is_empty());
@@ -224,7 +217,7 @@ mod tests {
 
     #[test]
     fn random_pages_produce_no_orders() {
-        let mut e = HoppEngine::new(HoppConfig::default());
+        let mut e = engine(HoppConfig::default());
         let mut n = 0;
         // Scattered pages, each its own "stream" that never fills.
         for k in 0..200u64 {
@@ -235,7 +228,7 @@ mod tests {
 
     #[test]
     fn timeliness_feedback_moves_offsets() {
-        let mut e = HoppEngine::new(HoppConfig::default());
+        let mut e = engine(HoppConfig::default());
         let mut first_order = None;
         for k in 0..40u64 {
             for o in e.on_hot_page(&hot(1, 2 * k, k)) {
@@ -256,7 +249,7 @@ mod tests {
 
     #[test]
     fn markov_trainer_replaces_three_tier() {
-        let mut e = HoppEngine::new(HoppConfig {
+        let mut e = engine(HoppConfig {
             trainer: TrainerKind::Markov(crate::markov::MarkovConfig::default()),
             ..HoppConfig::default()
         });
@@ -278,7 +271,7 @@ mod tests {
     #[test]
     fn policy_state_is_bounded_by_the_stt() {
         let entries = 2;
-        let mut e = HoppEngine::new(HoppConfig {
+        let mut e = engine(HoppConfig {
             stt: SttConfig {
                 entries,
                 history: 4,
@@ -307,8 +300,8 @@ mod tests {
 
     #[test]
     fn into_appends_to_the_callers_buffer() {
-        let mut a = HoppEngine::new(HoppConfig::default());
-        let mut b = HoppEngine::new(HoppConfig::default());
+        let mut a = engine(HoppConfig::default());
+        let mut b = engine(HoppConfig::default());
         let mut into = Vec::new();
         let mut fresh = Vec::new();
         for k in 0..40u64 {
@@ -322,7 +315,7 @@ mod tests {
 
     #[test]
     fn shared_pages_can_be_ignored() {
-        let mut e = HoppEngine::new(HoppConfig {
+        let mut e = engine(HoppConfig {
             ignore_shared_pages: true,
             ..HoppConfig::default()
         });
@@ -333,7 +326,7 @@ mod tests {
         }
         assert_eq!(e.stt_stats().observed, 0);
         // Without the flag the same stream trains normally.
-        let mut e = HoppEngine::new(HoppConfig::default());
+        let mut e = engine(HoppConfig::default());
         let mut n = 0;
         for k in 0..32u64 {
             let mut h = hot(1, 100 + k, k);

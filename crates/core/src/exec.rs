@@ -99,7 +99,7 @@ impl ExecutionEngine {
         pool: &mut dyn RemotePool,
         rec: &mut dyn Recorder,
     ) -> Result<Option<Nanos>> {
-        let _prof = hopp_prof::span("core/exec");
+        let _prof = hopp_prof::span(hopp_prof::SpanId::CoreExec);
         debug_assert!(span >= 1);
         let done = pool.read_span(pid, vpn, span, now, rec)?;
         self.cq.push(

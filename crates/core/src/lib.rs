@@ -32,7 +32,7 @@
 //! use hopp_core::{HoppConfig, HoppEngine};
 //! use hopp_types::{HotPage, Nanos, PageFlags, Pid, Vpn};
 //!
-//! let mut engine = HoppEngine::new(HoppConfig::default());
+//! let mut engine = HoppEngine::try_new(HoppConfig::default())?;
 //! // Feed a simple stride-2 stream of hot pages; once the history
 //! // window fills, the engine starts predicting ahead of the stream.
 //! let mut orders = Vec::new();
@@ -45,6 +45,7 @@
 //! assert!(!orders.is_empty());
 //! // Predictions run ahead with the detected stride (even VPNs).
 //! assert!(orders.iter().all(|o| o.vpn.raw() % 2 == 0));
+//! # Ok::<(), hopp_types::Error>(())
 //! ```
 
 pub mod engine;

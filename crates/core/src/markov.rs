@@ -152,11 +152,6 @@ impl MarkovEngine {
     pub fn stats(&self) -> MarkovStats {
         self.stats
     }
-
-    /// Learned transition entries.
-    pub fn table_len(&self) -> usize {
-        self.table.len()
-    }
 }
 
 #[cfg(test)]
@@ -257,7 +252,7 @@ mod tests {
             ..Default::default()
         });
         feed(&mut m, &[1, 2, 3, 4, 5]); // would need 4 entries
-        assert_eq!(m.table_len(), 2);
+        assert_eq!(m.table.len(), 2);
         // Existing keys keep updating.
         feed(&mut m, &[1, 9]);
         let out = predict(&mut m, &hot(1, 1));

@@ -724,7 +724,7 @@ mod tests {
         t.observe(&hot(1, 1), &mut sink); // updated
         t.observe(&hot(1, 1000), &mut sink); // created (slot 1)
         t.observe(&hot(1, 2000), &mut sink); // evicts + creates
-        let names: Vec<&str> = sink.events().map(|e| e.event.name()).collect();
+        let names: Vec<&str> = sink.into_events().iter().map(|e| e.event.name()).collect();
         assert_eq!(
             names,
             [

@@ -174,7 +174,7 @@ impl ThreeTier {
 
     /// Classifies a window, trying SSP → LSP → RSP.
     pub fn predict(&mut self, window: &StreamWindow) -> Option<Prediction> {
-        let _prof = hopp_prof::span("core/tier_predict");
+        let _prof = hopp_prof::span(hopp_prof::SpanId::CoreTierPredict);
         if self.config.ssp {
             if let Some(stride) = ssp::dominant_stride(window) {
                 self.stats.simple += 1;

@@ -264,7 +264,7 @@ impl MemoryPool {
         now: Nanos,
         rec: &mut dyn Recorder,
     ) -> Result<Nanos> {
-        let _prof = hopp_prof::span("fabric/link");
+        let _prof = hopp_prof::span(hopp_prof::SpanId::FabricLink);
         let n = self.config.nodes;
         let mut t = now;
         for r in 0..self.config.replication {
@@ -419,7 +419,7 @@ impl RemotePool for MemoryPool {
     }
 
     fn write_page(&mut self, pid: Pid, vpn: Vpn, now: Nanos, rec: &mut dyn Recorder) -> Nanos {
-        let _prof = hopp_prof::span("fabric/link");
+        let _prof = hopp_prof::span(hopp_prof::SpanId::FabricLink);
         let n = self.config.nodes;
         let primary = self.primary_of(pid, vpn);
         let mut t = now;

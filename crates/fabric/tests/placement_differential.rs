@@ -417,7 +417,7 @@ fn run(case: &Case, seed: u64, ops: usize) -> Seen {
     assert_eq!(pool.stats(), reference.stats(), "seed {seed}: link stats");
     assert_eq!(sink.dropped(), 0);
     assert!(
-        sink.events().eq(ref_sink.events()),
+        sink.into_events() == ref_sink.into_events(),
         "seed {seed}: recorded events differ"
     );
     // Releasing every live page leaves nothing placed on either side.

@@ -169,7 +169,7 @@ impl McPipeline {
     pub fn resolve_hot(&mut self, ppn: Ppn, now: Nanos, rec: &mut dyn Recorder) -> Option<HotPage> {
         // Host-profiling scope for the hot-extraction path only; the
         // common not-hot page touch in `on_page_misses` stays span-free.
-        let _prof = hopp_prof::span("hw/hpd_extract");
+        let _prof = hopp_prof::span(hopp_prof::SpanId::HwHpdExtract);
         if rec.is_enabled() {
             rec.record(now, Event::HpdHot { ppn });
         }

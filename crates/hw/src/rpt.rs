@@ -341,7 +341,7 @@ impl ReversePageTable {
             self.cache[front][1]
         } else {
             // Miss: read the DRAM copy and fill.
-            let _prof = hopp_prof::span("hw/rpt_walk");
+            let _prof = hopp_prof::span(hopp_prof::SpanId::HwRptWalk);
             self.stats.dram_reads += 1;
             let word = self.read_dram(ppn);
             self.cache[front] = [key(ppn), word];

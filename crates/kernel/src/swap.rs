@@ -92,7 +92,7 @@ impl SwapDevice {
     /// Returns [`Error::RemoteMemoryExhausted`] when the remote node is
     /// at capacity.
     pub fn alloc(&mut self, pid: Pid, vpn: Vpn) -> Result<SwapSlot> {
-        let _prof = hopp_prof::span("kernel/swap_alloc");
+        let _prof = hopp_prof::span(hopp_prof::SpanId::KernelSwapAlloc);
         if let Some(cap) = self.capacity {
             if self.used >= cap {
                 return Err(Error::RemoteMemoryExhausted {
@@ -190,11 +190,6 @@ impl SwapDevice {
     pub fn used_slots(&self) -> usize {
         self.used
     }
-
-    /// Highest slot index ever allocated (device footprint).
-    pub fn high_water(&self) -> u64 {
-        self.slots.len() as u64
-    }
 }
 
 impl SlotView for SwapDevice {
@@ -230,7 +225,7 @@ mod tests {
         let b = dev.alloc(Pid::new(2), Vpn::new(20)).unwrap();
         assert_eq!(b, a);
         assert_eq!(dev.page_at(b), Some((Pid::new(2), Vpn::new(20))));
-        assert_eq!(dev.high_water(), 1);
+        assert_eq!(dev.slots.len(), 1);
     }
 
     #[test]
@@ -331,7 +326,7 @@ mod tests {
                 }
                 assert_eq!(dev.used_slots(), model.len(), "seed {seed} op {op}");
                 assert_eq!(dev.cached_slots(), cache.len(), "seed {seed} op {op}");
-                assert_eq!(dev.high_water(), minted);
+                assert_eq!(dev.slots.len() as u64, minted);
             }
         }
     }

@@ -14,7 +14,7 @@ use crate::event::{Component, TimedEvent};
 /// line, in recording order. The stable, greppable format for diffing
 /// two runs or piping into `jq`.
 pub fn events_to_jsonl(events: &[TimedEvent]) -> String {
-    let _prof = hopp_prof::span("obs/export");
+    let _prof = hopp_prof::span(hopp_prof::SpanId::ObsExport);
     let mut out = String::with_capacity(events.len() * 96);
     for e in events {
         let _ = write!(
@@ -56,7 +56,7 @@ pub fn events_to_chrome_trace(events: &[TimedEvent]) -> String {
 /// `extra` must be either empty or a comma-separated sequence of JSON
 /// trace-event objects *without* leading/trailing separators.
 pub fn events_to_chrome_trace_with_extra(events: &[TimedEvent], extra: &str) -> String {
-    let _prof = hopp_prof::span("obs/export");
+    let _prof = hopp_prof::span(hopp_prof::SpanId::ObsExport);
     // (start_ns, dur_ns, event) — sort by start for monotonic ts.
     let mut slices: Vec<(u64, u64, &TimedEvent)> = events
         .iter()

@@ -112,11 +112,6 @@ impl TraceSink {
         }
     }
 
-    /// Events currently held, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TimedEvent> {
-        self.events.iter()
-    }
-
     /// Number of events held.
     pub fn len(&self) -> usize {
         self.events.len()

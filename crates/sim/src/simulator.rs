@@ -227,7 +227,7 @@ impl Simulator {
     pub fn run(mut self) -> Result<SimReport> {
         // Host-side profiling root; inert unless the harness called
         // `hopp_prof::enable` (never feeds back into simulated state).
-        let _prof = hopp_prof::span("sim/run");
+        let _prof = hopp_prof::span(hopp_prof::SpanId::SimRun);
         self.run_apps()?;
         #[cfg(debug_assertions)]
         self.check_frame_conservation();
@@ -244,7 +244,7 @@ impl Simulator {
             cursor %= live.len();
             let app_idx = live[cursor];
             let next = {
-                let _prof = hopp_prof::span("trace/stream");
+                let _prof = hopp_prof::span(hopp_prof::SpanId::TraceStream);
                 self.procs[app_idx].stream.next_access()
             };
             match next {
@@ -404,7 +404,7 @@ impl Simulator {
 
     /// Executes one page access.
     fn step(&mut self, app_idx: usize, access: PageAccess) -> Result<()> {
-        let _prof = hopp_prof::span("sim/step");
+        let _prof = hopp_prof::span(hopp_prof::SpanId::SimStep);
         // The RPT names a frame's owner in 40 bits: a page above them
         // would resolve to another page, or another process.
         if access.vpn.raw() >> RPT_VPN_BITS != 0 {
@@ -547,7 +547,7 @@ impl Simulator {
         ppn: Ppn,
         access: &PageAccess,
     ) -> Result<()> {
-        let _prof = hopp_prof::span("kernel/minor_fault");
+        let _prof = hopp_prof::span(hopp_prof::SpanId::KernelMinorFault);
         self.clock += self.config.latency.prefetch_hit();
         self.procs[app_idx].minor_faults += 1;
         let pid = self.procs[idx].pid();
@@ -585,7 +585,7 @@ impl Simulator {
         slot: SwapSlot,
         access: &PageAccess,
     ) -> Result<()> {
-        let _prof = hopp_prof::span("kernel/major_fault");
+        let _prof = hopp_prof::span(hopp_prof::SpanId::KernelMajorFault);
         self.procs[app_idx].major_faults += 1;
         let pid = self.procs[idx].pid();
 
@@ -627,7 +627,7 @@ impl Simulator {
 
     /// First touch by process `idx`: zero-fill, no remote traffic.
     fn first_touch(&mut self, idx: usize, vpn: Vpn, access: &PageAccess) -> Result<()> {
-        let _prof = hopp_prof::span("kernel/first_touch");
+        let _prof = hopp_prof::span(hopp_prof::SpanId::KernelFirstTouch);
         let pid = self.procs[idx].pid();
         self.clock += self.config.latency.context_switch + self.config.latency.pte_establish;
         self.counters.first_touches += 1;
@@ -660,7 +660,7 @@ impl Simulator {
     /// `0..access.lines` cost `llc_hit` each on a hit and `dram_miss`
     /// each on a miss, in line order, and every miss goes to the MC.
     fn line_loop(&mut self, ppn: Ppn, access: &PageAccess) -> Result<()> {
-        let _prof = hopp_prof::span("llc/loop");
+        let _prof = hopp_prof::span(hopp_prof::SpanId::LlcLoop);
         // The whole page goes through the LLC and its misses through the
         // HPD tables first; only then are the lines that made the page
         // hot resolved and handed to HoPP, in line order, each at the
@@ -801,7 +801,7 @@ impl Simulator {
 
     /// Runs the fault-path prefetcher and issues its requests.
     fn notify_baseline(&mut self, fault: FaultInfo) -> Result<()> {
-        let _prof = hopp_prof::span("kernel/readahead");
+        let _prof = hopp_prof::span(hopp_prof::SpanId::KernelReadahead);
         let mut reqs = std::mem::take(&mut self.prefetch_buf);
         reqs.clear();
         self.baseline.on_fault(&fault, &self.swapdev, &mut reqs);
@@ -859,7 +859,7 @@ impl Simulator {
 
     /// Processes every async arrival due by the current clock.
     fn drain_completions(&mut self) -> Result<()> {
-        let _prof = hopp_prof::span("sim/drain");
+        let _prof = hopp_prof::span(hopp_prof::SpanId::SimDrain);
         while let Some((done, arrival)) = self.base_cq.pop_due(self.clock) {
             self.handle_base_arrival(arrival, done)?;
         }
@@ -1002,7 +1002,7 @@ impl Simulator {
     /// With `reclaim_in_advance = false` (pre-v5.8 kernels) the per-page
     /// reclaim cost lands on the current fault's critical path.
     fn evict_frame(&mut self, ppn: Ppn, owner: usize, from: LruTier) -> Result<()> {
-        let _prof = hopp_prof::span("kernel/reclaim");
+        let _prof = hopp_prof::span(hopp_prof::SpanId::KernelReclaim);
         if !self.config.reclaim_in_advance {
             self.clock += self.config.latency.reclaim_per_page;
         }

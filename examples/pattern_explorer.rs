@@ -8,13 +8,13 @@
 use hopp::core::three_tier::Tier;
 use hopp::core::{HoppConfig, HoppEngine};
 use hopp::trace::patterns::{AccessStream, LadderStream, NoiseStream, RippleStream, SimpleStream};
-use hopp::types::{HotPage, Nanos, PageFlags, Pid, Vpn};
+use hopp::types::{HotPage, Nanos, PageFlags, Pid, Result, Vpn};
 
 /// Replays a page-access stream as a hot-page stream (what the MC
 /// pipeline would deliver if every touched page crossed the threshold)
 /// and reports the tier mix plus a sample of predictions.
-fn explore(name: &str, mut stream: impl AccessStream) {
-    let mut engine = HoppEngine::new(HoppConfig::default());
+fn explore(name: &str, mut stream: impl AccessStream) -> Result<()> {
+    let mut engine = HoppEngine::try_new(HoppConfig::default())?;
     let mut orders = 0u64;
     let mut sample = Vec::new();
     let mut t = 0u64;
@@ -46,16 +46,17 @@ fn explore(name: &str, mut stream: impl AccessStream) {
     for s in sample {
         println!("  e.g. hot {s}");
     }
+    Ok(())
 }
 
-fn main() {
+fn main() -> Result<()> {
     let pid = Pid::new(1);
 
     // A clean stride-4 scan: SSP territory.
     explore(
         "simple stream (stride 4)",
         SimpleStream::new(pid, Vpn::new(1_000), 4, 200),
-    );
+    )?;
 
     // A tread-heavy ladder: the tread stride holds a majority of the
     // window, so SSP already claims it (and its predictions are right
@@ -63,24 +64,25 @@ fn main() {
     explore(
         "shallow ladder (tread 2,2,2 / rise 12) — SSP's majority",
         LadderStream::new(pid, Vpn::new(1_000), &[2, 2, 2], 12, 60),
-    );
+    )?;
 
     // A balanced ladder: three distinct strides cycle, so none reaches
     // the L/2 majority — this is the shape only LSP can follow.
     explore(
         "balanced ladder (tread 2,12 / rise 7) — LSP territory",
         LadderStream::new(pid, Vpn::new(1_000), &[2, 12], 7, 80),
-    );
+    )?;
 
     // Figure 3's ripple: stride-1 distorted by swaps and hops.
     explore(
         "ripple stream (jitter 0.4, hops)",
         RippleStream::new(pid, Vpn::new(1_000), 300, 0.4, 6, 7),
-    );
+    )?;
 
     // Pure interference: nothing should be classified.
     explore(
         "interference (uniform random)",
         NoiseStream::new(pid, Vpn::new(1_000), Vpn::new(100_000), 400, 3),
-    );
+    )?;
+    Ok(())
 }

@@ -227,7 +227,7 @@ fn drive(
 
 #[test]
 fn hopp_engine_hot_pages_are_allocation_free() {
-    let mut engine = HoppEngine::new(HoppConfig::default());
+    let mut engine = HoppEngine::try_new(HoppConfig::default()).expect("valid HoPP configuration");
     let mut orders = Vec::new();
     // Warm-up: the order buffer and LSP's vote lists reach their
     // working capacity.

@@ -2,8 +2,10 @@
 //! real simulated run: attribution quality when enabled, and behavioural
 //! invariance of the simulation itself when toggled.
 
-use hopp::prof;
-use hopp::sim::{run_workload, SimReport, SystemConfig};
+use hopp::hw::RptCacheConfig;
+use hopp::obs::events_to_jsonl;
+use hopp::prof::{self, SpanId};
+use hopp::sim::{run_workload, run_workload_with, SimConfig, SimReport, SystemConfig};
 use hopp::types::Result;
 use hopp::workloads::WorkloadKind;
 
@@ -63,4 +65,32 @@ fn profiling_never_changes_simulated_behaviour() {
     assert!(report.attributed_ns() > 0);
     assert_eq!(plain.completion, profiled.completion);
     assert_eq!(plain.metrics_json(), profiled.metrics_json());
+}
+
+/// Every declared span is opened by a real run: a variant no code path
+/// enters is a span no report can show. The Kmeans run above plus an
+/// event export reach all but the RPT walk, which Kmeans never needs
+/// (its hot pages all hit the RPT cache, even a 1 KiB one); GraphX-PR
+/// with a 1 KiB RPT cache misses it.
+#[test]
+fn every_declared_span_is_entered() {
+    let small_rpt = SimConfig {
+        rpt: RptCacheConfig::with_kib(1),
+        ..SimConfig::with_system(SystemConfig::hopp_default())
+    };
+    let ((), report) = prof::profile("kmeans", "hopp", "run", false, || {
+        let r = hopp_run().expect("hopp run failed");
+        events_to_jsonl(&r.obs.events);
+        run_workload_with(small_rpt, WorkloadKind::GraphPr, 2_048, 42, 0.5)
+            .expect("GraphX-PR run failed");
+    });
+    let missing: Vec<&str> = SpanId::ALL
+        .iter()
+        .map(|id| id.label())
+        .filter(|label| report.nodes.iter().all(|n| n.label != *label))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "declared spans never entered: {missing:?}"
+    );
 }
