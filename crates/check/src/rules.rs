@@ -28,7 +28,7 @@ pub const SIM_CRITICAL_CRATES: [&str; 9] = [
 /// ordering-sensitivity or the unsafe audit).
 ///
 /// Together with [`SIM_CRITICAL_CRATES`] this must cover every
-/// directory under `crates/`: [`check_crate_classification`] fails the
+/// directory under `crates/`: `check_crate_classification` fails the
 /// check when a workspace member is in neither list, so a new crate
 /// cannot silently skip analysis.
 pub const HARNESS_CRATES: [&str; 8] = [

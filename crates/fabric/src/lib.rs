@@ -8,7 +8,7 @@
 //! DRackSim simulates and network-aware page-migration work assumes:
 //!
 //! * [`MemoryPool`] — N memory nodes, each with its own
-//!   [`RdmaEngine`](hopp_net::RdmaEngine) link, capacity and health;
+//!   [`RdmaEngine`] link, capacity and health;
 //! * a placement layer ([`Placer`]) sharding swapped-out pages across
 //!   nodes under pluggable policies ([`PlacementKind`]): static hash,
 //!   round-robin 2 MB ranges, or stream-aware co-location that keeps
@@ -65,7 +65,7 @@ pub use pool::{FabricConfig, FabricReport, MemoryPool, NodeReport};
 /// engine issue page traffic through.
 ///
 /// Implemented by both the bare single link
-/// ([`RdmaEngine`](hopp_net::RdmaEngine) — the paper's testbed) and
+/// ([`RdmaEngine`] — the paper's testbed) and
 /// the sharded [`MemoryPool`]; consumers cannot tell them apart except
 /// through latency.
 pub trait RemotePool {

@@ -75,6 +75,22 @@ impl PackedEntry {
     }
 }
 
+/// The replacement victim of a set, given each way's age in way order
+/// (`u16::MAX` for an invalid way): the oldest way, ties to the highest
+/// way index. Shared by both RTL models.
+pub(crate) fn victim_way(ages: impl Iterator<Item = u16>) -> usize {
+    let (victim, _) = ages
+        .enumerate()
+        .fold((0, 0), |(victim, oldest), (way, age)| {
+            if age >= oldest {
+                (way, age)
+            } else {
+                (victim, oldest)
+            }
+        });
+    victim
+}
+
 /// What the pipeline produced at a clock edge.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct RtlOutput {
@@ -176,18 +192,15 @@ impl HpdRtl {
         let way = match req.hit_way {
             Some(way) => way,
             None => {
-                // Victim = oldest age (ties: lowest way index), prefer
-                // invalid ways.
-                let victim = (0..self.config.ways)
-                    .max_by_key(|&w| {
-                        if self.entries[set][w].valid() {
-                            u16::from(self.ages[set][w])
+                let victim = victim_way(self.entries[set].iter().zip(&self.ages[set]).map(
+                    |(e, &age)| {
+                        if e.valid() {
+                            u16::from(age)
                         } else {
                             u16::MAX // invalid ways first
                         }
-                    })
-                    // hopp-check: allow(panic-policy): the RTL geometry is validated to >= 1 way at construction
-                    .expect("ways >= 1");
+                    },
+                ));
                 self.entries[set][victim] = PackedEntry::new(req.ppn);
                 self.entries[set][victim].set_count(1);
                 self.age_touch(set, victim);
@@ -272,6 +285,19 @@ mod tests {
         let entering = r.clock(Some((ppn.line(line), AccessKind::Read)));
         assert_eq!(entering.hot, None, "pipeline was drained before feed");
         r.clock(None).hot
+    }
+
+    /// Equal victim keys go to the highest way: an empty set fills
+    /// from its last way down.
+    #[test]
+    fn victim_ties_go_to_the_highest_way() {
+        let mut r = rtl(8);
+        let (sets, ways) = (r.config.sets as u64, r.config.ways);
+        for k in 0..ways {
+            let page = Ppn::new(k as u64 * sets);
+            assert_eq!(feed(&mut r, page, 0), None);
+            assert_eq!(r.entries[0][ways - 1 - k].ppn(), page);
+        }
     }
 
     #[test]

@@ -26,6 +26,7 @@
 use hopp_types::{PageFlags, Pid, Ppn, Result, Vpn};
 
 use crate::rpt::{PackedRptEntry, RptCacheConfig, RptEntry, RPT_ENTRY_BYTES};
+use crate::rtl::victim_way;
 
 /// Result of a lookup issued to the cache.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -204,16 +205,10 @@ impl RptRtl {
     fn fill(&mut self, ppn: Ppn, entry: Option<PackedRptEntry>, dirty: bool) {
         let set_idx = self.set_of(ppn);
         let set = &mut self.sets[set_idx];
-        let victim = (0..set.len())
-            .max_by_key(|&w| {
-                if set[w].valid {
-                    u16::from(set[w].age)
-                } else {
-                    u16::MAX
-                }
-            })
-            // hopp-check: allow(panic-policy): the RTL geometry is validated to >= 1 way at construction
-            .expect("ways >= 1");
+        let victim = victim_way(
+            set.iter()
+                .map(|w| if w.valid { u16::from(w.age) } else { u16::MAX }),
+        );
         let old = set[victim];
         if old.valid && old.dirty {
             self.writeback_queue.push(DramWrite {
@@ -281,6 +276,17 @@ mod tests {
             ways: 2,
         })
         .unwrap()
+    }
+
+    /// Equal victim keys go to the highest way: an empty set fills
+    /// from its last way down.
+    #[test]
+    fn victim_ties_go_to_the_highest_way() {
+        let mut c = small();
+        c.pte_set(Pid::new(1), Vpn::new(10), Ppn::new(0));
+        assert_eq!(c.sets[0][1].ppn, Ppn::new(0));
+        c.pte_set(Pid::new(1), Vpn::new(11), Ppn::new(1));
+        assert_eq!(c.sets[0][0].ppn, Ppn::new(1));
     }
 
     #[test]

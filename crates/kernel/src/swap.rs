@@ -43,7 +43,7 @@ struct Slot {
 const USED: u8 = 1;
 
 /// A read that brings a swapped-out page in ahead of its fault; the
-/// discriminant is its bit in [`Slot::flags`].
+/// discriminant is its bit in the swap slot's flags byte.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(u8)]
 pub enum InflightRead {

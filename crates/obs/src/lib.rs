@@ -10,7 +10,7 @@
 //!   emission, RPT cache traffic, STT stream life cycle, tier
 //!   decisions, the prefetch issue→arrival→hit/waste life cycle, fault
 //!   classification, reclaim, RDMA ops), each stamped with simulated
-//!   [`Nanos`];
+//!   [`Nanos`](hopp_types::Nanos);
 //! * log₂-bucketed [`Histogram`]s with p50/p90/p99/max summaries for
 //!   the latency-shaped quantities (major-fault latency, prefetch
 //!   timeliness, inflight waits, RDMA op latency);
