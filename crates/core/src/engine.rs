@@ -38,11 +38,6 @@ pub struct HoppConfig {
     pub policy: PolicyConfig,
     /// The prediction algorithm (three-tier by default).
     pub trainer: TrainerKind,
-    /// Skip hot pages whose RPT entry carries the shared flag (§III-C
-    /// forwards the flag "for better predictions"; prefetching a shared
-    /// page for one process can steal it from another, so conservative
-    /// deployments ignore them).
-    pub ignore_shared_pages: bool,
 }
 
 /// The HoPP prefetch training framework plus policy engine.
@@ -57,7 +52,6 @@ pub struct HoppEngine {
     tiers: ThreeTier,
     policy: PolicyEngine,
     markov: Option<MarkovEngine>,
-    ignore_shared: bool,
 }
 
 impl HoppEngine {
@@ -75,7 +69,6 @@ impl HoppEngine {
                 TrainerKind::ThreeTier => None,
                 TrainerKind::Markov(mc) => Some(MarkovEngine::new(mc)),
             },
-            ignore_shared: config.ignore_shared_pages,
         })
     }
 
@@ -103,9 +96,6 @@ impl HoppEngine {
         out: &mut Vec<PrefetchOrder>,
     ) {
         let _prof = hopp_prof::span(hopp_prof::SpanId::CoreTrain);
-        if self.ignore_shared && hot.flags.shared {
-            return;
-        }
         if let Some(markov) = &mut self.markov {
             if markov.on_hot_page(hot, out) > 0 && rec.is_enabled() {
                 rec.record(
@@ -162,11 +152,6 @@ impl HoppEngine {
     /// Policy counters.
     pub fn policy_stats(&self) -> PolicyStats {
         self.policy.stats()
-    }
-
-    /// Markov counters, when the Markov trainer is active.
-    pub fn markov_stats(&self) -> Option<crate::markov::MarkovStats> {
-        self.markov.as_ref().map(|m| m.stats())
     }
 }
 
@@ -264,7 +249,7 @@ mod tests {
             predicted += e.on_hot_page(&hot(1, v, 1)).len();
         }
         assert!(predicted > 0);
-        assert!(e.markov_stats().unwrap().transitions > 0);
+        assert!(e.markov.as_ref().unwrap().stats().transitions > 0);
         assert_eq!(e.tier_stats().simple, 0, "three-tier never ran");
     }
 
@@ -311,29 +296,6 @@ mod tests {
         }
         assert!(!fresh.is_empty());
         assert_eq!(fresh, into);
-    }
-
-    #[test]
-    fn shared_pages_can_be_ignored() {
-        let mut e = engine(HoppConfig {
-            ignore_shared_pages: true,
-            ..HoppConfig::default()
-        });
-        for k in 0..32u64 {
-            let mut h = hot(1, 100 + k, k);
-            h.flags.shared = true;
-            assert!(e.on_hot_page(&h).is_empty(), "shared pages never train");
-        }
-        assert_eq!(e.stt_stats().observed, 0);
-        // Without the flag the same stream trains normally.
-        let mut e = engine(HoppConfig::default());
-        let mut n = 0;
-        for k in 0..32u64 {
-            let mut h = hot(1, 100 + k, k);
-            h.flags.shared = true;
-            n += e.on_hot_page(&h).len();
-        }
-        assert!(n > 0);
     }
 
     #[test]

@@ -233,11 +233,6 @@ impl RptRtl {
         self.writeback_queue.pop()
     }
 
-    /// Outstanding miss count.
-    pub fn outstanding_misses(&self) -> usize {
-        self.mshr.len()
-    }
-
     /// Hit rate over lookups.
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -293,13 +288,13 @@ mod tests {
     fn miss_fill_hit_handshake() {
         let mut c = RptRtl::new(RptCacheConfig::default()).unwrap();
         assert_eq!(c.lookup(Ppn::new(5)), RptRtlResponse::Miss);
-        assert_eq!(c.outstanding_misses(), 1);
+        assert_eq!(c.mshr.len(), 1);
         // A duplicate miss does not allocate a second MSHR.
         assert_eq!(c.lookup(Ppn::new(5)), RptRtlResponse::Miss);
-        assert_eq!(c.outstanding_misses(), 1);
+        assert_eq!(c.mshr.len(), 1);
         let e = entry(3, 0x50);
         assert_eq!(c.dram_response(Ppn::new(5), Some(e)), Some(e));
-        assert_eq!(c.outstanding_misses(), 0);
+        assert_eq!(c.mshr.len(), 0);
         assert_eq!(c.lookup(Ppn::new(5)), RptRtlResponse::Hit(e));
     }
 

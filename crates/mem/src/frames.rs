@@ -48,11 +48,6 @@ impl FrameAllocator {
         self.owner.len() - self.freed.len()
     }
 
-    /// Number of frames currently free.
-    pub fn available(&self) -> usize {
-        self.capacity() - self.in_use()
-    }
-
     /// Allocates a frame for `(pid, vpn)`.
     ///
     /// # Errors
@@ -120,7 +115,7 @@ mod tests {
             Err(Error::OutOfFrames)
         ));
         fa.free(a).unwrap();
-        assert_eq!(fa.available(), 1);
+        assert_eq!(fa.capacity() - fa.in_use(), 1);
         let c = fa.alloc(Pid::new(2), Vpn::new(20)).unwrap();
         assert_eq!(c, a, "LIFO reuse of the freed frame");
         assert_eq!(fa.owner(c), Some((Pid::new(2), Vpn::new(20))));
@@ -166,7 +161,7 @@ mod tests {
             .map(|v| fa.alloc(Pid::new(2), Vpn::new(v)).unwrap())
             .collect();
         assert_eq!(order, [p[3], p[1], Ppn::new(4), Ppn::new(5)]);
-        assert_eq!(fa.available(), 0);
+        assert_eq!(fa.capacity() - fa.in_use(), 0);
     }
 
     #[test]

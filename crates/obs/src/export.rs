@@ -1,6 +1,6 @@
-//! Trace exporters: JSONL and Chrome trace-event JSON.
+//! The trace exporter: Chrome trace-event JSON.
 //!
-//! Both formats are rendered by hand (the build environment has no
+//! The trace is rendered by hand (the build environment has no
 //! crates.io access for `serde`); every value written is numeric,
 //! boolean or a static identifier, so the JSON stays trivially valid
 //! and — important for the determinism guarantee — byte-stable across
@@ -9,26 +9,6 @@
 use std::fmt::Write as _;
 
 use crate::event::{Component, TimedEvent};
-
-/// Renders events as JSON Lines: one self-contained JSON object per
-/// line, in recording order. The stable, greppable format for diffing
-/// two runs or piping into `jq`.
-pub fn events_to_jsonl(events: &[TimedEvent]) -> String {
-    let _prof = hopp_prof::span(hopp_prof::SpanId::ObsExport);
-    let mut out = String::with_capacity(events.len() * 96);
-    for e in events {
-        let _ = write!(
-            out,
-            "{{\"ts\":{},\"component\":\"{}\",\"event\":\"{}\"",
-            e.at.as_nanos(),
-            e.event.component().label(),
-            e.event.name()
-        );
-        e.event.write_args_json(&mut out);
-        out.push_str("}\n");
-    }
-    out
-}
 
 /// Renders events as a Chrome trace-event file (JSON object format),
 /// openable in `chrome://tracing` or <https://ui.perfetto.dev>.
@@ -129,6 +109,7 @@ fn push_sep(out: &mut String, first: &mut bool) {
 mod tests {
     use super::*;
     use crate::event::Event;
+    use hopp_types::json::{self, Value};
     use hopp_types::{Nanos, Pid, Vpn};
 
     fn sample_events() -> Vec<TimedEvent> {
@@ -153,16 +134,25 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_is_one_object_per_line() {
-        let out = events_to_jsonl(&sample_events());
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for line in &lines {
-            assert!(line.starts_with('{') && line.ends_with('}'));
+    fn chrome_trace_has_one_entry_per_event() {
+        let trace = json::parse(&events_to_chrome_trace(&sample_events())).unwrap();
+        let entries = trace.get("traceEvents").and_then(Value::as_arr).unwrap();
+        let events: Vec<&Value> = entries
+            .iter()
+            .filter(|e| e.get("ph").and_then(Value::as_str) != Some("M"))
+            .collect();
+        assert_eq!(events.len(), 2);
+        let major = events[1];
+        assert_eq!(
+            major.get("name").and_then(Value::as_str),
+            Some("major_fault")
+        );
+        let ts_ns = major.get("args").and_then(|a| a.get("ts_ns"));
+        assert_eq!(ts_ns.and_then(Value::as_u64), Some(5000));
+        let kernel = u64::from(Component::Kernel.tid());
+        for e in events {
+            assert_eq!(e.get("tid").and_then(Value::as_u64), Some(kernel));
         }
-        assert!(lines[0].contains("\"ts\":5000"));
-        assert!(lines[0].contains("\"event\":\"major_fault\""));
-        assert!(lines[1].contains("\"component\":\"kernel\""));
     }
 
     #[test]
@@ -190,7 +180,6 @@ mod tests {
     #[test]
     fn exports_are_deterministic() {
         let events = sample_events();
-        assert_eq!(events_to_jsonl(&events), events_to_jsonl(&events));
         assert_eq!(
             events_to_chrome_trace(&events),
             events_to_chrome_trace(&events)

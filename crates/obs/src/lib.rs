@@ -14,9 +14,9 @@
 //! * log₂-bucketed [`Histogram`]s with p50/p90/p99/max summaries for
 //!   the latency-shaped quantities (major-fault latency, prefetch
 //!   timeliness, inflight waits, RDMA op latency);
-//! * exporters: a JSONL event dump and a Chrome trace-event file
-//!   openable in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev),
-//!   with one track per component.
+//! * an exporter to the Chrome trace-event format, openable in
+//!   `chrome://tracing` or [Perfetto](https://ui.perfetto.dev), with one
+//!   track per component.
 //!
 //! Everything routes through the [`Recorder`] trait. Instrumented code
 //! takes `&mut dyn Recorder`; when observability is off the caller
@@ -38,8 +38,8 @@
 //! });
 //! let events = rec.into_events();
 //! assert_eq!(events.len(), 1);
-//! let jsonl = hopp_obs::export::events_to_jsonl(&events);
-//! assert!(jsonl.contains("\"event\":\"minor_fault\""));
+//! let trace = hopp_obs::events_to_chrome_trace(&events);
+//! assert!(trace.contains("\"name\":\"minor_fault\""));
 //! ```
 
 pub mod event;
@@ -48,7 +48,7 @@ pub mod hist;
 pub mod recorder;
 
 pub use event::{Component, Event, TierKind, TimedEvent};
-pub use export::{events_to_chrome_trace, events_to_chrome_trace_with_extra, events_to_jsonl};
+pub use export::{events_to_chrome_trace, events_to_chrome_trace_with_extra};
 pub use hist::{
     Histogram, HistogramSummary, LatencyHistograms, LatencySummaries, NodeHistograms,
     NodeLatencySummary,

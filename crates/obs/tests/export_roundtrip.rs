@@ -1,26 +1,26 @@
-//! Round-trip tests for the hand-rolled exporters and a property test
-//! pinning `Histogram::quantile` to an exact sorted-vector reference.
+//! Round-trip tests for the hand-rolled Chrome-trace exporter and a
+//! property test pinning `Histogram::quantile` to an exact sorted-vector
+//! reference.
 //!
-//! The exporters render JSON by hand (the build is offline, no serde),
+//! The exporter renders JSON by hand (the build is offline, no serde),
 //! so nothing in the unit tests proves the output *parses*. Here the
 //! workspace's JSON reader (`hopp_types::json`, which keeps object keys
-//! in document order) reads every JSONL line back and checks the values
+//! in document order) reads every trace entry back and checks the values
 //! and the key order against the events that produced them — key order
 //! is part of the determinism contract (byte-stable output diffs
 //! cleanly between runs).
 
-use hopp_obs::{events_to_jsonl, Event, TimedEvent};
+use hopp_obs::{events_to_chrome_trace, Event, TimedEvent};
 use hopp_types::json::{self, Value};
 use hopp_types::rng::SplitMix64;
 use hopp_types::{Nanos, Pid, Ppn, Vpn};
 
-/// Parses one JSONL line, which must be an object, into its members in
-/// document order. Panics on malformed input: a parse failure *is* the
-/// test failure.
-fn members(line: &str) -> Vec<(String, Value)> {
-    match json::parse(line) {
-        Ok(Value::Obj(members)) => members,
-        other => panic!("not an object ({other:?}): {line}"),
+/// The members of an object, in document order. Panics on anything
+/// else: a malformed entry *is* the test failure.
+fn members(value: &Value) -> &[(String, Value)] {
+    match value {
+        Value::Obj(members) => members,
+        other => panic!("not an object: {other:?}"),
     }
 }
 
@@ -28,6 +28,33 @@ fn has(members: &[(String, Value)], key: &str, value: &str) -> bool {
     members
         .iter()
         .any(|(k, v)| k == key && json::parse(value).as_ref() == Ok(v))
+}
+
+fn keys(members: &[(String, Value)]) -> Vec<&str> {
+    members.iter().map(|(k, _)| k.as_str()).collect()
+}
+
+fn assert_distinct(keys: &[&str]) {
+    let mut sorted = keys.to_vec();
+    sorted.sort_unstable();
+    sorted.dedup();
+    assert_eq!(sorted.len(), keys.len(), "duplicate key in {keys:?}");
+}
+
+/// Parses a Chrome trace into its thread-name metadata entries and its
+/// event entries, each in document order.
+fn trace_entries(trace: &str) -> (Vec<Value>, Vec<Value>) {
+    let Ok(value) = json::parse(trace) else {
+        panic!("trace does not parse: {trace}");
+    };
+    let entries = value
+        .get("traceEvents")
+        .and_then(Value::as_arr)
+        .expect("traceEvents is an array");
+    entries
+        .iter()
+        .cloned()
+        .partition(|e| e.get("ph").and_then(Value::as_str) == Some("M"))
 }
 
 fn sample_events() -> Vec<TimedEvent> {
@@ -62,37 +89,48 @@ fn sample_events() -> Vec<TimedEvent> {
 }
 
 #[test]
-fn jsonl_round_trips_with_deterministic_key_order() {
+fn chrome_trace_round_trips_with_deterministic_key_order() {
     let events = sample_events();
-    let out = events_to_jsonl(&events);
-    let lines: Vec<&str> = out.lines().collect();
-    assert_eq!(lines.len(), events.len());
-    for (line, e) in lines.iter().zip(&events) {
-        let pairs = members(line);
-        // Key order is fixed: the envelope triple first, args after.
-        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(&keys[..3], ["ts", "component", "event"], "line: {line}");
-        // No key appears twice.
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), keys.len(), "duplicate key in: {line}");
+    let out = events_to_chrome_trace(&events);
+    let (meta, entries) = trace_entries(&out);
+    let track = |tid: u64| {
+        meta.iter()
+            .find(|m| m.get("tid").and_then(Value::as_u64) == Some(tid))
+            .and_then(|m| m.get("args")?.get("name")?.as_str())
+    };
+    // The sample is in start order, so the exporter's sort keeps it.
+    assert_eq!(entries.len(), events.len());
+    for (entry, e) in entries.iter().zip(&events) {
+        let pairs = members(entry);
+        // Key order is fixed: the envelope first, args last.
+        let top = keys(pairs);
+        assert_eq!(&top[..5], ["name", "pid", "tid", "ts", "ph"], "{entry:?}");
+        assert_eq!(top.last(), Some(&"args"), "{entry:?}");
+        assert_distinct(&top);
+        let args = keys(members(entry.get("args").expect("args")));
+        assert_eq!(args[0], "ts_ns", "{entry:?}");
+        assert_distinct(&args);
         // The values parse back to what produced them.
-        assert_eq!(pairs[0].1.as_u64(), Some(e.at.as_nanos()));
-        assert_eq!(pairs[1].1.as_str(), Some(e.event.component().label()));
-        assert_eq!(pairs[2].1.as_str(), Some(e.event.name()));
+        let ts_ns = entry.get("args").and_then(|a| a.get("ts_ns"));
+        assert_eq!(ts_ns.and_then(Value::as_u64), Some(e.at.as_nanos()));
+        let tid = entry.get("tid").and_then(Value::as_u64).expect("tid");
+        assert_eq!(track(tid), Some(e.event.component().label()));
+        assert_eq!(
+            entry.get("name").and_then(Value::as_str),
+            Some(e.event.name())
+        );
     }
     // Same input, same bytes — the other half of the contract.
-    assert_eq!(out, events_to_jsonl(&events));
+    assert_eq!(out, events_to_chrome_trace(&events));
 }
 
 #[test]
-fn jsonl_args_carry_the_event_payload() {
-    let out = events_to_jsonl(&sample_events());
-    let lines: Vec<&str> = out.lines().collect();
-    assert!(has(&members(lines[0]), "ppn", "7"));
-    assert!(has(&members(lines[1]), "resolved", "true"));
-    assert!(has(&members(lines[3]), "latency_ns", "1500"));
+fn chrome_trace_args_carry_the_event_payload() {
+    let (_, entries) = trace_entries(&events_to_chrome_trace(&sample_events()));
+    let args = |i: usize| members(entries[i].get("args").expect("args"));
+    assert!(has(args(0), "ppn", "7"));
+    assert!(has(args(1), "resolved", "true"));
+    assert!(has(args(3), "latency_ns", "1500"));
 }
 
 /// Exact reference for `Histogram::quantile`: the rank-th smallest

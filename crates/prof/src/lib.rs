@@ -145,7 +145,7 @@ spans! {
     KernelSwapAlloc => "kernel/swap_alloc",
     /// One read or write on the memory pool's links.
     FabricLink => "fabric/link",
-    /// Rendering recorded events as JSONL or a Chrome trace.
+    /// Rendering recorded events as a Chrome trace.
     ObsExport => "obs/export",
 }
 

@@ -2,7 +2,7 @@
 //! traces, structural validity of the Chrome trace, and the promise
 //! that turning observability off (or on) never changes the simulation.
 
-use hopp::obs::{events_to_chrome_trace, events_to_jsonl, ObsLevel};
+use hopp::obs::{events_to_chrome_trace, ObsLevel};
 use hopp::sim::{run_workload_with, SimConfig, SimReport, SystemConfig};
 use hopp::workloads::WorkloadKind;
 use json::Value;
@@ -16,19 +16,33 @@ fn run_at(level: ObsLevel) -> SimReport {
 }
 
 #[test]
-fn same_seed_full_runs_export_byte_identical_jsonl() {
+fn same_seed_full_runs_export_byte_identical_chrome_traces() {
     let a = run_at(ObsLevel::Full);
     let b = run_at(ObsLevel::Full);
     assert!(!a.obs.events.is_empty(), "a full run records events");
-    let ja = events_to_jsonl(&a.obs.events);
-    let jb = events_to_jsonl(&b.obs.events);
-    assert_eq!(ja, jb, "same seed + config must trace identically");
-    // Every line is a self-contained object with the common keys.
-    for line in ja.lines() {
-        assert!(line.starts_with('{') && line.ends_with('}'));
-        assert!(line.contains("\"ts\":"));
-        assert!(line.contains("\"component\":"));
-        assert!(line.contains("\"event\":"));
+    assert_eq!(
+        a.obs.events, b.obs.events,
+        "same seed + config must trace identically"
+    );
+    let ta = events_to_chrome_trace(&a.obs.events);
+    assert_eq!(ta, events_to_chrome_trace(&b.obs.events));
+    // Every event entry carries its name, track and timestamps.
+    let value = json::parse(&ta).expect("trace parses as JSON");
+    let entries = value
+        .get("traceEvents")
+        .and_then(Value::as_arr)
+        .expect("traceEvents is an array");
+    let events: Vec<&Value> = entries
+        .iter()
+        .filter(|e| e.get("ph").and_then(Value::as_str) != Some("M"))
+        .collect();
+    assert_eq!(events.len(), a.obs.events.len());
+    for e in events {
+        assert!(e.get("name").and_then(Value::as_str).is_some());
+        assert!(e.get("tid").and_then(Value::as_u64).is_some());
+        assert!(e.get("ts").and_then(Value::as_f64).is_some());
+        let args = e.get("args").expect("args object");
+        assert!(args.get("ts_ns").and_then(Value::as_u64).is_some());
     }
 }
 

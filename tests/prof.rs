@@ -3,7 +3,7 @@
 //! invariance of the simulation itself when toggled.
 
 use hopp::hw::RptCacheConfig;
-use hopp::obs::events_to_jsonl;
+use hopp::obs::events_to_chrome_trace;
 use hopp::prof::{self, SpanId};
 use hopp::sim::{run_workload, run_workload_with, SimConfig, SimReport, SystemConfig};
 use hopp::types::Result;
@@ -80,7 +80,7 @@ fn every_declared_span_is_entered() {
     };
     let ((), report) = prof::profile("kmeans", "hopp", "run", false, || {
         let r = hopp_run().expect("hopp run failed");
-        events_to_jsonl(&r.obs.events);
+        events_to_chrome_trace(&r.obs.events);
         run_workload_with(small_rpt, WorkloadKind::GraphPr, 2_048, 42, 0.5)
             .expect("GraphX-PR run failed");
     });
