@@ -203,11 +203,6 @@ impl HotPageDetector {
         })
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> HpdConfig {
-        self.config
-    }
-
     /// Processes one LLC miss; returns the PPN if this miss makes the
     /// page hot. One-miss form of [`HotPageDetector::on_misses`].
     pub fn on_miss(&mut self, line: LineAddr, kind: AccessKind) -> Option<Ppn> {

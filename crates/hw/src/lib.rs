@@ -18,19 +18,15 @@
 //! * [`cost`] — DRAM-bandwidth overhead accounting (Table V) and the
 //!   CACTI-derived area/energy numbers (§VI-F).
 //!
-//! The full pipeline (LLC miss → HPD → RPT → hot-page ring) is wired
-//! together by [`McPipeline`].
+//! The full pipeline (LLC miss → HPD → RPT → hot page handed to
+//! software) is wired together by [`McPipeline`].
 
 pub mod cost;
 pub mod hpd;
 pub mod pipeline;
 pub mod rpt;
-pub mod rtl;
-pub mod rtl_rpt;
 
 pub use cost::{BandwidthLedger, HwCostModel};
 pub use hpd::{HotPageDetector, HpdConfig, HpdStats};
 pub use pipeline::McPipeline;
 pub use rpt::{ReversePageTable, RptCacheConfig, RptEntry, RptStats};
-pub use rtl::{HpdRtl, RtlOutput};
-pub use rtl_rpt::{RptRtl, RptRtlResponse};

@@ -16,12 +16,11 @@
 //!
 //! # Layout
 //!
-//! An entry is the paper's 64-bit word, [`PackedRptEntry`], in both this
-//! model and the RTL one ([`crate::rtl_rpt`]). The DRAM copy is a
-//! column of words indexed by PPN, as in the paper's reserved region: a
-//! mapped frame's word has a spare bit set, and 0 means no mapping. The
-//! column covers the frames written so far and grows in steps of 1,024
-//! frames (8 KiB); a frame past its end reads as 0.
+//! An entry is the paper's 64-bit word, [`PackedRptEntry`]. The DRAM
+//! copy is a column of words indexed by PPN, as in the paper's reserved
+//! region: a mapped frame's word has a spare bit set, and 0 means no
+//! mapping. The column covers the frames written so far and grows in
+//! steps of 1,024 frames (8 KiB); a frame past its end reads as 0.
 //!
 //! The cache is one flat `sets × ways` array, like the HPD table and the
 //! LLC model. Each set is kept in most-recently-used-first order with

@@ -1,28 +1,17 @@
-//! Differential tests: the RTL models against the behavioural models.
+//! Differential tests: the behavioural hardware models against plain
+//! references driven with identical seeded streams.
 //!
-//! The paper's feasibility argument (§VI-F) rests on the Verilog
-//! modules implementing the same function as the software models. Here
-//! the cycle-stepped RTL models (`hopp_hw::rtl`, `hopp_hw::rtl_rpt`)
-//! and the behavioural models (`hopp_hw::hpd`, `hopp_hw::rpt`) are
-//! driven with identical seeded streams and their outputs compared:
-//!
-//! * HPD: identical hot-page emission sequences while set pressure
-//!   stays below the associativity (no replacement ties to break
-//!   differently), and emission volume within ±25% under thrash;
-//! * the MC pipeline's page-granular path (`McPipeline::on_page_misses`,
+//! * The MC pipeline's page-granular path (`McPipeline::on_page_misses`,
 //!   one HPD run per channel per page touch) against line-by-line loops
-//!   over per-channel behavioural and RTL tables, routed by line address,
+//!   over per-channel behavioural HPD tables, routed by line address,
 //!   and against single-bit `on_page_misses` calls: identical hot
 //!   `(line, ppn)` sequences, HPD counters, resolved hot pages and
-//!   bandwidth ledgers;
-//! * RPT: identical lookup resolutions on arbitrary op streams — the
-//!   replacement policies may cache different frames, but write-back
-//!   keeps cache ∪ DRAM architecturally equal, so every lookup must
-//!   resolve to the same mapping. The streams reach the edges of the
-//!   packed entry's fields (PID `u16::MAX`, VPN `2^40 − 1`). The
-//!   behavioural RPT, which stores packed words, also matches a plain
-//!   model of unpacked entries in per-set LRU lists op by op: the same
-//!   resolutions and the same counters (hits, DRAM reads, writebacks).
+//!   bandwidth ledgers, with and without eviction pressure.
+//! * The behavioural RPT, which stores packed words, against a plain
+//!   model of unpacked entries in per-set LRU lists, op by op: the same
+//!   lookup resolutions and the same counters (hits, DRAM reads,
+//!   writebacks). The streams reach the edges of the packed entry's
+//!   fields (PID `u16::MAX`, VPN `2^40 − 1`).
 
 use std::collections::BTreeMap;
 
@@ -31,106 +20,11 @@ use hopp_hw::rpt::{
     PackedRptEntry, ReversePageTable, RptCacheConfig, RptEntry, RptStats, RPT_ENTRY_BYTES,
     RPT_VPN_BITS,
 };
-use hopp_hw::rtl::HpdRtl;
-use hopp_hw::rtl_rpt::{RptRtl, RptRtlResponse};
 use hopp_hw::McPipeline;
 use hopp_mem::PteListener;
 use hopp_obs::NopRecorder;
 use hopp_types::rng::SplitMix64;
 use hopp_types::{AccessKind, HotPage, Nanos, PageFlags, Pid, Ppn, Vpn};
-
-/// Drives one access through the RTL pipeline and drains it, so the
-/// RTL retires ops in the same order the behavioural model applies
-/// them (interleaved invalidates then hit the same table state).
-fn feed(rtl: &mut HpdRtl, ppn: Ppn, line: u8, kind: AccessKind) -> Option<Ppn> {
-    let entering = rtl.clock(Some((ppn.line(line), kind)));
-    assert_eq!(entering.hot, None, "pipeline must be drained between ops");
-    rtl.clock(None).hot
-}
-
-#[test]
-fn hpd_models_emit_identical_sequences_without_eviction_pressure() {
-    // Several thresholds × seeds; page population sized so every set
-    // holds at most its associativity (16) — no victim selection, so
-    // the two replacement schemes cannot diverge.
-    for (threshold, seed) in [(1u32, 1u64), (2, 2), (4, 3), (8, 4), (64, 5)] {
-        let config = HpdConfig::with_threshold(threshold);
-        let mut behav = HotPageDetector::new(config).unwrap();
-        let mut rtl = HpdRtl::new(config).unwrap();
-        let mut rng = SplitMix64::seed_from_u64(seed);
-        let mut behav_hot = Vec::new();
-        let mut rtl_hot = Vec::new();
-        // 64 pages over 4 sets = 16 per set: exactly at capacity.
-        for _ in 0..20_000 {
-            let ppn = Ppn::new(rng.gen_range(0..64));
-            let line = rng.gen_range(0..64) as u8;
-            let kind = if rng.gen_range(0..4) == 0 {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            };
-            behav_hot.extend(behav.on_miss(ppn.line(line), kind));
-            rtl_hot.extend(feed(&mut rtl, ppn, line, kind));
-        }
-        assert_eq!(
-            behav_hot, rtl_hot,
-            "threshold {threshold} seed {seed}: emission sequences diverged"
-        );
-        assert_eq!(behav.stats().hot_pages, rtl.emitted());
-    }
-}
-
-#[test]
-fn hpd_models_agree_with_interleaved_invalidations() {
-    let config = HpdConfig::with_threshold(4);
-    let mut behav = HotPageDetector::new(config).unwrap();
-    let mut rtl = HpdRtl::new(config).unwrap();
-    let mut rng = SplitMix64::seed_from_u64(99);
-    let mut behav_hot = Vec::new();
-    let mut rtl_hot = Vec::new();
-    for _ in 0..20_000 {
-        let ppn = Ppn::new(rng.gen_range(0..64));
-        if rng.gen_range(0..8) == 0 {
-            // Reclaim notification: both tables drop the entry.
-            behav.invalidate(ppn);
-            rtl.invalidate(ppn);
-            continue;
-        }
-        let line = rng.gen_range(0..64) as u8;
-        behav_hot.extend(behav.on_miss(ppn.line(line), AccessKind::Read));
-        rtl_hot.extend(feed(&mut rtl, ppn, line, AccessKind::Read));
-    }
-    assert!(!behav_hot.is_empty(), "stream too cold to compare anything");
-    assert_eq!(behav_hot, rtl_hot);
-}
-
-#[test]
-fn hpd_models_track_volume_under_eviction_pressure() {
-    // 1024 pages hammering 64 entries: constant thrash. Exact LRU and
-    // 4-bit aging pick different victims, but the Table II statistic
-    // (emission volume) must stay within ±25%.
-    for seed in [7u64, 21, 1234] {
-        let config = HpdConfig::with_threshold(4);
-        let mut behav = HotPageDetector::new(config).unwrap();
-        let mut rtl = HpdRtl::new(config).unwrap();
-        let mut rng = SplitMix64::seed_from_u64(seed);
-        for _ in 0..60_000 {
-            let ppn = Ppn::new(rng.gen_range(0..1024));
-            let line = rng.gen_range(0..64) as u8;
-            behav.on_miss(ppn.line(line), AccessKind::Read);
-            rtl.clock(Some((ppn.line(line), AccessKind::Read)));
-        }
-        rtl.clock(None);
-        let behav_hot = behav.stats().hot_pages;
-        let lo = behav_hot - behav_hot / 4;
-        let hi = behav_hot + behav_hot / 4;
-        assert!(
-            (lo..=hi).contains(&rtl.emitted()),
-            "seed {seed}: rtl {} vs behavioural {behav_hot}",
-            rtl.emitted()
-        );
-    }
-}
 
 /// One op of the page-touch stream fed to the MC pipeline.
 #[derive(Clone, Copy, Debug)]
@@ -261,68 +155,37 @@ fn run_single_bits(mc: &mut McPipeline, ops: &[PageOp]) -> PipelineOut {
     out
 }
 
-/// One table per channel, built with the pipeline's per-channel
-/// threshold.
-fn channel_tables<T>(
-    threshold: u32,
-    channels: usize,
-    new: fn(HpdConfig) -> hopp_types::Result<T>,
-) -> Vec<T> {
-    let per_channel = HpdConfig::with_threshold((threshold / channels as u32).max(1));
-    (0..channels).map(|_| new(per_channel).unwrap()).collect()
-}
-
-/// Feeds `ops` line by line through per-channel `tables`, routing line
-/// `j` of page `ppn` by its address, `ppn.line(j) % channels`, not by
-/// the pipeline's lane masks; returns the hot `(op, line, ppn)`
-/// sequence.
-fn run_lines<T>(
-    tables: &mut [T],
-    ops: &[PageOp],
-    miss: fn(&mut T, Ppn, u8, AccessKind) -> Option<Ppn>,
-    reclaim: fn(&mut T, Ppn),
-) -> Vec<(usize, u32, Ppn)> {
-    let channels = tables.len() as u64;
-    let mut hot = Vec::new();
-    for (i, op) in ops.iter().enumerate() {
-        match *op {
-            PageOp::Touch { ppn, misses, kind } => {
-                for line in (0..64u8).filter(|j| misses >> j & 1 == 1) {
-                    let channel = (ppn.line(line).raw() % channels) as usize;
-                    if let Some(p) = miss(&mut tables[channel], ppn, line, kind) {
-                        hot.push((i, u32::from(line), p));
-                    }
-                }
-            }
-            PageOp::Reclaim(ppn) => tables.iter_mut().for_each(|t| reclaim(t, ppn)),
-        }
-    }
-    hot
-}
-
-/// [`run_lines`] over behavioural HPD tables; also returns their merged
-/// counters.
+/// Feeds `ops` line by line through one behavioural HPD table per
+/// channel, built with the pipeline's per-channel threshold. Line `j` of
+/// page `ppn` goes to the table of its address, `ppn.line(j) % channels`,
+/// not by the pipeline's lane masks. Returns the hot `(op, line, ppn)`
+/// sequence and the tables' merged counters.
 fn run_hpd_lines(
     threshold: u32,
     channels: usize,
     ops: &[PageOp],
 ) -> (Vec<(usize, u32, Ppn)>, HpdStats) {
-    let mut hpds = channel_tables(threshold, channels, HotPageDetector::new);
-    let hot = run_lines(
-        &mut hpds,
-        ops,
-        |h, ppn, line, kind| h.on_miss(ppn.line(line), kind),
-        HotPageDetector::invalidate,
-    );
+    let per_channel = HpdConfig::with_threshold((threshold / channels as u32).max(1));
+    let mut hpds: Vec<_> = (0..channels)
+        .map(|_| HotPageDetector::new(per_channel).unwrap())
+        .collect();
+    let mut hot = Vec::new();
+    for (i, op) in ops.iter().enumerate() {
+        match *op {
+            PageOp::Touch { ppn, misses, kind } => {
+                for line in (0..64u8).filter(|j| misses >> j & 1 == 1) {
+                    let channel = (ppn.line(line).raw() % channels as u64) as usize;
+                    if let Some(p) = hpds[channel].on_miss(ppn.line(line), kind) {
+                        hot.push((i, u32::from(line), p));
+                    }
+                }
+            }
+            PageOp::Reclaim(ppn) => hpds.iter_mut().for_each(|h| h.invalidate(ppn)),
+        }
+    }
     let mut stats = HpdStats::default();
     hpds.iter().for_each(|h| stats.merge(h.stats()));
     (hot, stats)
-}
-
-/// [`run_lines`] over RTL tables, each op drained before the next.
-fn run_rtl_lines(threshold: u32, channels: usize, ops: &[PageOp]) -> Vec<(usize, u32, Ppn)> {
-    let mut rtls = channel_tables(threshold, channels, HpdRtl::new);
-    run_lines(&mut rtls, ops, feed, HpdRtl::invalidate)
 }
 
 #[test]
@@ -331,8 +194,8 @@ fn page_path_matches_line_by_line_references() {
         for channels in [1usize, 2, 3, 4] {
             let seed = u64::from(threshold) * 16 + channels as u64;
             let mut rng = SplitMix64::seed_from_u64(seed);
-            // 16 frames per set: the sets fill but never evict, so the
-            // RTL's aging replacement has no victim to pick differently.
+            // 16 frames per set against 16 ways: the sets fill but never
+            // evict.
             let pool = page_pool(&mut rng, 16);
             let ops = page_ops(&mut rng, &pool, 4_000);
             let mut page = mapped_pipeline(threshold, channels, &pool);
@@ -343,11 +206,6 @@ fn page_path_matches_line_by_line_references() {
             let cell = format!("threshold {threshold} channels {channels}");
             assert!(!got.hot.is_empty(), "{cell}: stream too cold");
             assert!(got.resolved.iter().any(Option::is_none), "{cell}");
-            assert_eq!(
-                got.hot,
-                run_rtl_lines(threshold, channels, &ops),
-                "{cell}: vs RTL"
-            );
             assert_eq!(got.hot, lines, "{cell}: vs behavioural line loop");
             assert_eq!(page.hpd_stats(), stats, "{cell}");
             assert_eq!(got, want, "{cell}: vs single bits");
@@ -363,9 +221,8 @@ fn page_path_matches_line_by_line_references_under_eviction_pressure() {
         for channels in [1usize, 2, 3, 4] {
             let seed = 1_000 + u64::from(threshold) * 16 + channels as u64;
             let mut rng = SplitMix64::seed_from_u64(seed);
-            // 24 frames per set against 16 ways: constant eviction, where
-            // the RTL's replacement differs, so only the behavioural
-            // tables are a line-by-line reference here.
+            // 24 frames per set against 16 ways: constant eviction, so the
+            // tables' LRU victim choice is compared too.
             let pool = page_pool(&mut rng, 24);
             let ops = page_ops(&mut rng, &pool, 4_000);
             let mut page = mapped_pipeline(threshold, channels, &pool);
@@ -496,47 +353,10 @@ impl RefRpt {
     }
 }
 
-/// Applies queued RTL write-backs to the shadow DRAM copy — the memory
-/// controller's write port, modelled as immediate service.
-fn drain_writebacks(rtl: &mut RptRtl, shadow: &mut BTreeMap<Ppn, RptEntry>) {
-    while let Some(wb) = rtl.pop_writeback() {
-        match wb.entry {
-            Some(packed) => {
-                shadow.insert(wb.ppn, packed.unpack());
-            }
-            None => {
-                shadow.remove(&wb.ppn);
-            }
-        }
-    }
-}
-
-/// Resolves one RTL lookup to the behavioural `Option<RptEntry>`
-/// contract: a cached tombstone surfaces as a kernel-owned hit, a miss
-/// is answered from the shadow DRAM.
-fn rtl_lookup(
-    rtl: &mut RptRtl,
-    shadow: &mut BTreeMap<Ppn, RptEntry>,
-    ppn: Ppn,
-) -> Option<RptEntry> {
-    match rtl.lookup(ppn) {
-        RptRtlResponse::Hit(e) if e.pid == Pid::KERNEL => None,
-        RptRtlResponse::Hit(e) => Some(e),
-        RptRtlResponse::Miss => {
-            // The DRAM read must see any dirty eviction the behavioural
-            // model would already have folded into its own DRAM copy.
-            drain_writebacks(rtl, shadow);
-            let entry = shadow.get(&ppn).copied();
-            rtl.dram_response(ppn, entry)
-        }
-    }
-}
-
 #[test]
-fn rpt_models_resolve_every_lookup_identically() {
-    // Tiny caches (2 sets × 4 ways) over 256 frames: heavy eviction, so
-    // the two replacement policies constantly cache different frames —
-    // yet every lookup must resolve to the same architectural mapping.
+fn packed_rpt_matches_the_unpacked_reference_op_by_op() {
+    // A tiny cache (2 sets × 4 ways) over 256 frames: heavy eviction, so
+    // write-backs, DRAM reads and tombstones all occur on every seed.
     let geometry = RptCacheConfig {
         capacity_bytes: 8 * RPT_ENTRY_BYTES,
         ways: 4,
@@ -544,8 +364,6 @@ fn rpt_models_resolve_every_lookup_identically() {
     for seed in [3u64, 17, 404] {
         let mut behav = ReversePageTable::new(geometry).unwrap();
         let mut reference = RefRpt::new(geometry);
-        let mut rtl = RptRtl::new(geometry).unwrap();
-        let mut shadow: BTreeMap<Ppn, RptEntry> = BTreeMap::new();
         let mut lookups = 0u64;
         for op in rpt_ops(seed, 256, 30_000) {
             match op {
@@ -559,27 +377,21 @@ fn rpt_models_resolve_every_lookup_identically() {
                             flags: PageFlags::default(),
                         }),
                     );
-                    rtl.pte_set(pid, vpn, ppn);
                 }
                 RptOp::Clear(ppn) => {
                     behav.pte_clear(Pid::new(1), Vpn::new(0), ppn);
                     reference.update(ppn, None);
-                    rtl.pte_clear(ppn);
                 }
                 RptOp::Lookup(ppn) => {
                     lookups += 1;
-                    let want = behav.lookup(ppn);
                     assert_eq!(
+                        behav.lookup(ppn),
                         reference.lookup(ppn),
-                        want,
                         "seed {seed}: lookup({ppn:?}) diverged from the reference"
                     );
-                    let got = rtl_lookup(&mut rtl, &mut shadow, ppn);
-                    assert_eq!(got, want, "seed {seed}: lookup({ppn:?}) diverged");
                 }
             }
             assert_eq!(behav.stats(), reference.stats, "seed {seed}: counters");
-            drain_writebacks(&mut rtl, &mut shadow);
         }
         let stats = behav.stats();
         assert!(
@@ -587,21 +399,13 @@ fn rpt_models_resolve_every_lookup_identically() {
             "seed {seed}: {stats:?}"
         );
         assert!(lookups > 10_000, "op mix starved the comparison");
-        // Different victims, similar locality: hit rates land close.
-        let delta = (behav.stats().hit_rate() - rtl.hit_rate()).abs();
-        assert!(
-            delta < 0.2,
-            "seed {seed}: hit rates diverged by {delta} (behav {}, rtl {})",
-            behav.stats().hit_rate(),
-            rtl.hit_rate()
-        );
     }
 }
 
 #[test]
 fn rpt_packing_is_lossless_for_the_whole_op_stream() {
     // Every entry the differential stream produces must survive the
-    // 64-bit packing the RTL stores (16-bit PID, 40-bit VPN, flags).
+    // 64-bit packing the RPT stores (16-bit PID, 40-bit VPN, flags).
     let mut rng = SplitMix64::seed_from_u64(55);
     for _ in 0..10_000 {
         let e = RptEntry {

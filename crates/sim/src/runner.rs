@@ -6,7 +6,7 @@
 
 use hopp_fabric::FaultScript;
 use hopp_trace::AccessStream;
-use hopp_types::{Pid, Result};
+use hopp_types::{Error, Pid, Result};
 use hopp_workloads::WorkloadKind;
 
 use crate::config::{AppSpec, BaselineKind, SimConfig, SystemConfig};
@@ -21,13 +21,9 @@ pub const SOLO_PID: Pid = Pid::new(1);
 ///
 /// # Errors
 ///
-/// Returns configuration validation errors and fatal run errors (lost
-/// pages, exhausted pools).
-///
-/// # Panics
-///
-/// Panics if `mem_ratio` is not within `(0, +∞)` (a programming error
-/// in experiment code).
+/// Returns configuration validation errors, among them a `mem_ratio`
+/// outside `(0, +∞)`, and fatal run errors (lost pages, exhausted
+/// pools).
 pub fn run_workload(
     kind: WorkloadKind,
     footprint_pages: u64,
@@ -49,10 +45,6 @@ pub fn run_workload(
 /// # Errors
 ///
 /// Returns configuration validation errors and fatal run errors.
-///
-/// # Panics
-///
-/// Panics if `mem_ratio` is not positive (experiment-code bug).
 pub fn run_workload_with(
     config: SimConfig,
     kind: WorkloadKind,
@@ -76,10 +68,6 @@ pub fn run_workload_with(
 /// # Errors
 ///
 /// Returns configuration validation errors and fatal run errors.
-///
-/// # Panics
-///
-/// Panics if `mem_ratio` is not positive (experiment-code bug).
 pub fn run_stream_with(
     config: SimConfig,
     pid: Pid,
@@ -101,10 +89,6 @@ pub fn run_stream_with(
 /// loses every replica of a page reports
 /// [`hopp_types::Error::PageUnreachable`] with the page and node
 /// context instead of panicking.
-///
-/// # Panics
-///
-/// Panics if `mem_ratio` is not positive (experiment-code bug).
 pub fn run_workload_with_faults(
     config: SimConfig,
     kind: WorkloadKind,
@@ -126,11 +110,8 @@ pub fn run_workload_with_faults(
 ///
 /// # Errors
 ///
-/// Returns configuration validation errors.
-///
-/// # Panics
-///
-/// Panics if `mem_ratio` is not positive (experiment-code bug).
+/// Returns [`Error::InvalidConfig`] unless `mem_ratio` is finite and
+/// positive, and configuration validation errors.
 pub fn solo_simulator(
     config: SimConfig,
     pid: Pid,
@@ -138,7 +119,12 @@ pub fn solo_simulator(
     footprint_pages: u64,
     mem_ratio: f64,
 ) -> Result<Simulator> {
-    assert!(mem_ratio > 0.0, "memory ratio must be positive");
+    if !(mem_ratio.is_finite() && mem_ratio > 0.0) {
+        return Err(Error::InvalidConfig {
+            what: "memory ratio",
+            constraint: "finite and > 0",
+        });
+    }
     let limit = ((footprint_pages as f64 * mem_ratio).ceil() as usize).max(64);
     let app = AppSpec {
         pid,
@@ -172,5 +158,23 @@ mod tests {
     fn local_run_is_full_speed() {
         let r = run_local(WorkloadKind::Kmeans, 1_024, 3).unwrap();
         assert_eq!(r.counters.major_faults, 0);
+    }
+
+    #[test]
+    fn a_bad_memory_ratio_is_a_typed_error() {
+        for ratio in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let system = SystemConfig::Baseline(BaselineKind::NoPrefetch);
+            let err = run_workload(WorkloadKind::Kmeans, 1_024, 3, system, ratio).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    Error::InvalidConfig {
+                        what: "memory ratio",
+                        constraint: "finite and > 0"
+                    }
+                ),
+                "ratio {ratio}: {err:?}"
+            );
+        }
     }
 }

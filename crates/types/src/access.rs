@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use crate::{LineAddr, Nanos, Pid, Vpn};
+use crate::{Nanos, Pid, Vpn};
 
 /// Whether an access reads or writes memory.
 ///
@@ -80,19 +80,6 @@ impl PageAccess {
         self.think_ns = think_ns;
         self
     }
-}
-
-/// A physical cacheline access as observed on the memory bus (an LLC
-/// miss). This is the HMTT trace record format of the paper reduced to
-/// the fields the simulation needs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct LineAccess {
-    /// Physical cacheline address.
-    pub addr: LineAddr,
-    /// Read or write.
-    pub kind: AccessKind,
-    /// Bus-observation time.
-    pub at: Nanos,
 }
 
 /// Flags carried alongside a hot page, forwarded verbatim from the RPT

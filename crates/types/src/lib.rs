@@ -33,7 +33,7 @@ pub mod json;
 pub mod rng;
 pub mod time;
 
-pub use access::{AccessKind, HotPage, LineAccess, PageAccess, PageFlags};
+pub use access::{AccessKind, HotPage, PageAccess, PageFlags};
 pub use error::{Error, Result};
 pub use ids::{LineAddr, NodeId, Pid, Ppn, SwapSlot, Vpn};
 pub use rng::SplitMix64;

@@ -12,8 +12,8 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`types`] | `hopp-types` | page numbers, PIDs, time, access records |
-//! | [`trace`] | `hopp-trace` | LLC model, HMTT records, pattern generators |
+//! | [`types`] | `hopp-types` | page numbers, PIDs, time, page-access and hot-page records |
+//! | [`trace`] | `hopp-trace` | LLC model, pattern generators |
 //! | [`mem`] | `hopp-mem` | frames, page tables, PTE hooks |
 //! | [`hw`] | `hopp-hw` | hot page detection, reverse page table (+cache) |
 //! | [`kernel`] | `hopp-kernel` | swapcache, LRU reclaim, fault costs, cgroups |
@@ -64,3 +64,13 @@ pub use hopp_sim as sim;
 pub use hopp_trace as trace;
 pub use hopp_types as types;
 pub use hopp_workloads as workloads;
+
+/// The Rust fences in README.md, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
+/// The Rust fences in docs/observability.md, compiled as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../docs/observability.md")]
+pub struct ObservabilityDoctests;

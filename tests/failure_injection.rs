@@ -2,17 +2,15 @@
 //! operating assumptions break — misconfiguration, resource exhaustion,
 //! protocol violations — rather than silently producing wrong results.
 
-use hopp::hw::rtl_rpt::{RptRtl, MSHR_ENTRIES};
 use hopp::hw::{HpdConfig, McPipeline, RptCacheConfig};
 use hopp::kernel::SwapDevice;
 use hopp::sim::{
     run_workload_with_faults, AppSpec, BaselineKind, FabricConfig, FaultScript, SimConfig,
     Simulator, SystemConfig,
 };
-use hopp::trace::hmtt::{HmttRecord, TraceRing};
 use hopp::trace::llc::LlcConfig;
 use hopp::trace::patterns::SimpleStream;
-use hopp::types::{AccessKind, Error, LineAccess, LineAddr, Nanos, NodeId, Pid, Ppn, Vpn};
+use hopp::types::{AccessKind, Error, Nanos, NodeId, Pid, Ppn, Vpn};
 use hopp::workloads::WorkloadKind;
 
 fn scan_app(pages: u64, limit: usize) -> AppSpec {
@@ -177,37 +175,6 @@ fn swap_device_surfaces_exhaustion_as_an_error() {
         Error::RemoteMemoryExhausted { capacity_pages: 1 }
     ));
     assert_eq!(err.to_string(), "remote memory node full (1 pages)");
-}
-
-#[test]
-fn hmtt_ring_overrun_is_counted_not_hidden() {
-    // A consumer that stalls loses the oldest records, and the loss is
-    // observable — the debugging story for an undersized reserved area.
-    let mut ring = TraceRing::new(8);
-    for i in 0..100u64 {
-        ring.push(HmttRecord::capture(
-            i,
-            &LineAccess {
-                addr: LineAddr::new(i),
-                kind: AccessKind::Read,
-                at: Nanos::from_nanos(i * 64),
-            },
-        ));
-    }
-    assert_eq!(ring.overruns(), 92);
-    assert_eq!(ring.len(), 8);
-    // The survivors are the newest records, in order.
-    let first = ring.pop().unwrap();
-    assert_eq!(first.seqno(), 92);
-}
-
-#[test]
-#[should_panic(expected = "MSHR overflow")]
-fn rpt_rtl_enforces_its_outstanding_miss_budget() {
-    let mut cache = RptRtl::new(RptCacheConfig::default()).unwrap();
-    for p in 0..=MSHR_ENTRIES as u64 {
-        let _ = cache.lookup(Ppn::new(p));
-    }
 }
 
 #[test]

@@ -13,15 +13,13 @@ use hopp::core::metrics::PrefetchMetrics;
 use hopp::core::policy::{PolicyConfig, PolicyEngine};
 use hopp::core::stt::{StreamTrainingTable, SttConfig};
 use hopp::core::{MarkovConfig, MarkovEngine};
-use hopp::hw::rtl::HpdRtl;
 use hopp::hw::{HotPageDetector, HpdConfig};
 use hopp::kernel::{LruLists, LruTier, SwapDevice};
 use hopp::net::CompletionQueue;
 use hopp::obs::NopRecorder;
-use hopp::trace::hmtt::{HmttDecoder, HmttRecord, TIMESTAMP_TICK_NS};
 use hopp::trace::llc::{LastLevelCache, LlcConfig};
 use hopp::types::rng::SplitMix64;
-use hopp::types::{AccessKind, HotPage, LineAccess, LineAddr, Nanos, PageFlags, Pid, Ppn, Vpn};
+use hopp::types::{AccessKind, HotPage, LineAddr, Nanos, PageFlags, Pid, Ppn, Vpn};
 
 /// Randomized cases per property.
 const CASES: u64 = 32;
@@ -266,40 +264,6 @@ fn vpn_stride_offset_roundtrip() {
     });
 }
 
-/// The RTL HPD emits exactly the behavioural model's hot pages (in
-/// order) whenever set pressure stays below the associativity, for
-/// arbitrary access sequences over 32 pages.
-#[test]
-fn rtl_hpd_matches_behavioural_without_pressure() {
-    for_cases(10, |rng| {
-        let n = rng.gen_range(1..17) as u32;
-        let len = rng.gen_range(0..2_000);
-        let mut behav = HotPageDetector::new(HpdConfig::with_threshold(n)).unwrap();
-        let mut rtl = HpdRtl::new(HpdConfig::with_threshold(n)).unwrap();
-        let mut behav_hot = Vec::new();
-        let mut rtl_hot = Vec::new();
-        for _ in 0..len {
-            let page = rng.gen_range(0..32);
-            let line = rng.gen_range(0..64) as u8;
-            let kind = if rng.gen_bool(0.5) {
-                AccessKind::Read
-            } else {
-                AccessKind::Write
-            };
-            if let Some(h) = behav.on_miss(Ppn::new(page).line(line), kind) {
-                behav_hot.push(h);
-            }
-            if let Some(h) = rtl.clock(Some((Ppn::new(page).line(line), kind))).hot {
-                rtl_hot.push(h);
-            }
-        }
-        if let Some(h) = rtl.clock(None).hot {
-            rtl_hot.push(h);
-        }
-        assert_eq!(behav_hot, rtl_hot);
-    });
-}
-
 /// The policy engine's offset stays within `[1, max_offset]` no matter
 /// what timeliness samples arrive.
 #[test]
@@ -355,39 +319,5 @@ fn markov_chains_are_acyclic() {
                 assert!(seen.insert(o.vpn.raw()), "chain revisited {:?}", o.vpn);
             }
         }
-    });
-}
-
-/// HMTT records keep every field through their packed raw bits, and
-/// the decoder rebuilds absolute time across 8-bit timestamp wraps as
-/// long as consecutive records are less than one wrap apart.
-#[test]
-fn hmtt_records_roundtrip_through_raw_bits_and_the_decoder() {
-    for_cases(13, |rng| {
-        let mut decoder = HmttDecoder::new();
-        let mut ticks = 0;
-        for seqno in 0..rng.gen_range(0..200) {
-            let r = rng.next_u64();
-            ticks += rng.gen_range(0..256);
-            let kind = if r & 1 == 0 {
-                AccessKind::Read
-            } else {
-                AccessKind::Write
-            };
-            let at = Nanos::from_nanos(ticks * TIMESTAMP_TICK_NS);
-            let rec = HmttRecord::capture(
-                seqno,
-                &LineAccess {
-                    addr: LineAddr::new(r),
-                    kind,
-                    at,
-                },
-            );
-            assert_eq!(HmttRecord::from_raw(rec.raw()), rec);
-            assert_eq!(rec.addr(), LineAddr::new(r & ((1 << 29) - 1)));
-            let back = decoder.decode(rec);
-            assert_eq!((back.kind, back.at), (kind, at));
-        }
-        assert_eq!(decoder.dropped, 0);
     });
 }
